@@ -2,16 +2,18 @@
 //!
 //! The paper's Murphi sweeps ran for up to 72 hours; a panic, OOM-kill,
 //! or Ctrl-C anywhere in such a run used to lose every explored state.
-//! This module serializes explorer progress — the BFS frontier, the
-//! visited/parent map, the completed level, and the budget spent — to a
-//! versioned, length-prefixed, checksummed on-disk format that a later
-//! process can [`Checkpoint::load`] and continue from.
+//! This module serializes explorer progress — the visited/parent map,
+//! the BFS frontier, the completed level, and the budget spent — to a
+//! checksummed on-disk format that a later process can
+//! [`Checkpoint::load`] and continue from. All three explorers write
+//! and read the same format, so a snapshot taken by one resumes under
+//! any other.
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! ```text
 //! magic        8 bytes  b"VNETCKPT"
-//! version      u32 LE   (1)
+//! version      u32 LE   (2)
 //! fingerprint  u64 LE   FNV-1a over the spec's canonical DSL text and
 //!                       the McConfig fields that shape the state space
 //! payload_len  u64 LE
@@ -19,16 +21,7 @@
 //! checksum     u64 LE   FNV-1a over everything above (magic..payload)
 //! ```
 //!
-//! The payload holds `level`, `nodes_spent`, the visited map (each entry
-//! `key → (parent key, rule label, claim level)`, written in sorted key
-//! order so equal progress produces byte-identical checkpoints), and the
-//! frontier states in BFS order.
-//!
-//! ## Format (version 2)
-//!
-//! Version 2 keeps the envelope above byte-for-byte (only the version
-//! field differs) and replaces the payload with a sharded,
-//! delta-compressed layout sized for out-of-core runs:
+//! The payload:
 //!
 //! ```text
 //! level        u64 LE
@@ -39,47 +32,45 @@
 //! frontier     u64 LE count, then count × (shard u32 LE, index u32 LE)
 //! ```
 //!
-//! Each shard section is self-contained — a label table followed by its
-//! entries in sorted-key order, each key delta-compressed against its
-//! predecessor ([`crate::codec`]) with a full restart every 16 entries,
-//! and each parent named by `(shard, index)` instead of a second key
-//! copy. The per-section checksums let the process-sharded explorer
-//! validate a single shard's artifact without reading its siblings; the
-//! frontier references entries rather than re-serializing states.
-//! Version-1 files load transparently (and are rewritten as version 2
-//! at the next flush), so pre-existing checkpoints keep resuming.
+//! Each shard section is self-contained: a label table, then its
+//! entries in the order the writer claimed them, each key
+//! delta-compressed against its predecessor ([`crate::codec`]) with a
+//! full restart every 16 entries, and each parent named by
+//! `(shard, index)` instead of a second key copy. The serial explorer
+//! writes one section in claim (id) order, so its parents and frontier
+//! are plain ids; the thread-parallel explorer writes one section per
+//! visited shard; the process-sharded explorer writes one per worker.
+//! `write` is the only code that lays out a checkpoint file.
+//!
+//! Version 1 (a flat, uncompressed layout written by earlier builds) is
+//! refused with [`CheckpointError::UnsupportedVersion`]; such a run has
+//! to be started again.
 //!
 //! ## Fail-closed loading
 //!
 //! [`Checkpoint::load`] never panics and never returns a best-effort
-//! partial read: truncation, a flipped bit, an unknown version, or a
-//! fingerprint that does not match the (spec, config) pair being resumed
-//! all yield a positioned [`CheckpointError`]. A resumed run is only
-//! ever continued from a checkpoint that round-trips exactly.
+//! partial read: truncation, a flipped bit, an unknown version, a
+//! fingerprint that does not match the (spec, config) pair being
+//! resumed, a duplicate key, or a parent or frontier reference outside
+//! the visited set all yield a positioned [`CheckpointError`]. A
+//! resumed run is only ever continued from a checkpoint that
+//! round-trips exactly.
 //!
 //! Writes go through a temp file + atomic rename, so a crash *during*
 //! checkpointing leaves the previous checkpoint intact rather than a
 //! half-written file.
 
 use crate::config::McConfig;
-use crate::state::{CacheLine, DirLine, GlobalState, Msg, Node};
-use std::collections::VecDeque;
+use crate::state::GlobalState;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use vnet_protocol::ProtocolSpec;
 
 /// The on-disk magic that starts every checkpoint file.
 pub const MAGIC: &[u8; 8] = b"VNETCKPT";
 
-/// The flat, uncompressed version-1 format (still read, still written
-/// by the thread-parallel explorer — which keeps the conversion path
-/// continuously exercised).
-pub const V1: u32 = 1;
-
-/// The sharded, delta-compressed version-2 format.
-pub const V2: u32 = 2;
-
-/// The newest format version this build reads and writes.
-pub const VERSION: u32 = V2;
+/// The one format version this build reads and writes.
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written or loaded. Every variant that
 /// stems from file *content* carries the byte offset at which the
@@ -228,8 +219,9 @@ impl CheckpointPolicy {
 pub struct VisitedEntry {
     /// The canonical state key.
     pub key: Vec<u8>,
-    /// The parent state's key (the initial state points at itself).
-    pub parent: Vec<u8>,
+    /// Index within [`Checkpoint::entries`] of the parent entry (the
+    /// initial state points at itself).
+    pub parent: u32,
     /// The rule label taken from the parent (empty for the initial
     /// state).
     pub label: String,
@@ -246,26 +238,28 @@ pub struct Checkpoint {
     pub level: usize,
     /// Budget units spent so far (cumulative across resumes).
     pub nodes_spent: u64,
-    /// The visited/parent map.
+    /// The visited/parent map: every section's entries, in file order.
+    /// Keys are unique and every parent index is in range.
     pub entries: Vec<VisitedEntry>,
-    /// The next frontier, in BFS order.
-    pub frontier: Vec<GlobalState>,
-    /// `parent_ids[i]` is the index within `entries` of entry `i`'s
-    /// parent. The version-2 decoder fills this (parents are stored as
-    /// indices on disk), letting resume skip the O(n) parent-key lookup
-    /// pass; version-1 files leave it `None` and resume falls back to
-    /// the lookup. Never serialized.
-    pub parent_ids: Option<Vec<u32>>,
+    /// The next frontier, in BFS order, as indices into `entries`.
+    /// Every frontier key decodes to a state of the run's config.
+    pub frontier: Vec<u32>,
 }
 
-/// FNV-1a 64-bit, the repo's dependency-free checksum/fingerprint hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64-bit hash.
+fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// FNV-1a 64-bit, the repo's dependency-free checksum/fingerprint hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_update(FNV_OFFSET, bytes)
 }
 
 /// The (spec, config) fingerprint recorded in every checkpoint: a hash
@@ -279,33 +273,75 @@ pub fn fingerprint(spec: &ProtocolSpec, cfg: &McConfig) -> u64 {
     fnv1a(&bytes)
 }
 
+/// Writes a checkpoint file: the envelope around a payload of `level`,
+/// `nodes_spent`, the shard manifest, the `sections` (each built by a
+/// [`ShardEncoder`]) and the `(shard, index)` frontier references. The
+/// bytes stream through a temp file that is renamed over `path`, so a
+/// crash mid-write leaves any previous checkpoint intact. This is the
+/// only function that writes a checkpoint.
+pub(crate) fn write(
+    path: &Path,
+    fingerprint: u64,
+    level: usize,
+    nodes_spent: u64,
+    sections: &[Vec<u8>],
+    frontier: impl ExactSizeIterator<Item = (u32, u32)>,
+) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let sections_len: usize = sections.iter().map(Vec::len).sum();
+    let payload_len = 28 + 16 * sections.len() + sections_len + 8 * frontier.len();
+
+    let mut head = Vec::with_capacity(48 + 16 * sections.len());
+    head.extend(MAGIC);
+    put_u32(&mut head, VERSION);
+    put_u64(&mut head, fingerprint);
+    put_u64(&mut head, payload_len as u64);
+    put_u64(&mut head, level as u64);
+    put_u64(&mut head, nodes_spent);
+    put_u32(&mut head, sections.len() as u32);
+    for sec in sections {
+        put_u64(&mut head, sec.len() as u64);
+        put_u64(&mut head, fnv1a(sec));
+    }
+    let mut tail = Vec::with_capacity(8 + 8 * frontier.len());
+    put_u64(&mut tail, frontier.len() as u64);
+    for (shard, idx) in frontier {
+        put_u32(&mut tail, shard);
+        put_u32(&mut tail, idx);
+    }
+
+    let stream = || -> std::io::Result<()> {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        let mut sum = FNV_OFFSET;
+        let parts = std::iter::once(&head).chain(sections).chain([&tail]);
+        for part in parts {
+            sum = fnv1a_update(sum, part);
+            out.write_all(part)?;
+        }
+        out.write_all(&sum.to_le_bytes())?;
+        out.flush()
+    };
+    stream().map_err(|e| CheckpointError::Io {
+        path: tmp.clone(),
+        detail: e.to_string(),
+    })?;
+    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io {
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    })
+}
+
 // ---------------------------------------------------------------------
 // Primitive little-endian writers/readers.
 // ---------------------------------------------------------------------
 
-/// Wraps a payload in the (version-independent) checkpoint envelope:
-/// magic, version, fingerprint, length, payload, trailing checksum.
-pub(crate) fn seal(fingerprint: u64, version: u32, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 36);
-    out.extend(MAGIC);
-    put_u32(&mut out, version);
-    put_u64(&mut out, fingerprint);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend(&payload);
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
-    out
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend(v.to_le_bytes());
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend(v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend(v.to_le_bytes());
 }
 
@@ -347,15 +383,6 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, CheckpointError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -385,8 +412,7 @@ impl<'a> Reader<'a> {
         self.take(len, what)
     }
 
-    /// A LEB128 varint ([`crate::codec`]); used only by version-2
-    /// shard sections.
+    /// A LEB128 varint ([`crate::codec`]).
     fn varint(&mut self, what: &str) -> Result<u64, CheckpointError> {
         let at = self.offset();
         match crate::codec::read_varint(self.buf, &mut self.pos) {
@@ -415,236 +441,7 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// GlobalState serialization.
-// ---------------------------------------------------------------------
-
-fn put_node(out: &mut Vec<u8>, n: Node) {
-    out.push(match n {
-        Node::Cache(i) => i,
-        Node::Dir(i) => 0x80 | i,
-    });
-}
-
-fn put_msg(out: &mut Vec<u8>, m: &Msg) {
-    out.push(m.msg);
-    out.push(m.addr);
-    put_node(out, m.src);
-    put_node(out, m.dst);
-    out.push(m.requestor);
-    out.push(m.ack as u8);
-}
-
-fn put_state(out: &mut Vec<u8>, gs: &GlobalState) {
-    for row in &gs.caches {
-        for l in row {
-            out.push(l.state);
-            out.push(l.needed_acks as u8);
-            out.push(l.readers);
-            match l.writer {
-                None => out.extend([0u8, 0, 0]),
-                Some((w, a)) => out.extend([1u8, w, a as u8]),
-            }
-        }
-    }
-    for d in &gs.dirs {
-        out.push(d.state);
-        out.push(d.owner.map_or(0xff, |o| o));
-        out.push(d.sharers);
-        out.push(d.pending as u8);
-    }
-    put_bytes(out, &gs.budgets);
-    put_u32(out, gs.used_injections);
-    for buf in &gs.global_bufs {
-        put_u16(out, buf.len() as u16);
-        for m in buf {
-            put_msg(out, m);
-        }
-    }
-    for fifo in &gs.endpoint_fifos {
-        put_u16(out, fifo.len() as u16);
-        for m in fifo {
-            put_msg(out, m);
-        }
-    }
-}
-
-fn read_node(r: &mut Reader<'_>, cfg: &McConfig, what: &str) -> Result<Node, CheckpointError> {
-    let at = r.offset();
-    let b = r.u8(what)?;
-    let node = if b & 0x80 != 0 {
-        Node::Dir(b & 0x7f)
-    } else {
-        Node::Cache(b)
-    };
-    let ok = match node {
-        Node::Cache(i) => (i as usize) < cfg.n_caches,
-        Node::Dir(i) => (i as usize) < cfg.n_dirs,
-    };
-    if !ok {
-        return Err(CheckpointError::Corrupt {
-            offset: at,
-            detail: format!("{what}: endpoint {b:#04x} out of range"),
-        });
-    }
-    Ok(node)
-}
-
-fn read_msg(
-    r: &mut Reader<'_>,
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-) -> Result<Msg, CheckpointError> {
-    let at = r.offset();
-    let msg = r.u8("message id")?;
-    if msg as usize >= spec.messages().len() {
-        return Err(CheckpointError::Corrupt {
-            offset: at,
-            detail: format!("message id {msg} out of range"),
-        });
-    }
-    let at = r.offset();
-    let addr = r.u8("message addr")?;
-    if addr as usize >= cfg.n_addrs {
-        return Err(CheckpointError::Corrupt {
-            offset: at,
-            detail: format!("message addr {addr} out of range"),
-        });
-    }
-    let src = read_node(r, cfg, "message src")?;
-    let dst = read_node(r, cfg, "message dst")?;
-    let at = r.offset();
-    let requestor = r.u8("message requestor")?;
-    if requestor as usize >= cfg.n_caches {
-        return Err(CheckpointError::Corrupt {
-            offset: at,
-            detail: format!("message requestor {requestor} out of range"),
-        });
-    }
-    let ack = r.u8("message ack")? as i8;
-    Ok(Msg {
-        msg,
-        addr,
-        src,
-        dst,
-        requestor,
-        ack,
-    })
-}
-
-fn read_state(
-    r: &mut Reader<'_>,
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-) -> Result<GlobalState, CheckpointError> {
-    let n_cache_states = spec.cache().states().len();
-    let n_dir_states = spec.directory().states().len();
-    let mut caches = Vec::with_capacity(cfg.n_caches);
-    for _ in 0..cfg.n_caches {
-        let mut row = Vec::with_capacity(cfg.n_addrs);
-        for _ in 0..cfg.n_addrs {
-            let at = r.offset();
-            let state = r.u8("cache state")?;
-            if state as usize >= n_cache_states {
-                return Err(CheckpointError::Corrupt {
-                    offset: at,
-                    detail: format!("cache state {state} out of range"),
-                });
-            }
-            let needed_acks = r.u8("cache acks")? as i8;
-            let readers = r.u8("cache readers")?;
-            let at = r.offset();
-            let wflag = r.u8("writer flag")?;
-            let w = r.u8("writer cache")?;
-            let wa = r.u8("writer acks")? as i8;
-            let writer = match wflag {
-                0 => None,
-                1 => Some((w, wa)),
-                other => {
-                    return Err(CheckpointError::Corrupt {
-                        offset: at,
-                        detail: format!("writer flag {other} (want 0 or 1)"),
-                    })
-                }
-            };
-            row.push(CacheLine {
-                state,
-                needed_acks,
-                readers,
-                writer,
-            });
-        }
-        caches.push(row);
-    }
-    let mut dirs = Vec::with_capacity(cfg.n_addrs);
-    for _ in 0..cfg.n_addrs {
-        let at = r.offset();
-        let state = r.u8("dir state")?;
-        if state as usize >= n_dir_states {
-            return Err(CheckpointError::Corrupt {
-                offset: at,
-                detail: format!("dir state {state} out of range"),
-            });
-        }
-        let owner = match r.u8("dir owner")? {
-            0xff => None,
-            o => Some(o),
-        };
-        let sharers = r.u8("dir sharers")?;
-        let pending = r.u8("dir pending")? as i8;
-        dirs.push(DirLine {
-            state,
-            owner,
-            sharers,
-            pending,
-        });
-    }
-    let at = r.offset();
-    let budgets = r.bytes("per-cache budgets")?.to_vec();
-    let expected_budgets = match &cfg.budget {
-        crate::config::InjectionBudget::PerCache(_) => cfg.n_caches,
-        crate::config::InjectionBudget::Explicit(_) => 0,
-    };
-    if budgets.len() != expected_budgets {
-        return Err(CheckpointError::Corrupt {
-            offset: at,
-            detail: format!(
-                "budget vector has {} entries, config wants {expected_budgets}",
-                budgets.len()
-            ),
-        });
-    }
-    let used_injections = r.u32("used injections")?;
-    let n_vns = cfg.vns.n_vns();
-    let mut global_bufs = Vec::with_capacity(n_vns * 2);
-    for _ in 0..n_vns * 2 {
-        let n = r.u16("global buffer length")? as usize;
-        let mut buf = VecDeque::with_capacity(n.min(1024));
-        for _ in 0..n {
-            buf.push_back(read_msg(r, spec, cfg)?);
-        }
-        global_bufs.push(buf);
-    }
-    let mut endpoint_fifos = Vec::with_capacity(cfg.n_endpoints() * n_vns);
-    for _ in 0..cfg.n_endpoints() * n_vns {
-        let n = r.u16("endpoint fifo length")? as usize;
-        let mut fifo = VecDeque::with_capacity(n.min(1024));
-        for _ in 0..n {
-            fifo.push_back(read_msg(r, spec, cfg)?);
-        }
-        endpoint_fifos.push(fifo);
-    }
-    Ok(GlobalState {
-        caches,
-        dirs,
-        budgets,
-        used_injections,
-        global_bufs,
-        endpoint_fifos,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Version-2 shard sections.
+// Shard sections.
 // ---------------------------------------------------------------------
 
 /// Keys restart the delta chain this often within a shard section, so a
@@ -652,11 +449,11 @@ fn read_state(
 /// needs more than one chain in memory.
 const SHARD_RESTART: u64 = 16;
 
-/// Streaming encoder for one version-2 shard section: a label table in
+/// Streaming encoder for one shard section: a label table in
 /// first-use order, then entries whose keys are delta-compressed against
 /// their predecessor and whose parents are `(shard, index)` references.
-/// Also used stand-alone by the process-sharded explorer, whose per-
-/// shard artifacts are single sections behind the same envelope.
+/// The process-sharded explorer also persists each worker's section
+/// file in this encoding.
 pub(crate) struct ShardEncoder {
     labels: Vec<u8>,
     label_idx: std::collections::HashMap<String, u32>,
@@ -717,7 +514,7 @@ impl ShardEncoder {
     }
 }
 
-/// One decoded version-2 shard entry; the parent is still a
+/// One decoded shard entry; the parent is still a
 /// `(shard, index)` reference (globalized by the caller).
 pub(crate) struct ShardEntry {
     pub(crate) key: Vec<u8>,
@@ -804,83 +601,12 @@ pub(crate) fn decode_shard_section(
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint encode/decode and file IO.
+// Checkpoint decode and file IO.
 // ---------------------------------------------------------------------
 
 impl Checkpoint {
-    /// Serializes the snapshot to the version-1 wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.entries.len() * 64);
-        put_u64(&mut payload, self.level as u64);
-        put_u64(&mut payload, self.nodes_spent);
-        put_u64(&mut payload, self.entries.len() as u64);
-        // Sorted key order: equal progress ⇒ byte-identical checkpoints.
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by(|&a, &b| self.entries[a].key.cmp(&self.entries[b].key));
-        for i in order {
-            let e = &self.entries[i];
-            put_bytes(&mut payload, &e.key);
-            put_bytes(&mut payload, &e.parent);
-            put_bytes(&mut payload, e.label.as_bytes());
-            put_u32(&mut payload, e.level);
-        }
-        put_u64(&mut payload, self.frontier.len() as u64);
-        for gs in &self.frontier {
-            put_state(&mut payload, gs);
-        }
-
-        seal(self.fingerprint, V1, payload)
-    }
-
-    /// Serializes the snapshot to the version-2 wire format (single
-    /// shard section, sorted key order — equal progress still produces
-    /// byte-identical files). Fails if a frontier state or a parent key
-    /// is absent from `entries`: that is not a consistent snapshot.
-    pub fn to_bytes_v2(&self) -> Result<Vec<u8>, CheckpointError> {
-        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_by(|&a, &b| self.entries[a as usize].key.cmp(&self.entries[b as usize].key));
-        let mut pos = std::collections::HashMap::with_capacity(order.len());
-        for (i, &e) in order.iter().enumerate() {
-            pos.insert(self.entries[e as usize].key.as_slice(), i as u32);
-        }
-        let mut enc = ShardEncoder::new();
-        for &ei in &order {
-            let e = &self.entries[ei as usize];
-            let Some(&p) = pos.get(e.parent.as_slice()) else {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: format!("entry {ei} has a parent outside the visited set"),
-                });
-            };
-            enc.push(&e.key, 0, p, &e.label, e.level);
-        }
-        let section = enc.finish();
-
-        let mut payload = Vec::with_capacity(44 + section.len() + self.frontier.len() * 8);
-        put_u64(&mut payload, self.level as u64);
-        put_u64(&mut payload, self.nodes_spent);
-        put_u32(&mut payload, 1); // n_shards
-        put_u64(&mut payload, section.len() as u64);
-        put_u64(&mut payload, fnv1a(&section));
-        payload.extend(&section);
-        put_u64(&mut payload, self.frontier.len() as u64);
-        let mut scratch = Vec::with_capacity(128);
-        for (i, gs) in self.frontier.iter().enumerate() {
-            gs.encode_into(&mut scratch);
-            let Some(&idx) = pos.get(scratch.as_slice()) else {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: format!("frontier state {i} is not in the visited set"),
-                });
-            };
-            put_u32(&mut payload, 0); // shard
-            put_u32(&mut payload, idx);
-        }
-        Ok(seal(self.fingerprint, V2, payload))
-    }
-
-    /// Decodes and fully validates a version-1 checkpoint against the
-    /// (spec, config) pair being resumed. Fails closed on any defect.
+    /// Decodes and fully validates a checkpoint against the (spec,
+    /// config) pair being resumed. Fails closed on any defect.
     pub fn from_bytes(
         bytes: &[u8],
         spec: &ProtocolSpec,
@@ -893,7 +619,7 @@ impl Checkpoint {
         }
         let mut r = Reader::new(&bytes[MAGIC.len()..], MAGIC.len());
         let version = r.u32("version")?;
-        if version != V1 && version != V2 {
+        if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -937,63 +663,6 @@ impl Checkpoint {
         }
 
         let mut r = Reader::new(&bytes[header_end..want - 8], header_end);
-        if version == V2 {
-            return Checkpoint::payload_v2(r, stored_fp, spec, cfg);
-        }
-        let level = r.u64("level")? as usize;
-        let nodes_spent = r.u64("nodes spent")?;
-        let n_entries = r.count("visited entries", 16)?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let key = r.bytes("entry key")?.to_vec();
-            let parent = r.bytes("entry parent")?.to_vec();
-            let at = r.offset();
-            let label = match std::str::from_utf8(r.bytes("entry label")?) {
-                Ok(s) => s.to_string(),
-                Err(e) => {
-                    return Err(CheckpointError::Corrupt {
-                        offset: at,
-                        detail: format!("entry label is not UTF-8: {e}"),
-                    })
-                }
-            };
-            let level = r.u32("entry level")?;
-            entries.push(VisitedEntry {
-                key,
-                parent,
-                label,
-                level,
-            });
-        }
-        let n_frontier = r.count("frontier states", 8)?;
-        let mut frontier = Vec::with_capacity(n_frontier);
-        for _ in 0..n_frontier {
-            frontier.push(read_state(&mut r, spec, cfg)?);
-        }
-        if r.pos != r.buf.len() {
-            return Err(CheckpointError::Corrupt {
-                offset: r.offset(),
-                detail: format!("{} unread byte(s) in payload", r.buf.len() - r.pos),
-            });
-        }
-        Ok(Checkpoint {
-            fingerprint: stored_fp,
-            level,
-            nodes_spent,
-            entries,
-            frontier,
-            parent_ids: None,
-        })
-    }
-
-    /// Parses a version-2 payload (the envelope — checksum, fingerprint,
-    /// exact length — has already been validated).
-    fn payload_v2(
-        mut r: Reader<'_>,
-        stored_fp: u64,
-        _spec: &ProtocolSpec,
-        cfg: &McConfig,
-    ) -> Result<Checkpoint, CheckpointError> {
         let level = r.u64("level")? as usize;
         let nodes_spent = r.u64("nodes spent")?;
         let at = r.offset();
@@ -1011,10 +680,10 @@ impl Checkpoint {
             manifest.push((len, sum));
         }
         // Decode every section, tracking per-shard entry offsets so
-        // parent references can be globalized.
+        // `(shard, index)` references can be globalized.
         let mut sections = Vec::with_capacity(n_shards);
         let mut offsets = Vec::with_capacity(n_shards + 1);
-        let mut total = 0u64;
+        let mut total = 0usize;
         for (i, &(len, sum)) in manifest.iter().enumerate() {
             let at = r.offset();
             let bytes = r.take(len, "shard section")?;
@@ -1027,70 +696,69 @@ impl Checkpoint {
                     ),
                 });
             }
-            let (labels, entries) = decode_shard_section(bytes, at)?;
+            let section = decode_shard_section(bytes, at)?;
             offsets.push(total);
-            total += entries.len() as u64;
-            sections.push((labels, entries));
+            total += section.1.len();
+            sections.push(section);
         }
         offsets.push(total);
-        if total > u32::MAX as u64 {
+        if total > u32::MAX as usize {
             return Err(CheckpointError::Corrupt {
                 offset: at,
                 detail: format!("{total} entries exceed the id space"),
             });
         }
-        // Globalize: flatten shard order, resolve parents to indices,
-        // and materialize parent keys so version-1 consumers are none
-        // the wiser.
-        let mut entries = Vec::with_capacity(total as usize);
-        let mut parent_ids = Vec::with_capacity(total as usize);
-        for (si, (labels, shard)) in sections.iter().enumerate() {
-            for (ei, e) in shard.iter().enumerate() {
-                let ps = e.parent_shard as usize;
-                if ps >= n_shards || e.parent_idx as u64 >= offsets[ps + 1] - offsets[ps] {
+        let global = |shard: u32, idx: u32| -> Option<u32> {
+            let s = shard as usize;
+            (s < n_shards && (idx as usize) < offsets[s + 1] - offsets[s])
+                .then(|| (offsets[s] + idx as usize) as u32)
+        };
+        let mut entries = Vec::with_capacity(total);
+        for (si, (labels, shard)) in sections.into_iter().enumerate() {
+            for (ei, e) in shard.into_iter().enumerate() {
+                let Some(parent) = global(e.parent_shard, e.parent_idx) else {
                     return Err(CheckpointError::Corrupt {
                         offset: 0,
                         detail: format!(
-                            "shard {si} entry {ei} parent ({ps}, {}) out of range",
-                            e.parent_idx
+                            "shard {si} entry {ei} parent ({}, {}) out of range",
+                            e.parent_shard, e.parent_idx
                         ),
                     });
-                }
-                parent_ids.push((offsets[ps] + e.parent_idx as u64) as u32);
+                };
                 entries.push(VisitedEntry {
-                    key: e.key.clone(),
-                    parent: Vec::new(), // patched below, once all keys exist
+                    key: e.key,
+                    parent,
                     label: labels[e.label as usize].clone(),
                     level: e.level,
                 });
             }
         }
-        for i in 0..entries.len() {
-            let parent_key = entries[parent_ids[i] as usize].key.clone();
-            entries[i].parent = parent_key;
+        let mut seen = std::collections::HashSet::with_capacity(entries.len());
+        if let Some(i) = entries.iter().position(|e| !seen.insert(e.key.as_slice())) {
+            return Err(CheckpointError::Corrupt {
+                offset: 0,
+                detail: format!("visited entry {i} duplicates an earlier key"),
+            });
         }
         let n_frontier = r.count("frontier references", 8)?;
         let mut frontier = Vec::with_capacity(n_frontier);
         for i in 0..n_frontier {
             let at = r.offset();
-            let shard = r.u32("frontier shard")? as usize;
-            let idx = r.u32("frontier index")? as u64;
-            if shard >= n_shards || idx >= offsets[shard + 1] - offsets[shard] {
+            let shard = r.u32("frontier shard")?;
+            let idx = r.u32("frontier index")?;
+            let Some(id) = global(shard, idx) else {
                 return Err(CheckpointError::Corrupt {
                     offset: at,
                     detail: format!("frontier reference {i} ({shard}, {idx}) out of range"),
                 });
+            };
+            if GlobalState::decode(&entries[id as usize].key, cfg).is_none() {
+                return Err(CheckpointError::Corrupt {
+                    offset: at,
+                    detail: format!("frontier reference {i}: key does not decode"),
+                });
             }
-            let key = &entries[(offsets[shard] + idx) as usize].key;
-            match GlobalState::decode(key, cfg) {
-                Some(gs) => frontier.push(gs),
-                None => {
-                    return Err(CheckpointError::Corrupt {
-                        offset: at,
-                        detail: format!("frontier reference {i}: key does not decode"),
-                    })
-                }
-            }
+            frontier.push(id);
         }
         if r.pos != r.buf.len() {
             return Err(CheckpointError::Corrupt {
@@ -1104,42 +772,7 @@ impl Checkpoint {
             nodes_spent,
             entries,
             frontier,
-            parent_ids: Some(parent_ids),
         })
-    }
-
-    /// Writes the checkpoint to `path` via a temp file and atomic
-    /// rename: a crash mid-write leaves any previous checkpoint intact.
-    pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::Io {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes()).map_err(|e| CheckpointError::Io {
-            path: tmp.clone(),
-            detail: e.to_string(),
-        })?;
-        std::fs::rename(&tmp, path).map_err(io)
-    }
-
-    /// Like [`Checkpoint::write_to`], in the version-2 format.
-    pub fn write_to_v2(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes_v2()?;
-        let io = |e: std::io::Error| CheckpointError::Io {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes).map_err(|e| CheckpointError::Io {
-            path: tmp.clone(),
-            detail: e.to_string(),
-        })?;
-        std::fs::rename(&tmp, path).map_err(io)
     }
 
     /// Reads, validates, and decodes the checkpoint at `path` for the
@@ -1169,14 +802,46 @@ mod tests {
     use crate::config::McConfig;
     use vnet_protocol::protocols;
 
+    /// A fresh scratch directory per test, so parallel tests never
+    /// share (or delete) each other's files.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vnet-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::create_dir_all(&dir);
+        dir
+    }
+
+    /// Writes `ckpt` to `path` as one section in entry order.
+    fn write_single(ckpt: &Checkpoint, path: &Path) -> Result<(), CheckpointError> {
+        let mut enc = ShardEncoder::new();
+        for e in &ckpt.entries {
+            enc.push(&e.key, 0, e.parent, &e.label, e.level);
+        }
+        let frontier = ckpt.frontier.iter().map(|&i| (0, i));
+        let (fp, level, nodes) = (ckpt.fingerprint, ckpt.level, ckpt.nodes_spent);
+        write(path, fp, level, nodes, &[enc.finish()], frontier)
+    }
+
+    /// The bytes [`write_single`] produces for `ckpt`.
+    fn encode(ckpt: &Checkpoint, tag: &str) -> Vec<u8> {
+        let dir = scratch(tag);
+        let path = dir.join("c.ckpt");
+        let written = write_single(ckpt, &path);
+        assert!(written.is_ok(), "{written:?}");
+        let bytes = std::fs::read(&path).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
+    /// The initial state plus `level_states` level-1 successors; the
+    /// frontier is the initial state.
     fn sample(level_states: usize) -> (ProtocolSpec, McConfig, Checkpoint) {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
         let initial = GlobalState::initial(&spec, &cfg);
-        let key = initial.encode();
         let mut entries = vec![VisitedEntry {
-            key: key.clone(),
-            parent: key.clone(),
+            key: initial.encode(),
+            parent: 0,
             label: String::new(),
             level: 0,
         }];
@@ -1185,7 +850,7 @@ mod tests {
             s.used_injections = 1 + i as u32;
             entries.push(VisitedEntry {
                 key: s.encode(),
-                parent: key.clone(),
+                parent: 0,
                 label: format!("rule-{i}"),
                 level: 1,
             });
@@ -1195,33 +860,26 @@ mod tests {
             level: 1,
             nodes_spent: level_states as u64,
             entries,
-            frontier: vec![initial],
-            parent_ids: None,
+            frontier: vec![0],
         };
         (spec, cfg, ckpt)
     }
 
     #[test]
     fn roundtrips_bit_exactly() -> Result<(), CheckpointError> {
-        let (spec, cfg, ckpt) = sample(5);
-        let bytes = ckpt.to_bytes();
+        let (spec, cfg, ckpt) = sample(40);
+        let bytes = encode(&ckpt, "roundtrip");
         let back = Checkpoint::from_bytes(&bytes, &spec, &cfg)?;
-        assert_eq!(back.level, ckpt.level);
-        assert_eq!(back.nodes_spent, ckpt.nodes_spent);
-        assert_eq!(back.frontier, ckpt.frontier);
-        // Entries come back in sorted-key order; compare as sets.
-        let mut a = ckpt.entries.clone();
-        a.sort_by(|x, y| x.key.cmp(&y.key));
-        assert_eq!(back.entries, a);
+        assert_eq!(back, ckpt);
         // Same progress ⇒ byte-identical re-encode.
-        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(encode(&back, "roundtrip"), bytes);
         Ok(())
     }
 
     #[test]
     fn every_truncation_is_rejected() {
         let (spec, cfg, ckpt) = sample(2);
-        let bytes = ckpt.to_bytes();
+        let bytes = encode(&ckpt, "truncation");
         for cut in 0..bytes.len() {
             let r = Checkpoint::from_bytes(&bytes[..cut], &spec, &cfg);
             assert!(
@@ -1241,7 +899,7 @@ mod tests {
         // Any one-bit flip must fail the checksum (or an earlier check);
         // sample every 7th byte to keep the test fast.
         let (spec, cfg, ckpt) = sample(2);
-        let bytes = ckpt.to_bytes();
+        let bytes = encode(&ckpt, "bitflip");
         for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
@@ -1253,18 +911,25 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_and_wrong_spec_are_structured_errors() {
+    fn other_versions_and_wrong_spec_are_structured_errors() {
         let (spec, cfg, ckpt) = sample(1);
-        let mut bad = ckpt.to_bytes();
-        bad[8] = 99; // version field
-        assert!(matches!(
-            Checkpoint::from_bytes(&bad, &spec, &cfg),
-            Err(CheckpointError::UnsupportedVersion { found: 99, .. })
-        ));
+        let bytes = encode(&ckpt, "version");
+        for version in [1u32, 99] {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            let r = Checkpoint::from_bytes(&bad, &spec, &cfg);
+            assert!(
+                matches!(
+                    r,
+                    Err(CheckpointError::UnsupportedVersion { found, supported: VERSION })
+                        if found == version
+                ),
+                "{r:?}"
+            );
+        }
 
         // Same bytes, different config ⇒ fingerprint mismatch (the
         // checksum is fine; the guard is the fingerprint).
-        let bytes = ckpt.to_bytes();
         let other_cfg = McConfig::general(&spec);
         assert!(matches!(
             Checkpoint::from_bytes(&bytes, &spec, &other_cfg),
@@ -1281,7 +946,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let (spec, cfg, ckpt) = sample(1);
-        let mut bad = ckpt.to_bytes();
+        let mut bad = encode(&ckpt, "garbage");
         bad.extend([0u8; 4]);
         assert!(matches!(
             Checkpoint::from_bytes(&bad, &spec, &cfg),
@@ -1292,12 +957,10 @@ mod tests {
     #[test]
     fn file_roundtrip_and_io_error() -> Result<(), CheckpointError> {
         let (spec, cfg, ckpt) = sample(3);
-        let dir = std::env::temp_dir().join(format!("vnet-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = scratch("file");
         let path = dir.join("roundtrip.ckpt");
-        ckpt.write_to(&path)?;
-        let back = Checkpoint::load(&path, &spec, &cfg)?;
-        assert_eq!(back.to_bytes(), ckpt.to_bytes());
+        write_single(&ckpt, &path)?;
+        assert_eq!(Checkpoint::load(&path, &spec, &cfg)?, ckpt);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(
             Checkpoint::load(&dir.join("missing.ckpt"), &spec, &cfg),

@@ -7,7 +7,7 @@
 //! accounting against the [`Budget`] is exact — computed from the
 //! capacities of the owned structures, not estimated per entry.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, VisitedEntry};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, ShardEncoder};
 use crate::config::McConfig;
 use crate::intern::{InternError, LabelTable, StateId};
 use crate::rules::{expand, ExpandOutcome, Scratch};
@@ -324,36 +324,29 @@ fn account(meter: &mut BudgetMeter, accounted: &mut u64, now: u64) -> bool {
     ok
 }
 
-/// Rebuilds the id-interned visited structure from checkpoint entries.
-/// Every entry's parent must itself be an entry; anything else is a
-/// structurally inconsistent checkpoint and is refused (fail closed,
-/// like every other checkpoint defect) rather than silently yielding
-/// truncated witness traces.
-fn seed_store(
-    store: &mut Store,
-    entries: &[VisitedEntry],
-    parent_ids: Option<&[u32]>,
-) -> Result<(), CheckpointError> {
-    for (i, e) in entries.iter().enumerate() {
-        let (_, fresh) = match store.keys.intern(&e.key) {
-            Ok(v) => v,
+/// Rebuilds the id-interned visited structure from a loaded
+/// checkpoint. Entries are interned in file order, so entry `i` gets id
+/// `i` and the checkpoint's parent and frontier indices are ids as they
+/// stand. Returns the frontier.
+fn seed_store(store: &mut Store, ckpt: &Checkpoint) -> Result<VecDeque<StateId>, CheckpointError> {
+    for (i, e) in ckpt.entries.iter().enumerate() {
+        match store.keys.intern(&e.key) {
+            Ok((id, true)) if id as usize == i => {}
+            Ok(_) => {
+                return Err(CheckpointError::Corrupt {
+                    offset: 0,
+                    detail: format!("visited entry {i} duplicates an earlier key"),
+                });
+            }
             Err(why) => {
                 return Err(CheckpointError::Corrupt {
                     offset: 0,
                     detail: format!("checkpoint exceeds the intern arena: {why}"),
                 });
             }
-        };
-        if !fresh {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: "duplicate visited key in checkpoint".into(),
-            });
         }
         let lid = store.labels.intern(&e.label);
-        // Parent ids are patched in the second pass, once all keys
-        // (and therefore all potential parents) are interned.
-        store.push_link(StateId::MAX, lid, e.level);
+        store.push_link(e.parent, lid, e.level);
         // Spill while seeding, not after: a resumed run's peak must
         // match what a fresh run reaching this point would carry, and a
         // fresh run would have spilled on the way. A refused spill
@@ -362,60 +355,12 @@ fn seed_store(
             let _ = store.keys.maybe_spill(store.heap_bytes());
         }
     }
-    // The version-2 decoder already globalized parent indices — and
-    // interning above assigned ids in entry order, so those indices ARE
-    // the parent ids. Version-1 checkpoints fall back to the per-entry
-    // key lookup.
-    if let Some(pids) = parent_ids {
-        if pids.len() != entries.len() {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: "parent id table does not match the entry count".into(),
-            });
-        }
-        store.parents[..pids.len()].copy_from_slice(pids);
-        return Ok(());
-    }
-    for (i, e) in entries.iter().enumerate() {
-        let Some(pid) = store.keys.lookup(&e.parent) else {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: format!(
-                    "visited entry {i} references a parent key absent from the checkpoint"
-                ),
-            });
-        };
-        store.parents[i] = pid;
-    }
-    Ok(())
+    Ok(ckpt.frontier.iter().copied().collect())
 }
 
-/// Maps checkpointed frontier states back to their interned ids. A
-/// frontier state that was never claimed cannot come from a consistent
-/// snapshot; refuse it.
-fn resolve_frontier(
-    store: &mut Store,
-    states: &[GlobalState],
-) -> Result<VecDeque<StateId>, CheckpointError> {
-    let mut out = VecDeque::with_capacity(states.len());
-    let mut scratch = Vec::with_capacity(128);
-    for (i, gs) in states.iter().enumerate() {
-        gs.encode_into(&mut scratch);
-        let Some(id) = store.keys.lookup(&scratch) else {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: format!("frontier state {i} is not in the checkpoint's visited set"),
-            });
-        };
-        out.push_back(id);
-    }
-    Ok(out)
-}
-
-/// Snapshot the explorer at a level boundary and write it out. The
-/// on-disk format is unchanged (byte blobs, version 1): ids are
-/// expanded back to key bytes on flush and re-interned on load, so
-/// checkpoints taken before the interning rewrite resume cleanly.
+/// Snapshots the explorer at a level boundary and writes it out: the
+/// store streams into one section in id (claim) order, so parents and
+/// frontier entries are written as the ids they already are.
 fn flush(
     spec: &ProtocolSpec,
     cfg: &McConfig,
@@ -428,57 +373,28 @@ fn flush(
     // Flush duration feeds the `explore.checkpoint_flush_us` histogram;
     // the clock is only read while metrics are on.
     let clock = vnet_obs::metrics_enabled().then(std::time::Instant::now);
-    let mut entries = Vec::with_capacity(store.len());
-    let mut key_scratch: Vec<u8> = Vec::with_capacity(128);
-    let mut parent_scratch: Vec<u8> = Vec::with_capacity(128);
+    let mut enc = ShardEncoder::new();
+    let mut key: Vec<u8> = Vec::with_capacity(128);
     for i in 0..store.len() {
         // A false here means a spilled segment became unreadable under
         // the run; surfacing it beats flushing a checkpoint with holes.
-        if !store.keys.get_into(i as StateId, &mut key_scratch)
-            || !store.keys.get_into(store.parents[i], &mut parent_scratch)
-        {
+        if !store.keys.get_into(i as StateId, &mut key) {
             return Err(CheckpointError::Corrupt {
                 offset: 0,
                 detail: format!("visited state {i} unreadable at flush"),
             });
         }
-        entries.push(VisitedEntry {
-            key: key_scratch.clone(),
-            parent: parent_scratch.clone(),
-            label: store.labels.get(store.label_ids[i]).to_string(),
-            level: store.levels[i],
-        });
+        let label = store.labels.get(store.label_ids[i]);
+        enc.push(&key, 0, store.parents[i], label, store.levels[i]);
     }
-    let mut states = Vec::with_capacity(frontier.len());
-    for &id in frontier {
-        if !store.keys.get_into(id, &mut key_scratch) {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: "interned frontier state unreadable at flush".into(),
-            });
-        }
-        match GlobalState::decode(&key_scratch, cfg) {
-            Some(gs) => states.push(gs),
-            None => {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: "interned frontier state failed to decode".into(),
-                })
-            }
-        }
-    }
-    let ckpt = Checkpoint {
-        fingerprint: crate::checkpoint::fingerprint(spec, cfg),
+    let res = crate::checkpoint::write(
+        path,
+        crate::checkpoint::fingerprint(spec, cfg),
         level,
-        nodes_spent: claims,
-        entries,
-        frontier: states,
-        parent_ids: None,
-    };
-    // The serial explorer writes the version-2 (delta-compressed,
-    // sharded) format; version-1 files are still read and rewritten as
-    // version 2 at the first flush after a resume.
-    let res = ckpt.write_to_v2(path);
+        claims,
+        &[enc.finish()],
+        frontier.iter().map(|&id| (0, id)),
+    );
     if let Some(clock) = clock {
         vnet_obs::counter("explore.checkpoint_flushes_total").inc();
         vnet_obs::histogram("explore.checkpoint_flush_us", vnet_obs::DURATION_US_BOUNDS)
@@ -558,8 +474,7 @@ fn run_serial_inner(
 
     match start {
         Some(ckpt) => {
-            seed_store(&mut store, &ckpt.entries, ckpt.parent_ids.as_deref())?;
-            frontier = resolve_frontier(&mut store, &ckpt.frontier)?;
+            frontier = seed_store(&mut store, &ckpt)?;
             level = ckpt.level;
             claims = ckpt.nodes_spent;
         }

@@ -21,13 +21,14 @@
 //!   verdict tagged [`DegradeReason::WorkerLoss`] instead of hanging
 //!   the level barrier or crashing the process.
 //! * **Checkpoint/resume.** With a [`CheckpointPolicy`], progress is
-//!   flushed at level boundaries exactly as in the serial explorer, and
-//!   [`resume_parallel`] continues from a flushed snapshot.
+//!   flushed at level boundaries in the format every explorer shares
+//!   (one section per visited shard), and [`resume_parallel`] continues
+//!   from a snapshot any explorer flushed.
 //!
 //! Used by the long bounded sweeps (`vnet campaign`); the serial
 //! explorer remains the default for quick runs.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, VisitedEntry};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, ShardEncoder};
 use crate::config::McConfig;
 use crate::explore::CheckpointedRun;
 use crate::intern::{InternError, LabelTable, StateArena};
@@ -176,28 +177,59 @@ impl Visited {
         ))
     }
 
-    /// Snapshot every entry (for checkpointing).
-    fn entries(&self) -> Vec<VisitedEntry> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for kid in 0..shard.keys.len() as u32 {
-                let (pid, lid, lv) = shard.meta[kid as usize];
-                out.push(VisitedEntry {
-                    key: shard.keys.get(kid).to_vec(),
-                    parent: shard.pkeys.get(pid).to_vec(),
-                    label: shard.labels.get(lid).to_string(),
-                    level: lv,
-                });
+    /// Writes a checkpoint of the visited set: one section per shard in
+    /// shard-local id order, with parents and `frontier` resolved to
+    /// `(shard, id)` references. Runs at a level barrier, when no worker
+    /// holds a shard.
+    fn flush(
+        &self,
+        frontier: &[GlobalState],
+        fingerprint: u64,
+        level: usize,
+        path: &Path,
+    ) -> Result<(), CheckpointError> {
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+            .collect();
+        let locate = |key: &[u8]| {
+            let s = Self::shard_of(key);
+            match shards[s].keys.lookup(key) {
+                Some(id) => Ok((s as u32, id)),
+                None => Err(CheckpointError::Corrupt {
+                    offset: 0,
+                    detail: "a parent or frontier state is not in the visited set".into(),
+                }),
             }
+        };
+        let mut sections = Vec::with_capacity(SHARDS);
+        for shard in &shards {
+            let mut enc = ShardEncoder::new();
+            for (kid, &(pid, lid, lv)) in shard.meta.iter().enumerate() {
+                let (ps, pi) = locate(shard.pkeys.get(pid))?;
+                let key = shard.keys.get(kid as u32);
+                enc.push(key, ps, pi, shard.labels.get(lid), lv);
+            }
+            sections.push(enc.finish());
         }
-        out
+        let mut key = Vec::with_capacity(128);
+        let refs = frontier
+            .iter()
+            .map(|gs| {
+                gs.encode_into(&mut key);
+                locate(&key)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let nodes_spent = self.len() as u64;
+        let refs = refs.into_iter();
+        crate::checkpoint::write(path, fingerprint, level, nodes_spent, &sections, refs)
     }
 
-    fn seed(&self, entries: Vec<VisitedEntry>) {
-        for e in entries {
+    /// Seeds the shards from a loaded checkpoint and returns its
+    /// frontier states.
+    fn seed(&self, ckpt: &Checkpoint, cfg: &McConfig) -> Result<Vec<GlobalState>, CheckpointError> {
+        for e in &ckpt.entries {
             let mut shard = self.shards[Self::shard_of(&e.key)]
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -210,7 +242,8 @@ impl Visited {
                 }
             };
             if fresh {
-                let pid = shard.pkeys.intern(&e.parent).map_or(0, |(id, _)| id);
+                let parent = &ckpt.entries[e.parent as usize].key;
+                let pid = shard.pkeys.intern(parent).map_or(0, |(id, _)| id);
                 let lid = shard.labels.intern(&e.label);
                 shard.meta.push((pid, lid, e.level));
                 self.count.fetch_add(1, Ordering::Relaxed);
@@ -220,6 +253,17 @@ impl Visited {
                 self.bytes.fetch_add(after - before, Ordering::Relaxed);
             }
         }
+        ckpt.frontier
+            .iter()
+            .map(|&i| {
+                GlobalState::decode(&ckpt.entries[i as usize].key, cfg).ok_or_else(|| {
+                    CheckpointError::Corrupt {
+                        offset: 0,
+                        detail: format!("frontier entry {i} does not decode"),
+                    }
+                })
+            })
+            .collect()
     }
 }
 
@@ -436,8 +480,7 @@ fn run_parallel_inner(
     let mut may_stop = start.is_none();
     match start {
         Some(ckpt) => {
-            visited.seed(ckpt.entries);
-            frontier = ckpt.frontier;
+            frontier = visited.seed(&ckpt, cfg)?;
             level = ckpt.level;
         }
         None => {
@@ -461,26 +504,13 @@ fn run_parallel_inner(
     let mut since_flush = 0usize;
     let mut restarts_used = 0u32;
 
-    let flush = |frontier: &[GlobalState], level: usize, path: &Path| -> Result<(), CheckpointError> {
-        // Deliberately still the version-1 format: the thread-parallel
-        // explorer is the writer that keeps the v1 → v2 conversion path
-        // (load v1, flush v2) continuously exercised.
-        Checkpoint {
-            fingerprint: crate::checkpoint::fingerprint(spec, cfg),
-            level,
-            nodes_spent: visited.len() as u64,
-            entries: visited.entries(),
-            frontier: frontier.to_vec(),
-            parent_ids: None,
-        }
-        .write_to(path)
-    };
+    let fingerprint = crate::checkpoint::fingerprint(spec, cfg);
 
     while !frontier.is_empty() {
         // ---- Level boundary: interrupts, flushes, budget, bounds. ----
         if let Some(pol) = &opts.policy {
             if may_stop && pol.stop_file.as_ref().is_some_and(|p| p.exists()) {
-                flush(&frontier, level, &pol.path)?;
+                visited.flush(&frontier, fingerprint, level, &pol.path)?;
                 return Ok(CheckpointedRun::Interrupted {
                     checkpoint: pol.path.clone(),
                     states: visited.len(),
@@ -492,7 +522,7 @@ fn run_parallel_inner(
                 .deadline
                 .is_some_and(|d| d.saturating_sub(started.elapsed()) < pol.deadline_window);
             if since_flush > pol.every_states || deadline_imminent {
-                flush(&frontier, level, &pol.path)?;
+                visited.flush(&frontier, fingerprint, level, &pol.path)?;
                 since_flush = 0;
             }
         }
@@ -748,7 +778,7 @@ fn run_parallel_inner(
     if let Some(pol) = &opts.policy {
         let resumable = !matches!(truncated, Some(DegradeReason::WorkerLoss { .. }));
         if truncated.is_some() && resumable {
-            flush(&frontier, level, &pol.path)?;
+            visited.flush(&frontier, fingerprint, level, &pol.path)?;
         }
     }
 

@@ -1171,7 +1171,7 @@ fn build_finding_verdict(
     })
 }
 
-/// Merges the shard sections into one standard version-2 checkpoint at
+/// Merges the shard sections into one checkpoint at
 /// the last *committed* level: entries above it (a crashed worker's
 /// uncommitted claims) are dropped — they are a suffix of each section
 /// — and the frontier is every entry at the committed level, so a plain
@@ -1204,28 +1204,6 @@ fn merge_checkpoint(
         encoded.push(enc.finish());
     }
 
-    let total: usize = encoded.iter().map(Vec::len).sum();
-    let mut payload = Vec::with_capacity(44 + total + frontier.len() * 8);
-    checkpoint::put_u64(&mut payload, level as u64);
-    checkpoint::put_u64(&mut payload, claims);
-    checkpoint::put_u32(&mut payload, n);
-    for sec in &encoded {
-        checkpoint::put_u64(&mut payload, sec.len() as u64);
-        checkpoint::put_u64(&mut payload, checkpoint::fnv1a(sec));
-    }
-    for sec in &encoded {
-        payload.extend_from_slice(sec);
-    }
-    checkpoint::put_u64(&mut payload, frontier.len() as u64);
-    for (s, i) in &frontier {
-        checkpoint::put_u32(&mut payload, *s);
-        checkpoint::put_u32(&mut payload, *i);
-    }
-    let bytes = checkpoint::seal(fp, checkpoint::V2, payload);
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    let level = level as usize;
+    checkpoint::write(path, fp, level, claims, &encoded, frontier.into_iter())
 }

@@ -327,9 +327,14 @@ impl ProtocolBuilder {
     /// Cache stall on a message (blocks the message's VN — the stalls the
     /// paper's analysis is about).
     pub fn cache_stall_msg(&mut self, state: &str, msg: &str) -> &mut Self {
+        self.cache_stall_msg_if(state, msg, Guard::Always)
+    }
+
+    /// Cache stall on a guarded message reception.
+    pub fn cache_stall_msg_if(&mut self, state: &str, msg: &str, guard: Guard) -> &mut Self {
         self.cache_cells.push((
             state.into(),
-            TriggerSpec::Msg(msg.into(), Guard::Always),
+            TriggerSpec::Msg(msg.into(), guard),
             CellSpec::Stall,
         ));
         self
@@ -358,9 +363,14 @@ impl ProtocolBuilder {
 
     /// Directory stall on a message.
     pub fn dir_stall_msg(&mut self, state: &str, msg: &str) -> &mut Self {
+        self.dir_stall_msg_if(state, msg, Guard::Always)
+    }
+
+    /// Directory stall on a guarded message reception.
+    pub fn dir_stall_msg_if(&mut self, state: &str, msg: &str, guard: Guard) -> &mut Self {
         self.dir_cells.push((
             state.into(),
-            TriggerSpec::Msg(msg.into(), Guard::Always),
+            TriggerSpec::Msg(msg.into(), guard),
             CellSpec::Stall,
         ));
         self

@@ -269,10 +269,10 @@ fn parse_cell_line(
                 b.cache_stall_core(state, op);
             }
             ("cache", T::Msg(m)) => {
-                b.cache_stall_msg(state, &m);
+                b.cache_stall_msg_if(state, &m, guard);
             }
             ("dir", T::Msg(m)) => {
-                b.dir_stall_msg(state, &m);
+                b.dir_stall_msg_if(state, &m, guard);
             }
             ("dir", T::Core(_)) => {
                 return Err(err(lno, "directories have no core events"));
@@ -551,6 +551,23 @@ dir I Get = send Dat Req data
                 assert_eq!(cells(&p, k), cells(&q, k), "{} {k}", p.name());
             }
         }
+    }
+
+    #[test]
+    fn guarded_stall_in_a_transient_state_survives_round_trip() {
+        let text = TINY.replace(
+            "cache IV Get = stall\n",
+            "cache IV Get = stall\ncache IV Dat[ack>0] = stall\n",
+        );
+        let p = parse(&text).unwrap();
+        let iv = p.cache().state_by_name("IV").unwrap();
+        let dat = p.message_by_name("Dat").unwrap();
+        let guarded = Trigger::msg_if(dat, Guard::AckPositive);
+        assert!(p.cache().cell(iv, guarded).unwrap().is_stall());
+        assert!(!p.cache().cell(iv, Trigger::msg_if(dat, Guard::AckZero)).unwrap().is_stall());
+        let q = parse(&to_text(&p)).unwrap();
+        assert!(q.cache().cell(iv, guarded).unwrap().is_stall());
+        assert_eq!(to_text(&q), to_text(&p));
     }
 
     #[test]

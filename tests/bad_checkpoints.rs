@@ -15,11 +15,18 @@
 //! | `bitflip`     | one payload bit flipped         | `Corrupt` (checksum) |
 //! | `garbage`     | valid file + trailing bytes     | `Corrupt`            |
 //! | `fingerprint` | checkpoint from a different cfg | `SpecMismatch`       |
+//! | `structure`   | duplicate key, a parent or      | `Corrupt` (behind a  |
+//! |               | frontier reference out of range,| valid checksum)      |
+//! |               | or a frontier key that does not |                      |
+//! |               | decode                          |                      |
 //!
 //! The committed files pin the wire format; the fresh-corruption test
 //! regenerates the same classes from a live checkpoint so the gate also
-//! covers future format changes. To refresh the committed corpus after
-//! a deliberate format bump:
+//! covers future format changes. `version-v1-msi.ckpt` is the exception:
+//! an intact version-1 file flushed by the thread-parallel explorer of
+//! an earlier build under [`reference`], kept verbatim to show that
+//! such files are refused. To refresh the rest of the committed corpus
+//! after a deliberate format bump:
 //!
 //! ```text
 //! cargo test --test bad_checkpoints regenerate -- --ignored
@@ -30,6 +37,10 @@ use vnet::mc::{
     explore_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy, McConfig, VnMap,
 };
 use vnet::protocol::{protocols, ProtocolSpec};
+
+#[path = "support/single_section.rs"]
+mod single_section;
+use single_section::{parse, seal};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -68,10 +79,34 @@ fn live_checkpoint_bytes(spec: &ProtocolSpec, cfg: &McConfig, dir: &Path) -> Vec
     bytes.unwrap_or_default()
 }
 
-/// Applies a corruption class to valid checkpoint bytes.
-fn corrupt(class: &str, base: &[u8]) -> Vec<u8> {
+/// The corruption cases; a case's class is its first `-` token.
+const CASES: [&str; 9] = [
+    "badmagic",
+    "version",
+    "truncated",
+    "bitflip",
+    "garbage",
+    "structure-dupkey",
+    "structure-parent",
+    "structure-frontier",
+    "structure-undecodable",
+];
+
+/// Applies a corruption case to valid checkpoint bytes.
+fn corrupt(case: &str, base: &[u8]) -> Vec<u8> {
     let mut bytes = base.to_vec();
-    match class {
+    if let Some(defect) = case.strip_prefix("structure-") {
+        let mut s = parse(base);
+        let n = s.entries.len();
+        match defect {
+            "dupkey" => s.entries[2].0 = s.entries[1].0.clone(),
+            "parent" => s.entries[1].1[1] = n as u64 + 7,
+            "frontier" => s.frontier.push((0, n as u32 + 7)),
+            _ => s.entries[s.frontier[0].1 as usize].0.truncate(3),
+        }
+        return seal(&s);
+    }
+    match case {
         "badmagic" => {
             bytes[..8].copy_from_slice(b"NOTACKPT");
             bytes
@@ -109,7 +144,7 @@ fn corrupt(class: &str, base: &[u8]) -> Vec<u8> {
 fn matches_class(class: &str, err: &CheckpointError) -> bool {
     match (class, err) {
         ("badmagic", CheckpointError::BadMagic { .. }) => true,
-        ("version", CheckpointError::UnsupportedVersion { found, .. }) => *found == 99,
+        ("version", CheckpointError::UnsupportedVersion { found, .. }) => matches!(found, 1 | 99),
         // A cut can land inside the header (Truncated) or leave a
         // length-consistent prefix whose checksum then fails (Corrupt);
         // both carry the offset that broke.
@@ -118,6 +153,7 @@ fn matches_class(class: &str, err: &CheckpointError) -> bool {
         ("bitflip", CheckpointError::Corrupt { detail, .. }) => detail.contains("checksum"),
         ("garbage", CheckpointError::Corrupt { detail, .. }) => detail.contains("trailing"),
         ("fingerprint", CheckpointError::SpecMismatch { expected, found }) => expected != found,
+        ("structure", CheckpointError::Corrupt { detail, .. }) => !detail.contains("checksum"),
         _ => false,
     }
 }
@@ -161,7 +197,16 @@ fn committed_corpus_is_rejected_with_positioned_errors() {
         "corpus has only {checked} files; regenerate with \
          `cargo test --test bad_checkpoints regenerate -- --ignored`"
     );
-    for class in ["badmagic", "version", "truncated", "bitflip", "garbage", "fingerprint"] {
+    let classes = [
+        "badmagic",
+        "version",
+        "truncated",
+        "bitflip",
+        "garbage",
+        "fingerprint",
+        "structure",
+    ];
+    for class in classes {
         assert!(classes_seen.contains(class), "corpus missing class {class}");
     }
 }
@@ -175,21 +220,24 @@ fn fresh_corruptions_are_rejected() {
     let _ = std::fs::create_dir_all(&tmp);
     let base = live_checkpoint_bytes(&spec, &cfg, &tmp);
     let fp_base = live_checkpoint_bytes(&spec, &other_config(&spec), &tmp);
-    // Sanity: the uncorrupted bytes load.
+    // Sanity: the uncorrupted bytes load, and the independent reader
+    // reproduces them byte for byte.
     assert!(Checkpoint::from_bytes(&base, &spec, &cfg).is_ok());
-    for class in ["badmagic", "version", "truncated", "bitflip", "garbage", "fingerprint"] {
-        let bytes = if class == "fingerprint" {
+    assert!(seal(&parse(&base)) == base, "reference codec disagrees with the writer");
+    for case in CASES.into_iter().chain(["fingerprint"]) {
+        let bytes = if case == "fingerprint" {
             fp_base.clone()
         } else {
-            corrupt(class, &base)
+            corrupt(case, &base)
         };
-        let file = tmp.join(format!("{class}-fresh.ckpt"));
+        let class = case.split('-').next().unwrap_or(case);
+        let file = tmp.join(format!("{case}-fresh.ckpt"));
         assert!(std::fs::write(&file, &bytes).is_ok());
         match Checkpoint::load(&file, &spec, &cfg) {
-            Ok(_) => panic!("fresh {class} corruption was accepted"),
+            Ok(_) => panic!("fresh {case} corruption was accepted"),
             Err(e) => assert!(
                 matches_class(class, &e),
-                "fresh {class}: wrong rejection: {e}"
+                "fresh {case}: wrong rejection: {e}"
             ),
         }
     }
@@ -217,9 +265,9 @@ fn regenerate() {
     let _ = std::fs::create_dir_all(&tmp);
     let base = live_checkpoint_bytes(&spec, &cfg, &tmp);
     let fp_base = live_checkpoint_bytes(&spec, &other_config(&spec), &tmp);
-    for class in ["badmagic", "version", "truncated", "bitflip", "garbage"] {
-        let bytes = corrupt(class, &base);
-        assert!(std::fs::write(dir.join(format!("{class}-msi.ckpt")), bytes).is_ok());
+    for case in CASES {
+        let bytes = corrupt(case, &base);
+        assert!(std::fs::write(dir.join(format!("{case}-msi.ckpt")), bytes).is_ok());
     }
     assert!(std::fs::write(dir.join("fingerprint-msi.ckpt"), fp_base).is_ok());
     let _ = std::fs::remove_dir_all(&tmp);

@@ -1,25 +1,30 @@
-//! Compatibility with checkpoints written before the interning arena
-//! existed. The wire format (version 1, byte-blob `VisitedEntry`
-//! records) is unchanged; what changed is the in-memory structure the
-//! explorer seeds from it. These fixtures were flushed by the
-//! pre-interning explorer and committed verbatim — resuming them must
-//! either convert cleanly and reproduce the uninterrupted verdict, or
-//! fail closed with a structured [`CheckpointError`], never panic or
-//! silently diverge.
+//! Committed checkpoints written by an earlier build of the explorer
+//! must fail closed when they do not fit the run resuming them. The
+//! fixture is the key-sorted serial snapshot under
+//! `tests/checkpoint_fixtures/`, flushed before sections were written in
+//! claim order and committed verbatim. Resumed under the wrong (spec,
+//! config) pair it is refused with the fingerprint error; with its
+//! visited map damaged (checksums restamped, so only the structure is
+//! wrong) it is refused as corrupt. Never a panic, never a silent
+//! divergence.
+//!
+//! The tests keep the names of the suite's version-1 fixture checks,
+//! which this v2 fixture replaced once version-1 files were refused.
 
 use std::path::{Path, PathBuf};
 use vnet::core::Budget;
-use vnet::mc::{
-    explore_checkpointed, resume, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointedRun,
-    McConfig, Verdict, VnMap,
-};
+use vnet::mc::{resume, CheckpointError, McConfig, VnMap};
 use vnet::protocol::{protocols, ProtocolSpec};
 
-fn fixture(name: &str) -> PathBuf {
+#[path = "support/single_section.rs"]
+mod single_section;
+use single_section::{parse, seal, Single};
+
+fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
-        .join("pre_intern_checkpoints")
-        .join(name)
+        .join("checkpoint_fixtures")
+        .join("msi-b-serial-keysorted.ckpt")
 }
 
 fn tmp(tag: &str) -> PathBuf {
@@ -28,96 +33,43 @@ fn tmp(tag: &str) -> PathBuf {
     d.join(format!("{tag}.ckpt"))
 }
 
-/// The observable identity of a verdict for equivalence checks.
-fn signature(v: &Verdict) -> (String, usize, Vec<String>) {
-    let stats = v.stats();
-    let (kind, steps) = match v {
-        Verdict::NoDeadlock(_) => ("no-deadlock".to_string(), Vec::new()),
-        Verdict::Deadlock { trace, .. } => ("deadlock".to_string(), trace.steps.clone()),
-        Verdict::ModelError { trace, .. } => ("model-error".to_string(), trace.steps.clone()),
-        Verdict::InvariantViolation { trace, .. } => {
-            ("invariant-violation".to_string(), trace.steps.clone())
-        }
-    };
-    (kind, stats.states, steps)
-}
-
-/// Resumes a committed pre-interning fixture to completion and checks
-/// the verdict against a fresh uninterrupted run of the same config.
-fn resume_matches_fresh(ckpt: &Path, spec: &ProtocolSpec, cfg: &McConfig) {
-    let resumed = match resume(ckpt, spec, cfg, &Budget::unlimited(), None, |_, _| {}) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        other => panic!("{}: resume did not finish: {other:?}", ckpt.display()),
-    };
-    // The fresh reference runs in checkpointed mode too, so both sides
-    // share the level-boundary stopping semantics.
-    let ref_path = tmp("reference");
-    let _ = std::fs::remove_file(&ref_path);
-    let policy = CheckpointPolicy::new(&ref_path).every_states(usize::MAX);
-    let fresh = match explore_checkpointed(spec, cfg, &Budget::unlimited(), &policy, |_, _| {}) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        other => panic!("fresh reference did not finish: {other:?}"),
-    };
-    let _ = std::fs::remove_file(&ref_path);
-    assert_eq!(
-        signature(&resumed),
-        signature(&fresh),
-        "{}: resumed verdict diverged from the uninterrupted run",
-        ckpt.display()
-    );
-}
-
-#[test]
-fn pre_intern_msi_blocking_checkpoint_resumes_to_the_fresh_verdict() {
+/// The blocking MSI protocol under `vns`, with the bounds the fixture
+/// was flushed under.
+fn config(vns: fn(usize) -> VnMap) -> (ProtocolSpec, McConfig) {
     let spec = protocols::msi_blocking_cache();
-    let cfg = McConfig::figure3(&spec).with_vns(VnMap::one_per_message(spec.messages().len()));
-    resume_matches_fresh(&fixture("msi_blocking_unique_n300.ckpt"), &spec, &cfg);
-}
-
-#[test]
-fn pre_intern_chi_checkpoint_resumes_to_the_fresh_verdict() {
-    let spec = protocols::chi();
-    let cfg = McConfig::figure3(&spec).with_vns(VnMap::single(spec.messages().len()));
-    resume_matches_fresh(&fixture("chi_single_n600.ckpt"), &spec, &cfg);
+    let cfg = McConfig::figure3(&spec)
+        .with_vns(vns(spec.messages().len()))
+        .with_limits(3_000, Some(7));
+    (spec, cfg)
 }
 
 /// A fixture resumed under the wrong (spec, config) pair is refused
 /// with the fingerprint error, not converted into nonsense.
 #[test]
 fn pre_intern_checkpoint_refuses_a_mismatched_config() {
-    let spec = protocols::msi_blocking_cache();
     // Same protocol, different VN mapping — the fingerprint must differ.
-    let cfg = McConfig::figure3(&spec).with_vns(VnMap::single(spec.messages().len()));
-    match resume(
-        &fixture("msi_blocking_unique_n300.ckpt"),
-        &spec,
-        &cfg,
-        &Budget::unlimited(),
-        None,
-        |_, _| {},
-    ) {
-        Err(CheckpointError::SpecMismatch { .. }) => {}
+    let (spec, cfg) = config(VnMap::single);
+    match resume(&fixture(), &spec, &cfg, &Budget::unlimited(), None, |_, _| {}) {
+        Err(CheckpointError::SpecMismatch { expected, found }) => assert_ne!(expected, found),
         other => panic!("expected SpecMismatch, got {other:?}"),
     }
 }
 
-/// Mutates a loaded fixture with `f`, rewrites it (the writer restamps
-/// the checksum, so only the structural damage remains), and asserts
-/// the resume path rejects it as corrupt.
-fn corrupted_resume_fails_closed(
-    tag: &str,
-    f: impl FnOnce(&mut Checkpoint),
-) {
-    let spec = protocols::msi_blocking_cache();
-    let cfg = McConfig::figure3(&spec).with_vns(VnMap::one_per_message(spec.messages().len()));
-    let mut ckpt = Checkpoint::load(&fixture("msi_blocking_unique_n300.ckpt"), &spec, &cfg)
-        .unwrap_or_else(|e| panic!("fixture unreadable: {e}"));
-    f(&mut ckpt);
+/// Damages the fixture's structure with `f`, reseals it so its
+/// checksums are valid, and asserts the resume path rejects it as
+/// corrupt.
+fn corrupted_resume_fails_closed(tag: &str, f: impl FnOnce(&mut Single)) {
+    let (spec, cfg) = config(VnMap::one_per_message);
+    let bytes = std::fs::read(fixture()).unwrap_or_else(|e| panic!("fixture unreadable: {e}"));
+    let mut parts = parse(&bytes);
+    assert!(seal(&parts) == bytes, "{tag}: reference codec disagrees with the fixture");
+    f(&mut parts);
     let path = tmp(tag);
-    ckpt.write_to(&path).unwrap_or_else(|e| panic!("rewrite failed: {e}"));
+    std::fs::write(&path, seal(&parts)).unwrap_or_else(|e| panic!("rewrite failed: {e}"));
     match resume(&path, &spec, &cfg, &Budget::unlimited(), None, |_, _| {}) {
         Err(CheckpointError::Corrupt { detail, .. }) => {
             assert!(!detail.is_empty(), "corrupt error must say what is wrong");
+            assert!(!detail.contains("checksum"), "{tag}: rejected by checksum, not structure");
         }
         other => panic!("{tag}: expected Corrupt, got {other:?}"),
     }
@@ -126,26 +78,25 @@ fn corrupted_resume_fails_closed(
 
 #[test]
 fn pre_intern_checkpoint_with_duplicate_state_is_rejected() {
-    corrupted_resume_fails_closed("dup-key", |ckpt| {
-        let dup = ckpt.entries[1].clone();
-        ckpt.entries.push(dup);
+    corrupted_resume_fails_closed("dup-key", |parts| {
+        let dup = parts.entries[1].clone();
+        parts.entries.push(dup);
     });
 }
 
 #[test]
 fn pre_intern_checkpoint_with_missing_parent_is_rejected() {
-    corrupted_resume_fails_closed("missing-parent", |ckpt| {
-        // Point a non-root entry at a parent key no entry carries.
-        ckpt.entries[1].parent = vec![0xFF; 4];
+    corrupted_resume_fails_closed("missing-parent", |parts| {
+        // Point a non-root entry at a parent index no entry carries.
+        parts.entries[1].1[1] = parts.entries.len() as u64;
     });
 }
 
 #[test]
 fn pre_intern_checkpoint_with_unvisited_frontier_state_is_rejected() {
-    corrupted_resume_fails_closed("alien-frontier", |ckpt| {
-        // Drop the visited record backing the first frontier state; the
+    corrupted_resume_fails_closed("alien-frontier", |parts| {
+        // Point the first frontier state past the visited map; the
         // frontier can no longer be resolved against the visited set.
-        let key = ckpt.frontier[0].encode();
-        ckpt.entries.retain(|e| e.key != key);
+        parts.frontier[0].1 = parts.entries.len() as u32;
     });
 }

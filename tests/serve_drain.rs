@@ -98,8 +98,14 @@ fn read_response(stream: &TcpStream) -> json::Json {
     json::parse(line.trim()).unwrap_or_else(|e| panic!("unparseable response {line:?}: {e}"))
 }
 
-fn drain_mid_request(trigger: &dyn Fn(&Daemon, &PathBuf)) -> (json::Json, i32, PathBuf) {
-    let dir = tmp_dir("drain");
+/// Drives one slow request into a daemon and drains it with `trigger`.
+/// `tag` names the scratch directory (and so the stop file): the tests
+/// in this binary run in parallel and must not share one.
+fn drain_mid_request(
+    tag: &str,
+    trigger: &dyn Fn(&Daemon, &PathBuf),
+) -> (json::Json, i32, PathBuf) {
+    let dir = tmp_dir(tag);
     let stop = dir.join("stop");
     let daemon = spawn_serve(&[
         "--workers",
@@ -156,7 +162,8 @@ fn assert_drained_response(v: &json::Json) {
 
 #[test]
 fn sigterm_mid_request_completes_the_response_and_exits_clean() {
-    let (response, code, dir) = drain_mid_request(&|daemon, _| sigterm(&daemon.child));
+    let (response, code, dir) =
+        drain_mid_request("drain-sigterm", &|daemon, _| sigterm(&daemon.child));
     assert_drained_response(&response);
     assert_eq!(code, 0, "graceful drain must exit 0");
     let _ = std::fs::remove_dir_all(dir);
@@ -164,7 +171,7 @@ fn sigterm_mid_request_completes_the_response_and_exits_clean() {
 
 #[test]
 fn stop_file_mid_request_completes_the_response_and_exits_clean() {
-    let (response, code, dir) = drain_mid_request(&|_, stop| {
+    let (response, code, dir) = drain_mid_request("drain-stop-file", &|_, stop| {
         std::fs::write(stop, b"drain").expect("writing the stop file");
     });
     assert_drained_response(&response);
@@ -174,7 +181,8 @@ fn stop_file_mid_request_completes_the_response_and_exits_clean() {
 
 #[test]
 fn drained_checkpoint_is_loadable_and_resumable() {
-    let (response, code, dir) = drain_mid_request(&|daemon, _| sigterm(&daemon.child));
+    let (response, code, dir) =
+        drain_mid_request("drain-checkpoint", &|daemon, _| sigterm(&daemon.child));
     assert_eq!(code, 0);
 
     // The slow request cannot finish before the grace period, so drain
