@@ -802,6 +802,9 @@ fn run_serial_inner(
             vnet_obs::gauge("explore.intern_load_pct").set(store.keys.load_factor_pct() as i64);
             vnet_obs::gauge("explore.peak_bytes").set(meter.peak_bytes() as i64);
             emit_spill_metrics(store.keys.spill_stats(), &mut spill_seen);
+            if let Some(c) = canon.as_mut() {
+                c.flush_metrics();
+            }
             *clock = std::time::Instant::now();
         }
         frontier = next_frontier;

@@ -651,6 +651,11 @@ fn run_parallel_inner(
                                 );
                                 progress.store(done + 1, Ordering::Relaxed);
                             }
+                            if vnet_obs::metrics_enabled() {
+                                if let Some(c) = scratch.canon.as_mut() {
+                                    c.flush_metrics();
+                                }
+                            }
                         }));
                         if let Err(payload) = result {
                             let detail = if let Some(s) = payload.downcast_ref::<&str>() {

@@ -206,18 +206,37 @@ struct PermPair {
     addr_inv: Vec<usize>,
 }
 
+/// How a candidate image compared with the running best key.
+enum Outcome {
+    /// Strictly smaller: the candidate, written in full, is the new best.
+    Smaller,
+    /// Equal to the best, or larger somewhere the prefix skip cannot
+    /// vouch for; the next element is tried.
+    NotSmaller,
+    /// Larger within cache row `k`, and rows `0..=k` hold no cache ids.
+    LostAtCleanRow(usize),
+}
+
 /// Precomputed symmetry group plus reusable scratch buffers: the fast
 /// path the explorers use per successor. Create one per worker (the
 /// scratch makes it `!Sync`-shaped by design) and reuse it across
-/// millions of states — canonicalization then costs one direct
-/// encoding per non-identity group element with an early-exit byte
-/// compare, and zero state clones.
+/// millions of states — canonicalization then costs at most one
+/// bounded encoding per non-identity group element, and zero state
+/// clones.
 pub struct Canonicalizer {
+    /// Non-identity elements sorted by `(addr_inv, cache_inv)`, so the
+    /// elements sharing a prefix of cache rows are contiguous.
     pairs: Vec<PermPair>,
+    /// `skip[i * n_caches + k]`: the first element after `i` whose
+    /// `(addr_inv, cache_inv[..=k])` differs from element `i`'s.
+    skip: Vec<u32>,
     n_caches: usize,
-    n_addrs: usize,
     n_vns: usize,
     scratch: Vec<u8>,
+    /// Candidate images started since the tallies were last taken.
+    images: u64,
+    /// Canonical keys produced since the tallies were last taken.
+    keys: u64,
 }
 
 impl Canonicalizer {
@@ -239,12 +258,30 @@ impl Canonicalizer {
                 });
             }
         }
+        pairs.sort_by(|a, b| (&a.addr_inv, &a.cache_inv).cmp(&(&b.addr_inv, &b.cache_inv)));
+        let n = cfg.n_caches;
+        let mut skip = vec![0u32; pairs.len() * n];
+        for i in (0..pairs.len()).rev() {
+            for k in 0..n {
+                let shares_prefix = pairs.get(i + 1).is_some_and(|next| {
+                    next.addr_inv == pairs[i].addr_inv
+                        && next.cache_inv[..=k] == pairs[i].cache_inv[..=k]
+                });
+                skip[i * n + k] = if shares_prefix {
+                    skip[(i + 1) * n + k]
+                } else {
+                    (i + 1) as u32
+                };
+            }
+        }
         Canonicalizer {
             pairs,
-            n_caches: cfg.n_caches,
-            n_addrs: cfg.n_addrs,
+            skip,
+            n_caches: n,
             n_vns: cfg.vns.n_vns().max(1),
             scratch: Vec::with_capacity(160),
+            images: 0,
+            keys: 0,
         }
     }
 
@@ -256,24 +293,53 @@ impl Canonicalizer {
 
     /// Writes the canonical key of `gs`'s orbit — the lexicographically
     /// smallest permutation image's encoding — into `best` (cleared
-    /// first). Key-only: each candidate is encoded directly into a
-    /// reused scratch buffer and compared byte-wise (slice `<` is an
-    /// early-exit prefix compare), never materialized as a state.
+    /// first). Key-only and exact: each candidate is encoded section by
+    /// section into a reused scratch buffer and abandoned at the first
+    /// section where it already exceeds the running best; a candidate
+    /// that loses within cache rows free of cache ids takes every
+    /// element sharing those rows' prefix down with it (see DESIGN.md,
+    /// "Canonicalization is key-only").
     pub fn canonical_key_into(&mut self, gs: &GlobalState, best: &mut Vec<u8>) {
         gs.encode_into(best);
-        let Canonicalizer {
-            pairs,
-            n_caches,
-            n_addrs,
-            n_vns,
-            scratch,
-        } = self;
-        for pair in pairs.iter() {
-            encode_permuted_into(gs, pair, *n_caches, *n_addrs, *n_vns, scratch);
-            if scratch.as_slice() < best.as_slice() {
-                std::mem::swap(best, scratch);
-            }
+        self.keys += 1;
+        // Bit `c` set: old cache row `c` names a cache (a deferred
+        // reader or writer), so its image bytes depend on the whole
+        // cache permutation, not just on where the row lands.
+        let id_rows = gs.caches.iter().enumerate().fold(0u32, |acc, (c, row)| {
+            let ids = row.iter().any(|l| l.readers != 0 || l.writer.is_some());
+            acc | (u32::from(ids) << c)
+        });
+        let mut i = 0;
+        while let Some(pair) = self.pairs.get(i) {
+            self.images += 1;
+            let outcome = encode_bounded(gs, pair, self.n_vns, id_rows, best, &mut self.scratch);
+            i = match outcome {
+                Outcome::Smaller => {
+                    std::mem::swap(best, &mut self.scratch);
+                    i + 1
+                }
+                Outcome::NotSmaller => i + 1,
+                Outcome::LostAtCleanRow(k) => self.skip[i * self.n_caches + k] as usize,
+            };
         }
+    }
+
+    /// Candidate images started and canonical keys produced since the
+    /// last call, as `(images, keys)`; both tallies restart from zero.
+    fn take_tallies(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.images),
+            std::mem::take(&mut self.keys),
+        )
+    }
+
+    /// Adds the tallies gathered since the last flush to the
+    /// `explore.symmetry_images_total` / `explore.symmetry_keys_total`
+    /// counters. Callers gate it on [`vnet_obs::metrics_enabled`].
+    pub(crate) fn flush_metrics(&mut self) {
+        let (images, keys) = self.take_tallies();
+        vnet_obs::counter("explore.symmetry_images_total").add(images);
+        vnet_obs::counter("explore.symmetry_keys_total").add(keys);
     }
 
     /// The canonical representative of `gs`'s orbit together with its
@@ -288,19 +354,44 @@ impl Canonicalizer {
     }
 }
 
-/// Emits the encoding of `permute(gs, pair)` directly into `out`,
-/// byte-for-byte identical to [`GlobalState::encode_into`] on the
-/// permuted state. Output positions are walked in order and filled via
-/// the inverse maps, so nothing is cloned.
-fn encode_permuted_into(
+/// Folds the section just written at `out[start..]` into the running
+/// comparison, given `out[..start] == best[..start]` unless `below`.
+/// Returns `true` when the candidate is now known to be larger than
+/// `best`. Comparing section by section in order is comparing the whole
+/// byte strings: the first differing byte decides, and a `best` that
+/// ends inside the section is a proper prefix of the candidate.
+fn lost(out: &[u8], best: &[u8], start: usize, below: &mut bool) -> bool {
+    if *below {
+        return false;
+    }
+    match out[start..].cmp(&best[start..best.len().min(out.len())]) {
+        std::cmp::Ordering::Less => {
+            *below = true;
+            false
+        }
+        std::cmp::Ordering::Equal => false,
+        std::cmp::Ordering::Greater => true,
+    }
+}
+
+/// Writes the encoding of `permute(gs, p)` into `out` — byte-for-byte
+/// [`GlobalState::encode_into`] on the permuted state — one section at
+/// a time (each cache row; the dir, budget and injection block; each
+/// buffer; each FIFO), stopping at the first section where it exceeds
+/// `best`. Output positions are walked in order and filled via the
+/// inverse maps, so nothing is cloned. `id_rows` marks the old cache
+/// rows that hold cache ids.
+fn encode_bounded(
     gs: &GlobalState,
     p: &PermPair,
-    n_caches: usize,
-    n_addrs: usize,
     n_vns: usize,
+    id_rows: u32,
+    best: &[u8],
     out: &mut Vec<u8>,
-) {
+) -> Outcome {
     out.clear();
+    let (n_caches, n_addrs) = (p.cache.len(), p.addr.len());
+    let mut below = false;
     let remap_mask = |mask: u8| -> u8 {
         let mut r = 0u8;
         for (i, &np) in p.cache.iter().enumerate() {
@@ -311,8 +402,11 @@ fn encode_permuted_into(
         r
     };
     let remap_cache = |c: u8| p.cache[c as usize] as u8;
+    let mut clean = true;
     for nc in 0..n_caches {
-        let row = &gs.caches[p.cache_inv[nc]];
+        let start = out.len();
+        let oc = p.cache_inv[nc];
+        let row = &gs.caches[oc];
         for na in 0..n_addrs {
             let l = &row[p.addr_inv[na]];
             out.push(l.state);
@@ -323,7 +417,16 @@ fn encode_permuted_into(
                 Some((w, a)) => out.extend([remap_cache(w), a as u8]),
             }
         }
+        clean &= id_rows & (1 << oc) == 0;
+        if lost(out, best, start, &mut below) {
+            return if clean {
+                Outcome::LostAtCleanRow(nc)
+            } else {
+                Outcome::NotSmaller
+            };
+        }
     }
+    let start = out.len();
     for na in 0..n_addrs {
         let d = &gs.dirs[p.addr_inv[na]];
         out.push(d.state);
@@ -335,6 +438,9 @@ fn encode_permuted_into(
         out.push(gs.budgets[p.cache_inv[nc]]);
     }
     out.extend(gs.used_injections.to_le_bytes());
+    if lost(out, best, start, &mut below) {
+        return Outcome::NotSmaller;
+    }
     let enc_msg = |out: &mut Vec<u8>, m: &Msg| {
         out.push(m.msg);
         out.push(p.addr[m.addr as usize] as u8);
@@ -350,20 +456,35 @@ fn encode_permuted_into(
         out.push(m.ack as u8);
     };
     for buf in &gs.global_bufs {
+        let start = out.len();
         out.push(0xfe);
         for m in buf {
             enc_msg(out, m);
+        }
+        if lost(out, best, start, &mut below) {
+            return Outcome::NotSmaller;
         }
     }
     let n_eps = gs.endpoint_fifos.len() / n_vns;
     for ne in 0..n_eps {
         let oe = if ne < n_caches { p.cache_inv[ne] } else { ne };
         for vn in 0..n_vns {
+            let start = out.len();
             out.push(0xfd);
             for m in &gs.endpoint_fifos[oe * n_vns + vn] {
                 enc_msg(out, m);
             }
+            if lost(out, best, start, &mut below) {
+                return Outcome::NotSmaller;
+            }
         }
+    }
+    // Images of one state have equal lengths, so a candidate that tied
+    // every section equals the best.
+    if below {
+        Outcome::Smaller
+    } else {
+        Outcome::NotSmaller
     }
 }
 
@@ -578,45 +699,168 @@ mod tests {
         }
     }
 
-    #[test]
-    fn orbit_members_share_one_canonical_key() {
-        let (spec, cfg, _) = setup_one_dir();
-        let mut canon = Canonicalizer::new(&cfg);
-        assert_eq!(canon.group_order(), 12); // 3! · 2!
-        for seed in 0..6u64 {
-            let gs = seeded_walk(&spec, &cfg, seed, 12);
-            let (rep, key) = canon.canonicalize(&cfg, &gs);
-            assert_eq!(rep.encode(), key, "canonical state must decode from its key");
-            for cp in permutations(cfg.n_caches) {
-                for ap in address_permutations(cfg.n_addrs, cfg.n_dirs) {
-                    let img = permute(&cfg, &gs, &cp, &ap);
-                    let mut k2 = Vec::new();
-                    canon.canonical_key_into(&img, &mut k2);
-                    assert_eq!(k2, key, "seed {seed} cp {cp:?} ap {ap:?}");
-                }
+    /// The shapes the exactness properties cover: the 3-cache, 1-dir
+    /// config (group order 12); the benchmark's 4 caches × 2 addresses
+    /// × 1 dir (order 48); and a nonblocking cache, whose deferred
+    /// readers and writer put cache ids inside cache rows — the case
+    /// where the prefix skip must not fire.
+    fn property_subjects() -> Vec<(&'static str, vnet_protocol::ProtocolSpec, McConfig, usize)> {
+        let one_dir = |spec: &vnet_protocol::ProtocolSpec, n_caches| McConfig {
+            n_caches,
+            n_dirs: 1,
+            ..McConfig::general(spec)
+        };
+        let blocking = protocols::msi_blocking_cache();
+        let nonblocking = protocols::msi_nonblocking_cache();
+        vec![
+            (
+                "MSI-blocking 3c",
+                blocking.clone(),
+                one_dir(&blocking, 3),
+                12,
+            ),
+            (
+                "MSI-blocking 4c",
+                blocking.clone(),
+                one_dir(&blocking, 4).with_budget(crate::config::InjectionBudget::PerCache(1)),
+                48,
+            ),
+            (
+                "MSI-nonblocking 3c",
+                nonblocking.clone(),
+                one_dir(&nonblocking, 3),
+                12,
+            ),
+        ]
+    }
+
+    const SEEDS: u64 = 32;
+
+    /// Walk lengths vary with the seed so shallow and deep states both
+    /// get checked.
+    fn walk_steps(seed: u64) -> usize {
+        8 + (seed % 4) as usize * 4
+    }
+
+    /// `gs` with pseudo-random deferred readers and writers written
+    /// into about half of its cache lines. Not reachable, but every
+    /// image is still well defined, and ids scattered over the rows
+    /// are what would expose a prefix skip taken past a row that
+    /// names a cache.
+    fn scatter_ids(gs: &GlobalState, seed: u64) -> GlobalState {
+        let mut out = gs.clone();
+        let n = out.caches.len();
+        let mut x = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
+        for line in out.caches.iter_mut().flatten() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 4 {
+                0 => line.readers = (x >> 8) as u8 & ((1u8 << n) - 1),
+                1 => line.writer = Some((((x >> 8) as usize % n) as u8, 0)),
+                _ => {}
             }
         }
+        out
+    }
+
+    fn has_ids_in_cache_rows(gs: &GlobalState) -> bool {
+        gs.caches
+            .iter()
+            .flatten()
+            .any(|l| l.readers != 0 || l.writer.is_some())
     }
 
     #[test]
-    fn fast_canonical_key_matches_brute_force() {
-        let (spec, cfg, _) = setup_one_dir();
-        let mut canon = Canonicalizer::new(&cfg);
-        for seed in 0..6u64 {
-            let gs = seeded_walk(&spec, &cfg, seed, 16);
-            // Brute force: materialize every image and encode it.
-            let mut best = gs.encode();
-            for cp in permutations(cfg.n_caches) {
-                for ap in address_permutations(cfg.n_addrs, cfg.n_dirs) {
-                    let key = permute(&cfg, &gs, &cp, &ap).encode();
-                    if key < best {
-                        best = key;
+    fn orbit_members_share_one_canonical_key() -> Result<(), String> {
+        for (name, spec, cfg, order) in property_subjects() {
+            let mut canon = Canonicalizer::new(&cfg);
+            assert_eq!(canon.group_order(), order, "{name}");
+            let cps = permutations(cfg.n_caches);
+            let aps = address_permutations(cfg.n_addrs, cfg.n_dirs);
+            assert_eq!(cps.len() * aps.len(), order, "{name}");
+            for seed in 0..SEEDS {
+                let gs = seeded_walk(&spec, &cfg, seed, walk_steps(seed));
+                let (rep, key) = canon.canonicalize(&cfg, &gs);
+                assert_eq!(
+                    rep.encode(),
+                    key,
+                    "{name}: canonical state must decode from its key"
+                );
+                for cp in &cps {
+                    for ap in &aps {
+                        let img = permute(&cfg, &gs, cp, ap);
+                        let mut k2 = Vec::new();
+                        canon.canonical_key_into(&img, &mut k2);
+                        if k2 != key {
+                            return Err(format!("{name}: seed {seed} cp {cp:?} ap {ap:?}"));
+                        }
                     }
                 }
             }
-            let mut fast = Vec::new();
-            canon.canonical_key_into(&gs, &mut fast);
-            assert_eq!(fast, best, "seed {seed}");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn fast_canonical_key_matches_brute_force() -> Result<(), String> {
+        for (name, spec, cfg, _) in property_subjects() {
+            let mut canon = Canonicalizer::new(&cfg);
+            let cps = permutations(cfg.n_caches);
+            let aps = address_permutations(cfg.n_addrs, cfg.n_dirs);
+            let mut with_ids = 0;
+            for seed in 0..SEEDS {
+                let walked = seeded_walk(&spec, &cfg, seed, 4 + walk_steps(seed));
+                with_ids += usize::from(has_ids_in_cache_rows(&walked));
+                for gs in [scatter_ids(&walked, seed), walked] {
+                    // Brute force: materialize every image and encode it.
+                    let mut best = gs.encode();
+                    for cp in &cps {
+                        for ap in &aps {
+                            let key = permute(&cfg, &gs, cp, ap).encode();
+                            if key < best {
+                                best = key;
+                            }
+                        }
+                    }
+                    let mut fast = Vec::new();
+                    canon.canonical_key_into(&gs, &mut fast);
+                    if fast != best {
+                        return Err(format!(
+                            "{name}: seed {seed}: fast key differs from brute force"
+                        ));
+                    }
+                }
+            }
+            if name.contains("nonblocking") && with_ids == 0 {
+                return Err(format!(
+                    "{name}: no walked state holds cache ids in a cache row"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn prefix_skip_starts_fewer_images_than_the_group() {
+        let (spec, cfg, _) = setup_one_dir();
+        let mut canon = Canonicalizer::new(&cfg);
+        let mut key = Vec::new();
+        let mut walked = 0u64;
+        for seed in 0..SEEDS {
+            for steps in [0, 4, 8, 12, 16] {
+                canon.canonical_key_into(&seeded_walk(&spec, &cfg, seed, steps), &mut key);
+                walked += 1;
+            }
+        }
+        let (images, keys) = canon.take_tallies();
+        assert_eq!(keys, walked);
+        let per_key = images as f64 / keys as f64;
+        assert!(
+            per_key < (canon.group_order() - 1) as f64,
+            "{per_key:.2} images per key on a group of order {}",
+            canon.group_order()
+        );
+        assert_eq!(canon.take_tallies(), (0, 0), "tallies restart after a take");
     }
 }

@@ -82,3 +82,42 @@ fn metrics_flag_is_invisible_in_output_and_exact_in_counts() {
     assert_eq!(json_u64(&snapshot, "explore.runs_total"), Some(1));
     assert_eq!(json_u64(&snapshot, "schema"), Some(1));
 }
+
+/// The symmetry canonicalizer's tallies reach the snapshot from the
+/// serial and the threaded explorer, and the exact prunings show in
+/// them: fewer candidate images started per key than the 11
+/// non-identity elements of the 3!·2! group.
+#[test]
+fn symmetry_tallies_are_flushed_by_both_explorers() {
+    for extra in [&[][..], &["--parallel", "2"][..]] {
+        let snap_path = std::env::temp_dir().join(format!(
+            "vnet-metrics-symmetry-{}-{}.json",
+            std::process::id(),
+            extra.len()
+        ));
+        let snap_str = snap_path.to_string_lossy().into_owned();
+        let out = Command::new(env!("CARGO_BIN_EXE_vnet"))
+            .args(["mc", "MSI-blocking-cache", "--general", "--symmetry"])
+            .args(["--caches", "3", "--dirs", "1", "--per-cache", "1"])
+            .args(["--metrics", &snap_str])
+            .args(extra)
+            .output()
+            .expect("vnet should spawn");
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {out:?}");
+        let snapshot = std::fs::read_to_string(&snap_path).expect("--metrics writes the snapshot");
+        let _ = std::fs::remove_file(&snap_path);
+        let keys = json_u64(&snapshot, "explore.symmetry_keys_total")
+            .unwrap_or_else(|| panic!("{extra:?}: no key tally in {snapshot}"));
+        let images = json_u64(&snapshot, "explore.symmetry_images_total")
+            .unwrap_or_else(|| panic!("{extra:?}: no image tally in {snapshot}"));
+        let states = json_u64(&snapshot, "explore.states_total").unwrap_or(0);
+        assert!(
+            keys >= states && states > 0,
+            "{extra:?}: {keys} keys for {states} states"
+        );
+        assert!(
+            images < keys * 11,
+            "{extra:?}: {images} images for {keys} keys"
+        );
+    }
+}
