@@ -403,7 +403,7 @@ pub fn table1_sym_config(spec: &ProtocolSpec) -> McConfig {
 
 /// Loads a campaign entry: a built-in protocol name or a `.vnp` path.
 pub fn load_spec(arg: &str) -> Result<ProtocolSpec, String> {
-    if let Some(p) = protocols::extended().into_iter().find(|p| p.name() == arg) {
+    if let Some(p) = protocols::by_name(arg) {
         return Ok(p);
     }
     let text = std::fs::read_to_string(arg).map_err(|e| format!("{arg}: {e}"))?;

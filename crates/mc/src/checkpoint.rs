@@ -452,8 +452,8 @@ const SHARD_RESTART: u64 = 16;
 /// Streaming encoder for one shard section: a label table in
 /// first-use order, then entries whose keys are delta-compressed against
 /// their predecessor and whose parents are `(shard, index)` references.
-/// The process-sharded explorer also persists each worker's section
-/// file in this encoding.
+/// The process-sharded explorer also persists each worker's round
+/// segments in this encoding.
 pub(crate) struct ShardEncoder {
     labels: Vec<u8>,
     label_idx: std::collections::HashMap<String, u32>,

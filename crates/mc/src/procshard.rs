@@ -1,42 +1,61 @@
 //! Process-sharded exploration: the visited set is statically
 //! partitioned across N worker *processes* (`fx_hash(key) % N`), each
-//! owning one shard of the state space and persisting it as a
-//! version-2 checkpoint shard section after every BFS level.
+//! owning one shard of the state space for the whole run and persisting
+//! it as an append-only chain of checksummed round segments.
 //!
 //! ## Why processes
 //!
 //! The thread-parallel explorer ([`crate::parallel`]) dies as one unit:
 //! a SIGKILL — the OOM killer's verdict of choice — discards every
-//! shard's progress at once. Here each shard's section file is updated
-//! atomically (tmp + rename) once per round, so a killed or panicking
-//! worker is simply re-spawned and replays only its own current round;
-//! sibling shards keep their work. The supervisor itself is equally
-//! disposable: `round.bin` records the last committed round, and
-//! re-running the same command resumes from it.
+//! shard's progress at once. Here each shard commits one segment file
+//! per round (tmp + rename), so a killed or panicking worker is simply
+//! re-spawned, rebuilds its shard from its committed segments and
+//! replays only its current round; sibling shards keep their work. The
+//! supervisor itself is equally disposable: `round.bin` records the
+//! last committed round, and re-running the same command resumes from
+//! it.
+//!
+//! ## Persistent workers and the doorbell pipe
+//!
+//! The supervisor spawns each shard's `__shard-worker` once and keeps
+//! it for the whole run. The worker builds its visited set from its
+//! segments on start, then serves rounds: the supervisor writes
+//! `round <r>` to its stdin, the worker answers `done <r>` on its
+//! stdout. The pipe is only a doorbell — every state byte travels
+//! through checksummed files, and the per-shard result record stays the
+//! round's commit marker. EOF on the worker's stdout (or a missing
+//! record) is a casualty: the supervisor reaps and re-spawns it under a
+//! per-round restart budget. EOF on the worker's stdin ends the worker,
+//! so a supervisor that exits — or is SIGKILLed — leaves no worker
+//! behind once their current round is done.
 //!
 //! ## Round protocol
 //!
 //! Round `r` claims BFS level `r` and expands it:
 //!
-//! 1. **Claim.** Worker `s` loads its section (`shard-s.sec`), then the
-//!    candidate successors every shard routed to it in round `r-1`
-//!    (`out-{r-1}-{from}-{s}.box`). Candidates are sorted by
-//!    `(key, parent shard, parent index, label)` and fresh keys are
-//!    claimed at level `r` — a total order, so replays after a
-//!    mid-round death reproduce the identical claim sequence.
-//! 2. **Check.** Every level-`r` claim is decoded and SWMR-checked.
-//! 3. **Expand.** Each claim's successors are routed to their owner
+//! 1. **Claim.** Worker `s` reads the candidate successors every shard
+//!    routed to it in round `r-1` (`out-{r-1}-{from}-{s}.box`), sorted
+//!    by `(key, parent shard, parent index, label)`, and claims the keys
+//!    its in-memory visited set has not seen — a total order, so a
+//!    replay reproduces the identical claim sequence.
+//! 2. **Commit the segment.** The round's claims, and only those, go to
+//!    `seg-{s}-{r}.sec` (a checkpoint shard section). Entry indices run
+//!    across segments in round order, so `(parent shard, parent index)`
+//!    references need no rewriting.
+//! 3. **Check.** Every level-`r` claim is decoded and SWMR-checked.
+//! 4. **Expand.** Each claim's successors are routed to their owner
 //!    shard's outbox for round `r+1`. Deadlocks and model errors are
 //!    reported, not acted on — the supervisor resolves the globally
 //!    minimal finding so the verdict is independent of N.
-//! 4. **Persist.** Section, outboxes, then the result record — in that
-//!    order, each atomic. The result record is the round's commit
-//!    marker for this shard; anything torn before it is recomputed.
+//! 5. **Report.** Outboxes, then the result record — each atomic. The
+//!    record is the round's commit marker for this shard; anything torn
+//!    before it is recomputed.
 //!
-//! A worker that crashed *after* renaming its section re-derives the
-//! same claims from the `level == r` suffix already in the section (the
-//! sorted order makes the persisted prefix and the recomputed remainder
-//! coincide), so recovery is bit-identical to an undisturbed run.
+//! A worker that died *after* renaming its segment is re-spawned with
+//! that segment already in its rebuilt shard: it skips the claim and
+//! expands the segment's entries, which are exactly the claims the
+//! sorted order would reproduce, so recovery is bit-identical to an
+//! undisturbed run.
 //!
 //! Every artifact carries an FNV-1a checksum; a torn or damaged file
 //! reads as absent and is regenerated or refused, never trusted.
@@ -58,14 +77,15 @@ use crate::checkpoint::{
 use crate::codec::{put_varint, read_varint};
 use crate::config::McConfig;
 use crate::explore::{CheckpointedRun, ExploreStats, Verdict};
-use crate::intern::LabelTable;
 use crate::rules::{expand, ExpandOutcome, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
 use crate::state::GlobalState;
+use crate::symmetry::Canonicalizer;
 use crate::trace::Trace;
 use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Instant;
 use vnet_graph::{fx_hash_bytes, Budget, DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
@@ -99,8 +119,9 @@ pub struct ProcOpts {
     /// Total memory budget, split evenly across shards; each worker
     /// spills its cold visited keys once its slice fills.
     pub mem_budget: Option<u64>,
-    /// Test hook: `(round, shard)` whose *first* spawn aborts after
-    /// renaming its section — a deterministic mid-round SIGKILL.
+    /// Test hook: `(round, shard)` whose first process aborts in that
+    /// round after renaming its segment — a deterministic mid-round
+    /// SIGKILL.
     pub inject_kill: Option<(u32, u32)>,
 }
 
@@ -132,12 +153,10 @@ pub struct WorkerOpts {
     pub shard: u32,
     /// Total shard count.
     pub of: u32,
-    /// The round to execute.
-    pub round: u32,
     /// Memory budget for the whole run; this worker takes `1/of`.
     pub mem_budget: Option<u64>,
-    /// Abort after the section rename (supervisor crash injection).
-    pub crash: bool,
+    /// Abort in this round after the segment rename (crash injection).
+    pub crash_round: Option<u32>,
 }
 
 /// `fx_hash(key) % n` — the static shard partition. Stable across runs
@@ -150,8 +169,8 @@ fn shard_of(key: &[u8], n: u32) -> u32 {
 // Checksummed atomic file IO.
 // ---------------------------------------------------------------------
 
-fn sec_path(dir: &Path, s: u32) -> PathBuf {
-    dir.join(format!("shard-{s}.sec"))
+fn seg_path(dir: &Path, s: u32, round: u32) -> PathBuf {
+    dir.join(format!("seg-{s}-{round}.sec"))
 }
 fn out_path(dir: &Path, round: u32, from: u32, to: u32) -> PathBuf {
     dir.join(format!("out-{round}-{from}-{to}.box"))
@@ -170,13 +189,15 @@ fn done_path(dir: &Path) -> PathBuf {
 }
 
 /// Writes `[fnv1a(payload)][payload]` via tmp + rename: readers see the
-/// old file or the new one, never a torn hybrid.
+/// old file or the new one, never a torn hybrid. The temp name carries
+/// the writer's pid, so a worker left over from a killed supervisor and
+/// its successor never write through the same temp file.
 fn write_checked(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(8 + payload.len());
     buf.extend(checkpoint::fnv1a(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, &buf)?;
     std::fs::rename(&tmp, path)
@@ -224,7 +245,8 @@ const FIND_INVARIANT: u8 = 3;
 #[derive(Debug, Clone)]
 struct Finding {
     kind: u8,
-    /// Index of the implicated entry in the reporting shard's section.
+    /// Index of the implicated entry in the reporting shard (entry
+    /// indices run across its segments in round order).
     idx: u32,
     detail: String,
     /// The offending rule (model errors only).
@@ -235,21 +257,32 @@ struct Finding {
 struct ResRecord {
     /// States claimed in this round (recovered + fresh).
     claimed: u64,
-    /// Total entries in the shard section after the round.
-    total: u64,
+    /// Segment entries this process wrote in the round: `claimed`, or
+    /// 0 when a predecessor had already committed the segment.
+    written: u64,
     /// Worker's accounted heap high-water mark.
     peak: u64,
-    /// Cumulative bytes the worker spilled to disk.
+    /// Cumulative bytes the worker process spilled to disk.
     spilled: u64,
+    /// Symmetry canonicalizer tallies of the round: candidate images
+    /// started and canonical keys produced (0 without `--symmetry`).
+    sym_images: u64,
+    sym_keys: u64,
     finding: Option<Finding>,
 }
 
 fn encode_res(r: &ResRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    put_varint(&mut out, r.claimed);
-    put_varint(&mut out, r.total);
-    put_varint(&mut out, r.peak);
-    put_varint(&mut out, r.spilled);
+    for v in [
+        r.claimed,
+        r.written,
+        r.peak,
+        r.spilled,
+        r.sym_images,
+        r.sym_keys,
+    ] {
+        put_varint(&mut out, v);
+    }
     match &r.finding {
         None => out.push(0),
         Some(f) => {
@@ -277,10 +310,11 @@ fn take_str(buf: &[u8], pos: &mut usize) -> Option<String> {
 
 fn decode_res(buf: &[u8]) -> Option<ResRecord> {
     let mut pos = 0usize;
-    let claimed = read_varint(buf, &mut pos)?;
-    let total = read_varint(buf, &mut pos)?;
-    let peak = read_varint(buf, &mut pos)?;
-    let spilled = read_varint(buf, &mut pos)?;
+    let mut fields = [0u64; 6];
+    for f in &mut fields {
+        *f = read_varint(buf, &mut pos)?;
+    }
+    let [claimed, written, peak, spilled, sym_images, sym_keys] = fields;
     let tag = *buf.get(pos)?;
     pos += 1;
     let finding = match tag {
@@ -306,9 +340,11 @@ fn decode_res(buf: &[u8]) -> Option<ResRecord> {
     }
     Some(ResRecord {
         claimed,
-        total,
+        written,
         peak,
         spilled,
+        sym_images,
+        sym_keys,
         finding,
     })
 }
@@ -357,248 +393,298 @@ fn parse_outbox(buf: &[u8], from: u32, out: &mut Vec<Cand>) -> Result<(), String
     Ok(())
 }
 
-/// Accounted worker footprint: the key arena plus the flat per-entry
-/// metadata (parent ref 8B, label id 4B, level 4B).
-fn worker_footprint(keys: &SpillArena, entries: usize) -> u64 {
-    keys.heap_bytes() + (entries as u64).saturating_mul(16)
+/// One shard worker's state, kept in memory across rounds: the visited
+/// keys (spillable, so the shard honors its slice of the run's memory
+/// budget the way the serial explorer does) and where each round's
+/// claims start. Parents and labels live only in the segments — the
+/// worker never reads them back.
+struct Shard {
+    keys: SpillArena,
+    /// `starts[r]`: the entry index of round `r`'s first claim; its
+    /// length is the number of rounds the shard holds.
+    starts: Vec<u32>,
+    /// Accounted heap high-water mark.
+    peak: u64,
+    canon: Option<Canonicalizer>,
 }
 
-/// Executes one shard round. Invoked by the hidden `__shard-worker` CLI
-/// command; errors go to stderr and a nonzero exit, which the
-/// supervisor treats like any other worker death.
-pub fn run_worker(spec: &ProtocolSpec, cfg: &McConfig, w: &WorkerOpts) -> Result<(), String> {
-    let n = w.of;
-    if n == 0 || w.shard >= n {
-        return Err(format!("shard {} out of range (of {n})", w.shard));
-    }
-    cfg.validate_for_run()?;
-
-    // Visited keys: a spillable arena so the shard honors its slice of
-    // the run's memory budget the same way the serial explorer does.
-    let spill = w.mem_budget.map(|b| {
-        let slice = (b / n as u64).max(64 << 10);
-        SpillConfig::new(
-            w.dir.join(format!("spill-{}", w.shard)),
-            slice.saturating_mul(4) / 5,
-        )
-    });
-    let mut keys = SpillArena::new(spill);
-    let mut labels = LabelTable::new();
-    let _ = labels.intern("");
-    let mut parents: Vec<(u32, u32)> = Vec::new();
-    let mut label_ids: Vec<u32> = Vec::new();
-    let mut levels: Vec<u32> = Vec::new();
-    let mut peak = 0u64;
-
-    if let Some(bytes) = read_checked(&sec_path(&w.dir, w.shard)) {
-        let (sec_labels, entries) =
-            decode_shard_section(&bytes, 0).map_err(|e| format!("shard section: {e}"))?;
-        let lids: Vec<u32> = sec_labels.iter().map(|l| labels.intern(l)).collect();
-        for (i, e) in entries.iter().enumerate() {
-            match keys.intern(&e.key) {
-                Ok((_, true)) => {}
-                Ok((_, false)) => return Err(format!("duplicate key at section entry {i}")),
-                Err(why) => return Err(format!("intern arena: {why}")),
-            }
-            parents.push((e.parent_shard, e.parent_idx));
-            label_ids.push(lids.get(e.label as usize).copied().unwrap_or(0));
-            levels.push(e.level);
-            if i % 1024 == 1023 {
-                let now = worker_footprint(&keys, parents.len());
-                peak = peak.max(now);
-                let _ = keys.maybe_spill(now);
+impl Shard {
+    /// Rebuilds the shard from its committed segments, in round order
+    /// up to the first one absent or damaged.
+    fn rebuild(cfg: &McConfig, w: &WorkerOpts) -> Result<Shard, String> {
+        let spill = w.mem_budget.map(|b| {
+            let slice = (b / w.of as u64).max(64 << 10);
+            SpillConfig::new(
+                w.dir.join(format!("spill-{}", w.shard)),
+                slice.saturating_mul(4) / 5,
+            )
+        });
+        let mut shard = Shard {
+            keys: SpillArena::new(spill),
+            starts: Vec::new(),
+            peak: 0,
+            canon: cfg.symmetry.then(|| Canonicalizer::new(cfg)),
+        };
+        loop {
+            let round = shard.starts.len() as u32;
+            let Some(bytes) = read_checked(&seg_path(&w.dir, w.shard, round)) else {
+                return Ok(shard);
+            };
+            let (_, entries) = decode_shard_section(&bytes, 0)
+                .map_err(|e| format!("segment for round {round}: {e}"))?;
+            shard.starts.push(shard.keys.len() as u32);
+            for (i, e) in entries.iter().enumerate() {
+                if e.level != round || !shard.intern(&e.key)? {
+                    return Err(format!(
+                        "segment for round {round}: entry {i} is not a claim"
+                    ));
+                }
+                if i % 512 == 511 {
+                    shard.account();
+                }
             }
         }
     }
 
-    // Candidates: round 0 is the initial state (owned by exactly one
-    // shard); later rounds read every producer's outbox for this shard.
-    let mut cands: Vec<Cand> = Vec::new();
-    if w.round == 0 {
+    /// Interns `key`; `true` when it is new to the shard.
+    fn intern(&mut self, key: &[u8]) -> Result<bool, String> {
+        match self.keys.intern(key) {
+            Ok((_, fresh)) => Ok(fresh),
+            Err(why) => Err(format!("intern arena: {why}")),
+        }
+    }
+
+    /// Updates the high-water mark and spills cold keys past the slice.
+    fn account(&mut self) {
+        let now = self.keys.heap_bytes();
+        self.peak = self.peak.max(now);
+        let _ = self.keys.maybe_spill(now);
+    }
+
+    /// Round 0's only candidate, the initial state, if this shard owns
+    /// it. Its canonical key is tallied by the owner alone, so the
+    /// run's symmetry tallies match the serial explorer's.
+    fn initial(&mut self, spec: &ProtocolSpec, cfg: &McConfig, w: &WorkerOpts) -> Option<Cand> {
         let initial = GlobalState::initial(spec, cfg);
-        let key = if cfg.symmetry {
-            crate::symmetry::canonicalize(cfg, &initial).1
-        } else {
-            initial.encode()
+        let key = match self.canon.as_mut() {
+            Some(c) => c.canonicalize(cfg, &initial).1,
+            None => initial.encode(),
         };
-        if shard_of(&key, n) == w.shard {
-            cands.push(Cand {
+        if shard_of(&key, w.of) == w.shard {
+            return Some(Cand {
                 key,
                 pshard: w.shard,
                 pidx: 0,
                 label: String::new(),
             });
         }
-    } else {
-        for from in 0..n {
-            let path = out_path(&w.dir, w.round - 1, from, w.shard);
-            let bytes = read_checked(&path)
-                .ok_or_else(|| format!("missing or corrupt outbox {}", path.display()))?;
-            parse_outbox(&bytes, from, &mut cands)?;
+        if let Some(c) = self.canon.as_mut() {
+            c.take_tallies();
         }
+        None
     }
-    // The total order that makes replay deterministic: a worker killed
-    // mid-claim left a *prefix* of this sequence in its section.
-    cands.sort_by(|a, b| {
-        (&a.key, a.pshard, a.pidx, &a.label).cmp(&(&b.key, b.pshard, b.pidx, &b.label))
-    });
 
-    // Recover claims this round already made before a crash (the
-    // `level == round` suffix of the section), then claim the rest.
-    let mut new_frontier: Vec<u32> = (0..levels.len() as u32)
-        .filter(|&i| levels[i as usize] == w.round)
-        .collect();
-    let mut claimed = new_frontier.len() as u64;
-    for c in &cands {
-        match keys.intern(&c.key) {
-            Ok((id, true)) => {
-                parents.push((c.pshard, c.pidx));
-                label_ids.push(labels.intern(&c.label));
-                levels.push(w.round);
-                new_frontier.push(id);
-                claimed += 1;
-                if claimed.is_multiple_of(512) {
-                    let now = worker_footprint(&keys, parents.len());
-                    peak = peak.max(now);
-                    let _ = keys.maybe_spill(now);
+    /// Executes round `round` and writes its segment (unless already
+    /// committed), outboxes and result record.
+    fn run_round(
+        &mut self,
+        spec: &ProtocolSpec,
+        cfg: &McConfig,
+        w: &WorkerOpts,
+        round: u32,
+    ) -> Result<(), String> {
+        let n = w.of;
+        let held = self.starts.len() as u32;
+        let initial = if round == 0 {
+            self.initial(spec, cfg, w)
+        } else {
+            None
+        };
+        let mut written = 0u64;
+        if held == round {
+            // Candidates: the initial state in round 0; later rounds
+            // read every producer's outbox for this shard.
+            let mut cands: Vec<Cand> = initial.into_iter().collect();
+            if round > 0 {
+                for from in 0..n {
+                    let path = out_path(&w.dir, round - 1, from, w.shard);
+                    let bytes = read_checked(&path)
+                        .ok_or_else(|| format!("missing or corrupt outbox {}", path.display()))?;
+                    parse_outbox(&bytes, from, &mut cands)?;
                 }
             }
-            Ok((_, false)) => {}
-            Err(why) => return Err(format!("intern arena: {why}")),
-        }
-    }
-    peak = peak.max(worker_footprint(&keys, parents.len()));
-
-    // Check, then expand. The frontier is iterated in id order — which
-    // is sorted-key order — so the first finding in a shard is the
-    // minimal-key finding, and the supervisor's cross-shard minimum is
-    // independent of both the shard count and replay history.
-    let mut finding: Option<Finding> = None;
-    let mut scratch_key: Vec<u8> = Vec::with_capacity(128);
-    if let Some(swmr) = &cfg.swmr {
-        for &idx in &new_frontier {
-            if !keys.get_into(idx, &mut scratch_key) {
-                return Err(format!("claimed state {idx} unreadable"));
-            }
-            let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
-                return Err(format!("claimed state {idx} failed to decode"));
-            };
-            if let Some(detail) = swmr.check(&gs, spec) {
-                finding = Some(Finding {
-                    kind: FIND_INVARIANT,
-                    idx,
-                    detail,
-                    rule: String::new(),
-                });
-                break;
-            }
-        }
-    }
-
-    let mut outboxes: Vec<Vec<u8>> = (0..n).map(|_| Vec::new()).collect();
-    let mut out_counts = vec![0u64; n as usize];
-    if finding.is_none() {
-        let mut expand_scratch = Scratch::new(spec, cfg);
-        let mut key_buf: Vec<u8> = Vec::with_capacity(128);
-        let mut label_buf = String::new();
-        let mut canon = cfg
-            .symmetry
-            .then(|| crate::symmetry::Canonicalizer::new(cfg));
-        'frontier: for &idx in &new_frontier {
-            if !keys.get_into(idx, &mut scratch_key) {
-                return Err(format!("frontier state {idx} unreadable"));
-            }
-            let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
-                return Err(format!("frontier state {idx} failed to decode"));
-            };
-            let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
-                // Key-only canonicalization: no permuted state is ever
-                // materialized on the expansion path.
-                match canon.as_mut() {
-                    Some(c) => c.canonical_key_into(sstate, &mut key_buf),
-                    None => sstate.encode_into(&mut key_buf),
-                }
-                let to = shard_of(&key_buf, n) as usize;
-                label.render_into(spec, &mut label_buf);
-                put_varint(&mut outboxes[to], key_buf.len() as u64);
-                outboxes[to].extend_from_slice(&key_buf);
-                put_varint(&mut outboxes[to], idx as u64);
-                put_varint(&mut outboxes[to], label_buf.len() as u64);
-                outboxes[to].extend_from_slice(label_buf.as_bytes());
-                out_counts[to] += 1;
-                true
+            // The total order that makes replay deterministic.
+            cands.sort_by(|a, b| {
+                (&a.key, a.pshard, a.pidx, &a.label).cmp(&(&b.key, b.pshard, b.pidx, &b.label))
             });
-            match outcome {
-                ExpandOutcome::Bug { rule, detail } => {
+            self.starts.push(self.keys.len() as u32);
+            let mut enc = ShardEncoder::new();
+            for c in &cands {
+                if self.intern(&c.key)? {
+                    enc.push(&c.key, c.pshard, c.pidx, &c.label, round);
+                    written += 1;
+                    if written.is_multiple_of(512) {
+                        self.account();
+                    }
+                }
+            }
+            self.account();
+            let seg = seg_path(&w.dir, w.shard, round);
+            write_checked(&seg, &enc.finish()).map_err(|e| format!("{}: {e}", seg.display()))?;
+            if w.crash_round == Some(round) {
+                // Crash injection: die exactly where a SIGKILL between
+                // renames would — segment committed, outboxes and
+                // result record absent.
+                std::process::abort();
+            }
+        } else if held != round + 1 {
+            // `held == round + 1`: a predecessor died after committing
+            // this round's segment; its entries are the round's claims.
+            return Err(format!(
+                "shard holds {held} round(s); cannot run round {round}"
+            ));
+        }
+        let frontier = self.starts[round as usize]..self.keys.len() as u32;
+        let claimed = frontier.len() as u64;
+
+        // Check, then expand. The frontier is iterated in id order — which
+        // is sorted-key order — so the first finding in a shard is the
+        // minimal-key finding, and the supervisor's cross-shard minimum is
+        // independent of both the shard count and replay history.
+        let mut finding: Option<Finding> = None;
+        let mut scratch_key: Vec<u8> = Vec::with_capacity(128);
+        if let Some(swmr) = &cfg.swmr {
+            for idx in frontier.clone() {
+                if !self.keys.get_into(idx, &mut scratch_key) {
+                    return Err(format!("claimed state {idx} unreadable"));
+                }
+                let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
+                    return Err(format!("claimed state {idx} failed to decode"));
+                };
+                if let Some(detail) = swmr.check(&gs, spec) {
                     finding = Some(Finding {
-                        kind: FIND_MODEL_ERROR,
+                        kind: FIND_INVARIANT,
                         idx,
                         detail,
-                        rule,
+                        rule: String::new(),
                     });
-                    break 'frontier;
+                    break;
                 }
-                ExpandOutcome::Done(0) => {
-                    if !gs.is_quiescent(spec) {
+            }
+        }
+
+        let mut outboxes: Vec<Vec<u8>> = (0..n).map(|_| Vec::new()).collect();
+        let mut out_counts = vec![0u64; n as usize];
+        if finding.is_none() {
+            let mut expand_scratch = Scratch::new(spec, cfg);
+            let mut key_buf: Vec<u8> = Vec::with_capacity(128);
+            let mut label_buf = String::new();
+            'frontier: for idx in frontier {
+                if !self.keys.get_into(idx, &mut scratch_key) {
+                    return Err(format!("frontier state {idx} unreadable"));
+                }
+                let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
+                    return Err(format!("frontier state {idx} failed to decode"));
+                };
+                let canon = &mut self.canon;
+                let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
+                    // Key-only canonicalization: no permuted state is ever
+                    // materialized on the expansion path.
+                    match canon.as_mut() {
+                        Some(c) => c.canonical_key_into(sstate, &mut key_buf),
+                        None => sstate.encode_into(&mut key_buf),
+                    }
+                    let to = shard_of(&key_buf, n) as usize;
+                    label.render_into(spec, &mut label_buf);
+                    put_varint(&mut outboxes[to], key_buf.len() as u64);
+                    outboxes[to].extend_from_slice(&key_buf);
+                    put_varint(&mut outboxes[to], idx as u64);
+                    put_varint(&mut outboxes[to], label_buf.len() as u64);
+                    outboxes[to].extend_from_slice(label_buf.as_bytes());
+                    out_counts[to] += 1;
+                    true
+                });
+                match outcome {
+                    ExpandOutcome::Bug { rule, detail } => {
                         finding = Some(Finding {
-                            kind: FIND_DEADLOCK,
+                            kind: FIND_MODEL_ERROR,
                             idx,
-                            detail: String::new(),
-                            rule: String::new(),
+                            detail,
+                            rule,
                         });
                         break 'frontier;
                     }
+                    ExpandOutcome::Done(0) => {
+                        if !gs.is_quiescent(spec) {
+                            finding = Some(Finding {
+                                kind: FIND_DEADLOCK,
+                                idx,
+                                detail: String::new(),
+                                rule: String::new(),
+                            });
+                            break 'frontier;
+                        }
+                    }
+                    // The callback never requests a stop; treat one as a
+                    // no-successor state that did expand (fail soft).
+                    ExpandOutcome::Done(_) | ExpandOutcome::Stopped => {}
                 }
-                // The callback never requests a stop; treat one as a
-                // no-successor state that did expand (fail soft).
-                ExpandOutcome::Done(_) | ExpandOutcome::Stopped => {}
             }
         }
-    }
 
-    // Persist: section → (outboxes) → result record. The record is the
-    // commit marker; everything before it is safely recomputable.
-    let mut enc = ShardEncoder::new();
-    for i in 0..parents.len() {
-        if !keys.get_into(i as u32, &mut scratch_key) {
-            return Err(format!("visited state {i} unreadable at write-back"));
+        // Report: outboxes, then the result record — the commit marker;
+        // everything before it is safely recomputable.
+        if finding.is_none() {
+            for (to, body) in outboxes.iter().enumerate() {
+                let mut full = Vec::with_capacity(10 + body.len());
+                put_varint(&mut full, out_counts[to]);
+                full.extend_from_slice(body);
+                let path = out_path(&w.dir, round, w.shard, to as u32);
+                write_checked(&path, &full).map_err(|e| format!("{}: {e}", path.display()))?;
+            }
         }
-        enc.push(
-            &scratch_key,
-            parents[i].0,
-            parents[i].1,
-            labels.get(label_ids[i]),
-            levels[i],
-        );
+        let (sym_images, sym_keys) = self
+            .canon
+            .as_mut()
+            .map_or((0, 0), Canonicalizer::take_tallies);
+        let rec = ResRecord {
+            claimed,
+            written,
+            peak: self.peak,
+            spilled: self.keys.spill_stats().spilled_bytes,
+            sym_images,
+            sym_keys,
+            finding,
+        };
+        let path = res_path(&w.dir, round, w.shard);
+        write_checked(&path, &encode_res(&rec)).map_err(|e| format!("{}: {e}", path.display()))
     }
-    let sec = sec_path(&w.dir, w.shard);
-    write_checked(&sec, &enc.finish()).map_err(|e| format!("{}: {e}", sec.display()))?;
+}
 
-    if w.crash {
-        // Crash injection: die exactly where a SIGKILL between renames
-        // would — section updated, outboxes and result record absent.
-        std::process::abort();
+/// Serves one shard for a whole run. Invoked by the hidden
+/// `__shard-worker` CLI command: rebuilds the shard from its committed
+/// segments, then runs each `round <r>` line read from stdin and
+/// answers `done <r>` on stdout, until stdin closes. Errors go to a
+/// nonzero exit, which the supervisor treats like any other death.
+pub fn run_worker(spec: &ProtocolSpec, cfg: &McConfig, w: &WorkerOpts) -> Result<(), String> {
+    if w.of == 0 || w.shard >= w.of {
+        return Err(format!("shard {} out of range (of {})", w.shard, w.of));
     }
-
-    if finding.is_none() {
-        for (to, body) in outboxes.iter().enumerate() {
-            let mut full = Vec::with_capacity(10 + body.len());
-            put_varint(&mut full, out_counts[to]);
-            full.extend_from_slice(body);
-            let path = out_path(&w.dir, w.round, w.shard, to as u32);
-            write_checked(&path, &full).map_err(|e| format!("{}: {e}", path.display()))?;
-        }
+    cfg.validate_for_run()?;
+    let mut shard = Shard::rebuild(cfg, w)?;
+    let mut out = std::io::stdout().lock();
+    for line in std::io::stdin().lock().lines() {
+        let line = line.map_err(|e| format!("doorbell: {e}"))?;
+        let round = line
+            .strip_prefix("round ")
+            .and_then(|r| r.parse::<u32>().ok())
+            .ok_or_else(|| format!("bad doorbell `{line}`"))?;
+        shard.run_round(spec, cfg, w, round)?;
+        writeln!(out, "done {round}")
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("doorbell: {e}"))?;
     }
-
-    let rec = ResRecord {
-        claimed,
-        total: parents.len() as u64,
-        peak,
-        spilled: keys.spill_stats().spilled_bytes,
-        finding,
-    };
-    let path = res_path(&w.dir, w.round, w.shard);
-    write_checked(&path, &encode_res(&rec)).map_err(|e| format!("{}: {e}", path.display()))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -693,7 +779,9 @@ pub fn explore_procshard(
 
     let started = Instant::now();
     let metrics = vnet_obs::metrics_enabled();
-    let mut restarts_total: u32 = 0;
+    // Dropped on every return path below: closes the doorbell pipes
+    // and reaps the workers.
+    let mut pool = Pool::new(opts);
     let mut peak = 0u64;
     let mut spilled = 0u64;
 
@@ -757,7 +845,7 @@ pub fn explore_procshard(
             ))));
         }
 
-        let results = match run_round(opts, round, &mut restarts_total) {
+        let results = match pool.run_round(round) {
             Ok(r) => r,
             Err(RoundFailure::WorkerLost { restarts }) => {
                 return Ok(finished(Verdict::NoDeadlock(stats_of(
@@ -783,41 +871,47 @@ pub fn explore_procshard(
         spilled = results.iter().map(|r| r.spilled).sum();
         if metrics {
             vnet_obs::counter("explore.procshard.rounds_total").inc();
+            let sum = |f: fn(&ResRecord) -> u64| results.iter().map(f).sum::<u64>();
+            vnet_obs::counter("explore.procshard.entries_written_total").add(sum(|r| r.written));
+            if cfg.symmetry {
+                vnet_obs::counter("explore.symmetry_images_total").add(sum(|r| r.sym_images));
+                vnet_obs::counter("explore.symmetry_keys_total").add(sum(|r| r.sym_keys));
+            }
         }
 
         // Cross-shard finding resolution: the minimal state key wins.
         // Keys partition cleanly across shards, so the minimum is
         // unique and independent of the shard count.
-        let mut chosen: Option<(u32, Finding, Vec<u8>)> = None;
-        for (s, rec) in results.iter().enumerate() {
-            let Some(f) = &rec.finding else { continue };
-            let bytes = read_checked(&sec_path(&opts.dir, s as u32))
-                .ok_or_else(|| corrupt(format!("shard {s} section vanished")))?;
-            let (_, entries) = decode_shard_section(&bytes, 0)?;
-            let key = entries
-                .get(f.idx as usize)
-                .map(|e| e.key.clone())
-                .ok_or_else(|| corrupt(format!("shard {s} finding index out of range")))?;
-            if chosen.as_ref().is_none_or(|(_, _, k)| key < *k) {
-                chosen = Some((s as u32, f.clone(), key));
+        if results.iter().any(|r| r.finding.is_some()) {
+            let sections = load_sections(&opts.dir, n, round)?;
+            let mut chosen: Option<(u32, &Finding, &[u8])> = None;
+            for (s, rec) in results.iter().enumerate() {
+                let Some(f) = &rec.finding else { continue };
+                let key = sections[s]
+                    .1
+                    .get(f.idx as usize)
+                    .map(|e| e.key.as_slice())
+                    .ok_or_else(|| corrupt(format!("shard {s} finding index out of range")))?;
+                if chosen.is_none_or(|(_, _, k)| key < k) {
+                    chosen = Some((s as u32, f, key));
+                }
             }
-        }
-        if let Some((s, f, _)) = chosen {
-            let verdict = build_finding_verdict(
-                &opts.dir,
-                n,
-                spec,
-                cfg,
-                s,
-                &f,
-                stats_of(claims, round, false, Provenance::Exact, peak, spilled),
-            )?;
-            let path = done_path(&opts.dir);
-            write_checked(&path, &[f.kind]).map_err(|e| io_err(&path, e))?;
-            if metrics {
-                vnet_obs::counter("explore.spill_bytes").add(spilled);
+            if let Some((s, f, _)) = chosen {
+                let verdict = build_finding_verdict(
+                    &sections,
+                    spec,
+                    cfg,
+                    s,
+                    f,
+                    stats_of(claims, round, false, Provenance::Exact, peak, spilled),
+                )?;
+                let path = done_path(&opts.dir);
+                write_checked(&path, &[f.kind]).map_err(|e| io_err(&path, e))?;
+                if metrics {
+                    vnet_obs::counter("explore.spill_bytes").add(spilled);
+                }
+                return Ok(finished(verdict));
             }
-            return Ok(finished(verdict));
         }
 
         // Commit the round, then retire the outboxes it consumed and
@@ -884,82 +978,143 @@ enum RoundFailure {
     Infra(CheckpointError),
 }
 
-/// Runs every shard worker for `round`, re-spawning casualties, and
-/// returns the per-shard result records in shard order.
-fn run_round(
-    opts: &ProcOpts,
-    round: u32,
-    restarts_total: &mut u32,
-) -> Result<Vec<ResRecord>, RoundFailure> {
-    let n = opts.shards;
-    let mut records: Vec<Option<ResRecord>> = vec![None; n as usize];
-    let mut attempts = vec![0u32; n as usize];
+/// One live shard worker and the two ends of its doorbell pipe.
+struct Worker {
+    child: Child,
+    stdin: ChildStdin,
+    stdout: BufReader<ChildStdout>,
+}
 
-    // A supervisor resume may find some shards' records already on
-    // disk: those rounds are committed per-shard and are not re-run.
-    for s in 0..n {
-        if let Some(rec) = read_checked(&res_path(&opts.dir, round, s)).and_then(|b| decode_res(&b))
-        {
-            records[s as usize] = Some(rec);
+/// The supervisor's shard workers: at most one live process per shard,
+/// spawned when first rung and kept across rounds. Dropping the pool
+/// closes every doorbell pipe and reaps every worker.
+struct Pool<'a> {
+    opts: &'a ProcOpts,
+    workers: Vec<Option<Worker>>,
+    /// Whether each shard has had a process yet (a later one is a
+    /// restart).
+    spawned: Vec<bool>,
+    restarts: u32,
+    /// The pending `--inject-shard-kill` target: spawns of its shard
+    /// carry the crash flag until that shard is rung for its round.
+    kill: Option<(u32, u32)>,
+}
+
+impl<'a> Pool<'a> {
+    fn new(opts: &'a ProcOpts) -> Self {
+        Pool {
+            opts,
+            workers: (0..opts.shards).map(|_| None).collect(),
+            spawned: vec![false; opts.shards as usize],
+            restarts: 0,
+            kill: opts.inject_kill,
         }
     }
 
-    loop {
-        let pending: Vec<u32> = (0..n).filter(|&s| records[s as usize].is_none()).collect();
-        if pending.is_empty() {
-            // All records present; unwrap the options in shard order.
-            let mut out = Vec::with_capacity(n as usize);
-            for r in records {
-                match r {
-                    Some(rec) => out.push(rec),
-                    None => return Err(RoundFailure::Infra(corrupt("round record lost"))),
+    /// Runs `round` on every shard without a result record for it,
+    /// re-spawning casualties, and returns the records in shard order.
+    fn run_round(&mut self, round: u32) -> Result<Vec<ResRecord>, RoundFailure> {
+        let n = self.opts.shards;
+        let dir = &self.opts.dir;
+        let read_rec = |s: u32| read_checked(&res_path(dir, round, s)).and_then(|b| decode_res(&b));
+        // A supervisor resume may find some shards' records already on
+        // disk: those rounds are committed per-shard and are not re-run.
+        let mut records: Vec<Option<ResRecord>> = (0..n).map(read_rec).collect();
+        let mut attempts = vec![0u32; n as usize];
+        loop {
+            let pending: Vec<u32> = (0..n).filter(|&s| records[s as usize].is_none()).collect();
+            if pending.is_empty() {
+                return Ok(records.into_iter().flatten().collect());
+            }
+            for &s in &pending {
+                if attempts[s as usize] > self.opts.max_restarts {
+                    return Err(RoundFailure::WorkerLost {
+                        restarts: self.restarts,
+                    });
+                }
+                attempts[s as usize] += 1;
+                self.ring(s, round)?;
+            }
+            // A worker that died, answered out of turn or left no
+            // record stays pending and is re-spawned on the next sweep.
+            for &s in &pending {
+                if self.answered(s, round) {
+                    records[s as usize] = read_rec(s);
+                }
+                if records[s as usize].is_none() {
+                    self.bury(s);
                 }
             }
-            return Ok(out);
         }
-        for &s in &pending {
-            if attempts[s as usize] > opts.max_restarts {
-                return Err(RoundFailure::WorkerLost {
-                    restarts: *restarts_total,
-                });
-            }
-        }
+    }
 
-        let mut children: Vec<(u32, Child)> = Vec::with_capacity(pending.len());
-        for &s in &pending {
-            // The injected crash fires on the first spawn only; the
-            // respawn is the recovery being tested.
-            let crash = attempts[s as usize] == 0 && opts.inject_kill == Some((round, s));
-            attempts[s as usize] += 1;
-            if attempts[s as usize] > 1 {
-                *restarts_total += 1;
+    /// Rings shard `s` for `round`, spawning its process first if it
+    /// has none. A worker that cannot take the doorbell is buried.
+    fn ring(&mut self, s: u32, round: u32) -> Result<(), RoundFailure> {
+        if self.workers[s as usize].is_none() {
+            let crash = self.kill.filter(|&(_, ks)| ks == s).map(|(r, _)| r);
+            let worker = spawn_worker(self.opts, s, crash)
+                .map_err(|e| RoundFailure::Infra(io_err(&self.opts.dir, e)))?;
+            self.workers[s as usize] = Some(worker);
+            if vnet_obs::metrics_enabled() {
+                vnet_obs::counter("explore.procshard.spawns_total").inc();
+            }
+            if std::mem::replace(&mut self.spawned[s as usize], true) {
+                self.restarts += 1;
                 if vnet_obs::metrics_enabled() {
                     vnet_obs::counter("explore.procshard.restarts_total").inc();
                 }
             }
-            match spawn_worker(opts, s, round, crash) {
-                Ok(child) => children.push((s, child)),
-                Err(e) => {
-                    return Err(RoundFailure::Infra(io_err(&opts.dir, e)));
-                }
-            }
         }
-        for (s, mut child) in children {
-            let ok = match child.wait() {
-                Ok(status) => status.success(),
-                Err(_) => false,
-            };
-            if ok {
-                records[s as usize] =
-                    read_checked(&res_path(&opts.dir, round, s)).and_then(|b| decode_res(&b));
-            }
-            // A failed or record-less worker stays pending and is
-            // re-spawned on the next sweep (up to max_restarts).
+        if self.kill == Some((round, s)) {
+            self.kill = None;
+        }
+        let rung = self.workers[s as usize].as_mut().is_some_and(|w| {
+            writeln!(w.stdin, "round {round}")
+                .and_then(|()| w.stdin.flush())
+                .is_ok()
+        });
+        if !rung {
+            self.bury(s);
+        }
+        Ok(())
+    }
+
+    /// Waits for shard `s`'s answer; `true` on `done <round>`.
+    fn answered(&mut self, s: u32, round: u32) -> bool {
+        let Some(w) = self.workers[s as usize].as_mut() else {
+            return false;
+        };
+        let mut line = String::new();
+        w.stdout.read_line(&mut line).is_ok() && line == format!("done {round}\n")
+    }
+
+    /// Kills and reaps shard `s`'s process, if it has one.
+    fn bury(&mut self, s: u32) {
+        if let Some(mut w) = self.workers[s as usize].take() {
+            let _ = w.child.kill();
+            let _ = w.child.wait();
         }
     }
 }
 
-fn spawn_worker(opts: &ProcOpts, shard: u32, round: u32, crash: bool) -> std::io::Result<Child> {
+impl Drop for Pool<'_> {
+    fn drop(&mut self) {
+        // Moving each child out drops its doorbell pipes: every worker
+        // sees EOF and winds down in parallel, then all are reaped.
+        let children: Vec<Child> = self
+            .workers
+            .iter_mut()
+            .filter_map(Option::take)
+            .map(|w| w.child)
+            .collect();
+        for mut child in children {
+            let _ = child.wait();
+        }
+    }
+}
+
+fn spawn_worker(opts: &ProcOpts, shard: u32, crash_round: Option<u32>) -> std::io::Result<Worker> {
     let exe = std::env::current_exe()?;
     let mut cmd = Command::new(exe);
     cmd.arg("__shard-worker")
@@ -969,8 +1124,6 @@ fn spawn_worker(opts: &ProcOpts, shard: u32, round: u32, crash: bool) -> std::io
         .arg(shard.to_string())
         .arg("--of")
         .arg(opts.shards.to_string())
-        .arg("--round")
-        .arg(round.to_string())
         .arg("--spec")
         .arg(&opts.spec_arg);
     if let Some(f) = &opts.vn_flag {
@@ -982,13 +1135,25 @@ fn spawn_worker(opts: &ProcOpts, shard: u32, round: u32, crash: bool) -> std::io
     if let Some(b) = opts.mem_budget {
         cmd.arg("--mem-budget").arg(b.to_string());
     }
-    if crash {
-        cmd.arg("--crash");
+    if let Some(r) = crash_round {
+        cmd.arg("--crash-round").arg(r.to_string());
     }
-    cmd.stdin(Stdio::null())
-        .stdout(Stdio::null())
+    cmd.stdin(Stdio::piped())
+        .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    cmd.spawn()
+    let mut child = cmd.spawn()?;
+    match (child.stdin.take(), child.stdout.take()) {
+        (Some(stdin), Some(stdout)) => Ok(Worker {
+            child,
+            stdin,
+            stdout: BufReader::new(stdout),
+        }),
+        _ => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(std::io::Error::other("worker spawned without pipes"))
+        }
+    }
 }
 
 /// Removes every artifact a previous *finished* run left behind so the
@@ -999,14 +1164,14 @@ fn reset_dir(dir: &Path, n: u32) {
     let _ = std::fs::remove_file(round_path(dir));
     let _ = std::fs::remove_file(meta_path(dir));
     for s in 0..n {
-        let _ = std::fs::remove_file(sec_path(dir, s));
         let _ = std::fs::remove_dir_all(dir.join(format!("spill-{s}")));
     }
     if let Ok(rd) = std::fs::read_dir(dir) {
         for entry in rd.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if (name.starts_with("out-") && name.ends_with(".box"))
+            if (name.starts_with("seg-") && name.ends_with(".sec"))
+                || (name.starts_with("out-") && name.ends_with(".box"))
                 || (name.starts_with("res-") && name.ends_with(".res"))
             {
                 let _ = std::fs::remove_file(entry.path());
@@ -1015,20 +1180,31 @@ fn reset_dir(dir: &Path, n: u32) {
     }
 }
 
-/// One decoded shard section: its label strings and entries.
+/// One shard's decoded segments: its label strings and entries.
 type Section = (Vec<String>, Vec<ShardEntry>);
 
-/// Loads and decodes every shard section.
-fn load_sections(dir: &Path, n: u32) -> Result<Vec<Section>, CheckpointError> {
+/// Loads every shard's segments for rounds `0..=upto`, concatenated in
+/// round order — the shard's entries at their global indices. Every
+/// worker commits a segment each round, so a missing one is damage.
+fn load_sections(dir: &Path, n: u32, upto: u32) -> Result<Vec<Section>, CheckpointError> {
     let mut out = Vec::with_capacity(n as usize);
     for s in 0..n {
-        let path = sec_path(dir, s);
-        match read_checked(&path) {
-            Some(bytes) => out.push(decode_shard_section(&bytes, 0)?),
-            // A shard that never claimed anything may not have written
-            // a section yet (pre-round-0 interruption): empty is fine.
-            None => out.push((Vec::new(), Vec::new())),
+        let (mut labels, mut entries) = (Vec::new(), Vec::new());
+        for round in 0..=upto {
+            let bytes = read_checked(&seg_path(dir, s, round)).ok_or_else(|| {
+                corrupt(format!(
+                    "shard {s} segment for round {round} missing or damaged"
+                ))
+            })?;
+            let (seg_labels, seg_entries) = decode_shard_section(&bytes, 0)?;
+            let base = labels.len() as u32;
+            labels.extend(seg_labels);
+            entries.extend(seg_entries.into_iter().map(|mut e| {
+                e.label += base;
+                e
+            }));
         }
+        out.push((labels, entries));
     }
     Ok(out)
 }
@@ -1101,15 +1277,13 @@ fn walk_chain(
 
 /// Builds the terminal verdict for the round's minimal finding.
 fn build_finding_verdict(
-    dir: &Path,
-    n: u32,
+    sections: &[Section],
     spec: &ProtocolSpec,
     cfg: &McConfig,
     shard: u32,
     f: &Finding,
     stats: ExploreStats,
 ) -> Result<Verdict, CheckpointError> {
-    let sections = load_sections(dir, n)?;
     let entry = sections
         .get(shard as usize)
         .and_then(|(_, es)| es.get(f.idx as usize))
@@ -1122,7 +1296,7 @@ fn build_finding_verdict(
     // trace's labels are enabled step by step from the real initial
     // state.
     let (mut steps, last) = if cfg.symmetry {
-        let chain = walk_chain(&sections, (shard, f.idx))?;
+        let chain = walk_chain(sections, (shard, f.idx))?;
         match crate::trace::decanonicalize_chain(spec, cfg, &chain) {
             Ok(t) => (t.steps, t.last),
             Err(why) => {
@@ -1131,7 +1305,7 @@ fn build_finding_verdict(
             }
         }
     } else {
-        (walk_trace(&sections, (shard, f.idx))?, last)
+        (walk_trace(sections, (shard, f.idx))?, last)
     };
     Ok(match f.kind {
         FIND_DEADLOCK => Verdict::Deadlock {
@@ -1171,11 +1345,11 @@ fn build_finding_verdict(
     })
 }
 
-/// Merges the shard sections into one checkpoint at
-/// the last *committed* level: entries above it (a crashed worker's
-/// uncommitted claims) are dropped — they are a suffix of each section
-/// — and the frontier is every entry at the committed level, so a plain
-/// serial `--resume` re-expands that level and continues the search.
+/// Merges the shard segments into one checkpoint at the last
+/// *committed* level: segments above it (a crashed worker's uncommitted
+/// claims) are not read, and the frontier is every entry at the
+/// committed level, so a plain serial `--resume` re-expands that level
+/// and continues the search.
 fn merge_checkpoint(
     dir: &Path,
     n: u32,
@@ -1184,15 +1358,12 @@ fn merge_checkpoint(
     claims: u64,
     path: &Path,
 ) -> Result<(), CheckpointError> {
-    let sections = load_sections(dir, n)?;
+    let sections = load_sections(dir, n, level)?;
     let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(n as usize);
     let mut frontier: Vec<(u32, u32)> = Vec::new();
     for (s, (labels, entries)) in sections.iter().enumerate() {
         let mut enc = ShardEncoder::new();
         for (i, e) in entries.iter().enumerate() {
-            if e.level > level {
-                break;
-            }
             let label = labels
                 .get(e.label as usize)
                 .ok_or_else(|| corrupt(format!("shard {s} entry {i} label missing")))?;

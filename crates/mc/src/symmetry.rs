@@ -326,7 +326,7 @@ impl Canonicalizer {
 
     /// Candidate images started and canonical keys produced since the
     /// last call, as `(images, keys)`; both tallies restart from zero.
-    fn take_tallies(&mut self) -> (u64, u64) {
+    pub(crate) fn take_tallies(&mut self) -> (u64, u64) {
         (
             std::mem::take(&mut self.images),
             std::mem::take(&mut self.keys),

@@ -42,30 +42,49 @@ pub enum CacheDiscipline {
     NonBlocking,
 }
 
+/// A built-in protocol's name and constructor.
+type Builtin = (&'static str, fn() -> ProtocolSpec);
+
+/// Every built-in protocol by name, in `vnet list` order: the nine
+/// Table-I protocols, then the extensions. One table feeds [`all`],
+/// [`extended`] and [`by_name`], so a lookup builds only its match.
+const BUILTINS: [Builtin; 12] = [
+    ("MSI-blocking-cache", msi_blocking_cache),
+    ("MSI-nonblocking-cache", msi_nonblocking_cache),
+    ("MESI-blocking-cache", mesi_blocking_cache),
+    ("MESI-nonblocking-cache", mesi_nonblocking_cache),
+    ("MOSI-blocking-cache", mosi_blocking_cache),
+    ("MOSI-nonblocking-cache", mosi_nonblocking_cache),
+    ("MOESI-blocking-cache", moesi_blocking_cache),
+    ("MOESI-nonblocking-cache", moesi_nonblocking_cache),
+    ("CHI", chi),
+    ("MESIF-blocking-cache", mesif_blocking_cache),
+    ("MESIF-nonblocking-cache", mesif_nonblocking_cache),
+    ("CHI-DCT", chi_dct),
+];
+
+/// How many [`BUILTINS`] entries are Table-I protocols.
+const TABLE_I: usize = 9;
+
 /// All nine built-in protocols (both cache disciplines of the four
 /// textbook protocols, plus CHI).
 pub fn all() -> Vec<ProtocolSpec> {
-    vec![
-        msi_blocking_cache(),
-        msi_nonblocking_cache(),
-        mesi_blocking_cache(),
-        mesi_nonblocking_cache(),
-        mosi_blocking_cache(),
-        mosi_nonblocking_cache(),
-        moesi_blocking_cache(),
-        moesi_nonblocking_cache(),
-        chi(),
-    ]
+    BUILTINS[..TABLE_I].iter().map(|(_, build)| build()).collect()
 }
 
 /// The nine Table-I protocols plus the extensions (MESIF pair and
 /// CHI-DCT — not part of the paper's evaluation; see the module docs).
 pub fn extended() -> Vec<ProtocolSpec> {
-    let mut ps = all();
-    ps.push(mesif_blocking_cache());
-    ps.push(mesif_nonblocking_cache());
-    ps.push(chi_dct());
-    ps
+    BUILTINS.iter().map(|(_, build)| build()).collect()
+}
+
+/// The built-in protocol called `name` (exact, case-sensitive), built
+/// alone; `None` if no built-in has that name.
+pub fn by_name(name: &str) -> Option<ProtocolSpec> {
+    BUILTINS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 /// The Table-I experiment number a protocol belongs to, by name.
@@ -104,5 +123,18 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 9);
+    }
+
+    #[test]
+    fn by_name_builds_the_extended_entry() {
+        let ps = extended();
+        assert_eq!(ps.len(), BUILTINS.len());
+        for (p, (name, _)) in ps.iter().zip(BUILTINS.iter()) {
+            assert_eq!(p.name(), *name, "table name disagrees with the spec");
+            let found = by_name(name).expect("every builtin resolves by name");
+            assert_eq!(crate::dsl::to_text(&found), crate::dsl::to_text(p));
+        }
+        assert!(by_name("chi").is_none());
+        assert!(by_name("no-such-protocol").is_none());
     }
 }

@@ -91,9 +91,7 @@ fn body_of(fields: &[(&'static str, Json)]) -> String {
 pub fn resolve_protocol(proto: &ProtocolRef) -> Result<ProtocolSpec, String> {
     match proto {
         ProtocolRef::None => Err("request needs a protocol".into()),
-        ProtocolRef::Builtin(name) => protocols::extended()
-            .into_iter()
-            .find(|p| p.name() == name.as_str())
+        ProtocolRef::Builtin(name) => protocols::by_name(name)
             .ok_or_else(|| format!("unknown protocol `{name}` (see `vnet list`)")),
         ProtocolRef::Inline(text) => {
             let spec = dsl::parse(text).map_err(|e| format!("bad spec: {e}"))?;

@@ -616,10 +616,11 @@ fn oversized(req: &Request, opts: &ServeOpts) -> Option<String> {
 fn cache_lookup(sh: &Shared, req: &Request) -> Option<String> {
     use crate::json::Json;
     let store = sh.store.as_ref()?;
-    // Key derivation resolves the protocol; an unresolvable request is
-    // not cacheable and falls through to the worker for its real error.
-    let key = exec::store_key(req)?;
+    // The hit wall covers key derivation, which resolves the protocol;
+    // an unresolvable request is not cacheable and falls through to the
+    // worker for its real error.
     let started = Instant::now();
+    let key = exec::store_key(req)?;
     let body = {
         let g = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         g.get(&key).map(|r| r.body.clone())

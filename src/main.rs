@@ -429,7 +429,10 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 resume_parallel, CheckpointedRun, McConfig, ParallelOpts, ProcOpts, SpillConfig,
                 Verdict,
             };
-            let vns = resolve_vn_map(&spec, args);
+            let (vns, class2) = resolve_vn_map(&spec, args);
+            if class2 {
+                println!("Class 2 protocol: checking with one VN per message");
+            }
             let mut budget = budget_flag(args)?;
             // --general swaps the directed Figure-3 injection script
             // for the free-running general scenario (uniform per-cache
@@ -1205,7 +1208,8 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             }
         }
         "fuzz" => run_fuzz(args),
-        // Hidden: one shard-process round of `vnet mc --shard-procs`.
+        // Hidden: one shard process of `vnet mc --shard-procs`, serving
+        // the rounds its supervisor rings on stdin until stdin closes.
         // Spawned by the supervisor, never typed by hand; errors land
         // on a nonzero exit that the supervisor treats as a casualty.
         "__shard-worker" => {
@@ -1214,7 +1218,8 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 flag_value(args, name)?.ok_or_else(|| format!("__shard-worker needs {name}"))
             };
             let spec = load(&need("--spec")?)?;
-            let vns = resolve_vn_map(&spec, args);
+            // Stdout is the doorbell pipe: no Class-2 note here.
+            let (vns, _) = resolve_vn_map(&spec, args);
             // Mirror the supervisor's config derivation exactly, or
             // the shard-directory fingerprint check fails closed.
             let mut cfg = if args.iter().any(|a| a == "--general") {
@@ -1251,14 +1256,18 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 dir: PathBuf::from(need("--dir")?),
                 shard: parse_u32("--shard")?,
                 of: parse_u32("--of")?,
-                round: parse_u32("--round")?,
                 mem_budget: flag_value(args, "--mem-budget")?
                     .map(|v| {
                         v.parse::<u64>()
                             .map_err(|_| "bad value for --mem-budget".to_string())
                     })
                     .transpose()?,
-                crash: args.iter().any(|a| a == "--crash"),
+                crash_round: flag_value(args, "--crash-round")?
+                    .map(|v| {
+                        v.parse::<u32>()
+                            .map_err(|_| "bad value for --crash-round".to_string())
+                    })
+                    .transpose()?,
             };
             run_worker(&spec, &cfg, &w).map_err(|e| format!("shard worker: {e}"))?;
             Ok(Outcome::Clean)
@@ -1576,24 +1585,20 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
 /// Resolves the VN mapping the `mc` family checks under: an explicit
 /// `--unique-vns`/`--single-vn` flag wins, otherwise the analyzer's
 /// minimal assignment (Class 2 protocols fall back to one VN per
-/// message). Shard worker processes run the same resolution so their
-/// configuration — and hence the checkpoint fingerprint — matches the
-/// supervisor's exactly.
-fn resolve_vn_map(spec: &ProtocolSpec, args: &[String]) -> vnet::mc::VnMap {
+/// message, and the returned flag is `true`). Shard worker processes
+/// run the same resolution so their configuration — and hence the
+/// checkpoint fingerprint — matches the supervisor's exactly.
+fn resolve_vn_map(spec: &ProtocolSpec, args: &[String]) -> (vnet::mc::VnMap, bool) {
     use vnet::mc::VnMap;
+    let n = spec.messages().len();
     if args.iter().any(|a| a == "--unique-vns") {
-        VnMap::one_per_message(spec.messages().len())
+        (VnMap::one_per_message(n), false)
     } else if args.iter().any(|a| a == "--single-vn") {
-        VnMap::single(spec.messages().len())
+        (VnMap::single(n), false)
     } else {
         match analyze(spec).outcome() {
-            VnOutcome::Assigned { assignment, .. } => {
-                VnMap::from_assignment(assignment, spec.messages().len())
-            }
-            VnOutcome::Class2(_) => {
-                println!("Class 2 protocol: checking with one VN per message");
-                VnMap::one_per_message(spec.messages().len())
-            }
+            VnOutcome::Assigned { assignment, .. } => (VnMap::from_assignment(assignment, n), false),
+            VnOutcome::Class2(_) => (VnMap::one_per_message(n), true),
         }
     }
 }
@@ -1659,7 +1664,7 @@ fn parse_topology(text: &str) -> Result<vnet::sim::Topology, String> {
 
 /// Loads a built-in protocol by name or a `.vnp` file by path.
 fn load(name: &str) -> Result<ProtocolSpec, String> {
-    if let Some(p) = protocols::extended().into_iter().find(|p| p.name() == name) {
+    if let Some(p) = protocols::by_name(name) {
         return Ok(p);
     }
     if std::path::Path::new(name).exists() {

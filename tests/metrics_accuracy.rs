@@ -121,3 +121,47 @@ fn symmetry_tallies_are_flushed_by_both_explorers() {
         );
     }
 }
+
+/// Process-shard workers report their canonicalizer tallies in their
+/// round records, and the supervisor's totals equal the serial run's
+/// exactly: on a complete run both explorers canonicalize the same
+/// successors of the same states, plus the initial state once.
+#[test]
+fn process_shard_symmetry_tallies_equal_the_serial_run() {
+    let mut totals = Vec::new();
+    for (tag, extra) in [("serial", false), ("sharded", true)] {
+        let base = std::env::temp_dir().join(format!(
+            "vnet-metrics-procshard-sym-{tag}-{}",
+            std::process::id()
+        ));
+        let snap_path = base.with_extension("json");
+        let shard_dir = base.with_extension("shards");
+        let _ = std::fs::remove_dir_all(&shard_dir);
+        let snap_str = snap_path.to_string_lossy().into_owned();
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_vnet"));
+        cmd.args(["mc", "MSI-blocking-cache", "--general", "--symmetry"])
+            .args(["--caches", "3", "--dirs", "1", "--per-cache", "1"])
+            .args(["--metrics", &snap_str]);
+        if extra {
+            cmd.args(["--shard-procs", "2", "--shard-dir"])
+                .arg(&shard_dir);
+        }
+        let out = cmd.output().expect("vnet should spawn");
+        let _ = std::fs::remove_dir_all(&shard_dir);
+        assert_eq!(out.status.code(), Some(0), "{tag}: {out:?}");
+        let snapshot = std::fs::read_to_string(&snap_path).expect("--metrics writes the snapshot");
+        let _ = std::fs::remove_file(&snap_path);
+        let tally = |key: &str| {
+            json_u64(&snapshot, key).unwrap_or_else(|| panic!("{tag}: no {key} in {snapshot}"))
+        };
+        totals.push((
+            tally("explore.symmetry_images_total"),
+            tally("explore.symmetry_keys_total"),
+        ));
+    }
+    assert!(totals[0].1 > 0, "the serial run must canonicalize");
+    assert_eq!(
+        totals[0], totals[1],
+        "(images, keys): serial vs --shard-procs 2"
+    );
+}

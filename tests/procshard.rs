@@ -41,6 +41,68 @@ fn machine_line(stdout: &str) -> String {
         .to_string()
 }
 
+/// Runs `vnet mc` with `args` plus `--metrics`, returning (exit code,
+/// stdout, snapshot JSON).
+fn run_mc_metered(args: &[&str], tag: &str) -> (i32, String, String) {
+    let snap =
+        std::env::temp_dir().join(format!("vnet-procshard-{tag}-{}.json", std::process::id()));
+    let snap_s = snap.display().to_string();
+    let mut full = args.to_vec();
+    full.extend(["--metrics", &snap_s]);
+    let (code, out) = run_mc(&full);
+    let text = std::fs::read_to_string(&snap).unwrap_or_default();
+    let _ = std::fs::remove_file(&snap);
+    (code, out, text)
+}
+
+/// Pulls `"key": <number>` out of a metrics snapshot.
+fn counter(snapshot: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\": ");
+    let tail = &snapshot[snapshot.find(&pat)? + pat.len()..];
+    let num: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    num.parse().ok()
+}
+
+/// The `states=` field of a machine line.
+fn machine_states(stdout: &str) -> u64 {
+    let line = machine_line(stdout);
+    line.split_whitespace()
+        .find_map(|t| t.strip_prefix("states="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no states= in {line}"))
+}
+
+/// Runs the CHI single-VN deadlock search on two shards undisturbed and
+/// again with `extra` flags (a kill injection), and requires the two
+/// stdouts to be byte-identical.
+fn assert_kill_is_invisible(tag: &str, extra: &[&str]) {
+    let mut outs = Vec::new();
+    for (leg, kill) in [("clean", &[][..]), ("killed", extra)] {
+        let dir = tmpdir(&format!("{tag}-{leg}"));
+        let dir_s = dir.display().to_string();
+        let mut args = vec![
+            "CHI",
+            "--single-vn",
+            "--machine",
+            "--verify-witness",
+            "--shard-procs",
+            "2",
+            "--shard-dir",
+            &dir_s,
+        ];
+        args.extend(kill);
+        let (code, out) = run_mc(&args);
+        assert_eq!(code, 2, "{tag} {leg} run failed:\n{out}");
+        assert!(out.contains("witness verified"), "{tag} {leg}:\n{out}");
+        outs.push(out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        outs[0], outs[1],
+        "{tag}: a killed-and-respawned shard changed the output"
+    );
+}
+
 /// A complete (exhaustive) run must agree with the serial explorer on
 /// everything the machine line carries: verdict kind, depth, distinct
 /// state count, and exact provenance.
@@ -99,7 +161,7 @@ fn deadlock_verdict_is_shard_count_invariant() {
 }
 
 /// The acceptance scenario: a worker process dies mid-round — after
-/// committing its section, before its outboxes and result record — and
+/// committing its segment, before its outboxes and result record — and
 /// the supervisor respawns it. The CLI output must be bit-identical to
 /// an undisturbed run, stdout bytes included.
 #[test]
@@ -143,6 +205,104 @@ fn killed_shard_mid_round_reproduces_bit_identical_output() {
         "a killed-and-respawned shard changed the output"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers live for the whole run: a clean two-shard run spawns two
+/// processes, and every state is written to a segment exactly once. A
+/// killed worker costs one more spawn and no output byte.
+#[test]
+fn workers_spawn_once_and_write_each_state_once() {
+    let mut runs = Vec::new();
+    for (tag, kill) in [
+        ("count-clean", &[][..]),
+        ("count-killed", &["--inject-shard-kill", "7:1"][..]),
+    ] {
+        let dir = tmpdir(tag);
+        let dir_s = dir.display().to_string();
+        let mut args = vec![
+            "CHI",
+            "--machine",
+            "--shard-procs",
+            "2",
+            "--shard-dir",
+            &dir_s,
+        ];
+        args.extend(kill);
+        let (code, out, snap) = run_mc_metered(&args, tag);
+        assert_eq!(code, 0, "{tag} run failed:\n{out}");
+        runs.push((out, snap));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (clean, clean_snap) = &runs[0];
+    let (killed, killed_snap) = &runs[1];
+    assert_eq!(
+        machine_states(clean),
+        203_141,
+        "CHI Figure 3 state count moved"
+    );
+    assert_eq!(
+        counter(clean_snap, "explore.procshard.spawns_total"),
+        Some(2)
+    );
+    assert_eq!(
+        counter(clean_snap, "explore.procshard.entries_written_total"),
+        Some(machine_states(clean)),
+        "each state must be written to a segment exactly once"
+    );
+    assert_eq!(
+        counter(killed_snap, "explore.procshard.spawns_total"),
+        Some(3)
+    );
+    assert_eq!(
+        counter(killed_snap, "explore.procshard.restarts_total"),
+        Some(1)
+    );
+    assert_eq!(
+        clean, killed,
+        "a killed-and-respawned shard changed the output"
+    );
+}
+
+/// Kill recovery composes with worker spill: under a memory budget the
+/// workers shed cold keys to disk, and a respawned worker that rebuilds
+/// its shard from segments must still reproduce the exact output.
+#[test]
+fn killed_spilling_shard_reproduces_bit_identical_output() {
+    let dir = tmpdir("spill-probe");
+    let dir_s = dir.display().to_string();
+    let (code, out, snap) = run_mc_metered(
+        &[
+            "CHI",
+            "--single-vn",
+            "--machine",
+            "--shard-procs",
+            "2",
+            "--shard-dir",
+            &dir_s,
+            "--mem-budget",
+            "4000000",
+        ],
+        "spill-probe",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, 2, "spilling run failed:\n{out}");
+    assert!(
+        counter(&snap, "explore.spill_bytes").is_some_and(|b| b > 0),
+        "the budget must make the workers spill: {snap}"
+    );
+    assert_kill_is_invisible(
+        "spill",
+        &["--mem-budget", "4000000", "--inject-shard-kill", "12:0"],
+    );
+}
+
+/// A worker killed in round 0 — the round that seeds the initial state
+/// into exactly one shard — is recovered like any other. Both shards
+/// are killed in turn, so the initial state's owner is among them.
+#[test]
+fn killed_shard_in_round_zero_reproduces_bit_identical_output() {
+    assert_kill_is_invisible("round0-s0", &["--inject-shard-kill", "0:0"]);
+    assert_kill_is_invisible("round0-s1", &["--inject-shard-kill", "0:1"]);
 }
 
 /// A dead *supervisor* is recovered by re-running the same command on
@@ -201,7 +361,7 @@ fn supervisor_resumes_a_partially_explored_directory() {
 }
 
 /// An interrupted procshard run with `--checkpoint` merges its shard
-/// sections into one standard v2 checkpoint; the *serial* explorer must
+/// segments into one standard v2 checkpoint; the *serial* explorer must
 /// be able to resume it and finish with its own exact verdict.
 #[test]
 fn merged_checkpoint_resumes_under_the_serial_explorer() {
