@@ -31,8 +31,8 @@ fn arrival_orders(order: IcnOrder) -> std::collections::BTreeSet<Vec<u8>> {
 
     // Block the directory for both addresses so the requests stall.
     let s_d = spec.directory().state_by_name("S_D").unwrap();
-    init.dirs[0].state = s_d.index() as u8;
-    init.dirs[1].state = s_d.index() as u8;
+    init.dir_mut(0).state = s_d.index() as u8;
+    init.dir_mut(1).state = s_d.index() as u8;
     // (S_D expects a Data writeback eventually; for this ICN-only demo
     // the directory simply stays blocked.)
 
@@ -53,11 +53,11 @@ fn arrival_orders(order: IcnOrder) -> std::collections::BTreeSet<Vec<u8>> {
             IcnOrder::Unordered => tag,
             IcnOrder::PointToPoint { salt } => vnet_mc::rules::p2p_buffer(m.src, m.dst, salt),
         };
-        init.global_bufs[vn * 2 + b].push_back(m);
+        assert!(init.push_back(vn * 2 + b, m), "global buffer full");
     }
 
     let n_vns = cfg.vns.n_vns();
-    let dir_fifo = Node::Dir(0).index(cfg.n_caches) * n_vns + vn;
+    let dir_fifo = init.fifo_queue(Node::Dir(0).index(cfg.n_caches) * n_vns + vn);
     let mut orders = std::collections::BTreeSet::new();
     let mut stack = vec![init];
     let mut seen = std::collections::BTreeSet::new();
@@ -65,7 +65,7 @@ fn arrival_orders(order: IcnOrder) -> std::collections::BTreeSet<Vec<u8>> {
         if !seen.insert(gs.encode()) {
             continue;
         }
-        let fifo = &gs.endpoint_fifos[dir_fifo];
+        let fifo = gs.queue(dir_fifo);
         if fifo.len() == 2 {
             orders.insert(fifo.iter().map(|m| m.addr).collect());
             continue;

@@ -742,6 +742,7 @@ impl Checkpoint {
         }
         let n_frontier = r.count("frontier references", 8)?;
         let mut frontier = Vec::with_capacity(n_frontier);
+        let mut scratch = GlobalState::initial(spec, cfg);
         for i in 0..n_frontier {
             let at = r.offset();
             let shard = r.u32("frontier shard")?;
@@ -752,7 +753,7 @@ impl Checkpoint {
                     detail: format!("frontier reference {i} ({shard}, {idx}) out of range"),
                 });
             };
-            if GlobalState::decode(&entries[id as usize].key, cfg).is_none() {
+            if !GlobalState::decode_into(&entries[id as usize].key, cfg, &mut scratch) {
                 return Err(CheckpointError::Corrupt {
                     offset: at,
                     detail: format!("frontier reference {i}: key does not decode"),
@@ -847,7 +848,7 @@ mod tests {
         }];
         for i in 0..level_states {
             let mut s = initial.clone();
-            s.used_injections = 1 + i as u32;
+            s.set_used_injections(1 + i as u32);
             entries.push(VisitedEntry {
                 key: s.encode(),
                 parent: 0,

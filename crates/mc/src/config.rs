@@ -277,8 +277,9 @@ impl McConfig {
 
     /// Checks the state codec's size limits. The `u8` reader/sharer
     /// masks silently corrupt beyond 8 caches, `Node::Dir` is encoded
-    /// as `0x80 | i`, and message addresses are single bytes — so any
-    /// config outside these bounds must be rejected before a single
+    /// as `0x80 | i`, message addresses are single bytes, and a state
+    /// holds each queue's length in one byte — so any config outside
+    /// these bounds must be rejected before a single
     /// state is encoded, not explored into garbage.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_caches == 0 || self.n_caches > 8 {
@@ -298,6 +299,14 @@ impl McConfig {
                 "n_addrs = {} out of range (1..=253: message addresses are u8 and must \
                  stay below the 0xfd/0xfe codec separators)",
                 self.n_addrs
+            ));
+        }
+        let max_cap = crate::state::MAX_QUEUE_CAPACITY;
+        if self.global_capacity > max_cap || self.endpoint_capacity > max_cap {
+            return Err(format!(
+                "queue capacities {}/{} out of range (0..={max_cap}: a state holds each \
+                 queue's length in one byte)",
+                self.global_capacity, self.endpoint_capacity
             ));
         }
         Ok(())
@@ -454,6 +463,25 @@ mod tests {
             ..McConfig::general(&spec)
         };
         assert!(addrs.validate().unwrap_err().contains("n_addrs"));
+    }
+
+    #[test]
+    fn validate_bounds_queue_capacities() {
+        let spec = protocols::msi_blocking_cache();
+        for (global_capacity, endpoint_capacity) in [(256, 4), (4, 256)] {
+            let cfg = McConfig {
+                global_capacity,
+                endpoint_capacity,
+                ..McConfig::general(&spec)
+            };
+            assert!(cfg.validate().is_err_and(|e| e.contains("capacities")));
+        }
+        let zero = McConfig {
+            global_capacity: 0,
+            endpoint_capacity: 255,
+            ..McConfig::general(&spec)
+        };
+        assert!(zero.validate().is_ok());
     }
 
     #[test]

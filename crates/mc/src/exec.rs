@@ -4,8 +4,8 @@
 use crate::config::McConfig;
 use crate::state::{GlobalState, Msg, Node};
 use vnet_protocol::{
-    Action, Cell, ControllerKind, CoreOp, Guard, MsgId, Payload, ProtocolSpec, StateId, Target,
-    Trigger,
+    Action, Cell, ControllerKind, CoreOp, Entry, Guard, MsgId, Payload, ProtocolSpec, StateId,
+    Target, Trigger,
 };
 
 /// A dynamic specification bug surfaced while applying an entry's
@@ -75,34 +75,55 @@ pub enum Firing {
     Error(ExecError),
 }
 
-/// Delivers message `m` to its destination controller, firing the
-/// matching table entry.
-pub fn deliver(spec: &ProtocolSpec, cfg: &McConfig, gs: &mut GlobalState, m: &Msg) -> Firing {
+/// The table cell that message `m` matches at its destination, found
+/// without touching the state: the controller's FSM state and every
+/// guard read only controller rows, never queues. `None` when no cell
+/// matches — a protocol-specification bug.
+pub fn matching_cell<'s>(spec: &'s ProtocolSpec, gs: &GlobalState, m: &Msg) -> Option<&'s Cell> {
     let kind = match m.dst {
         Node::Cache(_) => ControllerKind::Cache,
         Node::Dir(_) => ControllerKind::Directory,
     };
-    let ctrl = spec.controller(kind);
     let state = current_state(gs, m.dst, m.addr);
-    let msg_id = MsgId(m.msg as usize);
+    // The validator guarantees at most one guard holds.
+    spec.controller(kind)
+        .entries_for_message(StateId(state as usize), MsgId(m.msg as usize))
+        .find(|(guard, _)| eval_guard(**guard, gs, m))
+        .map(|(_, cell)| cell)
+}
 
-    // Find the (unique, validated) matching guarded cell.
-    let mut matched: Option<Cell> = None;
-    for (guard, cell) in ctrl.entries_for_message(StateId(state as usize), msg_id) {
-        if eval_guard(*guard, gs, m) {
-            matched = Some(cell.clone());
-            break;
-        }
-    }
-    match matched {
+/// Delivers message `m` to its destination controller, firing the
+/// matching table entry.
+pub fn deliver(spec: &ProtocolSpec, cfg: &McConfig, gs: &mut GlobalState, m: &Msg) -> Firing {
+    match matching_cell(spec, gs, m) {
         None => Firing::Undefined,
         Some(Cell::Stall) => Firing::Stalled,
         Some(Cell::Entry(entry)) => {
-            match apply_entry(spec, cfg, gs, m.dst, m.addr, Some(m), &entry) {
-                Ok(sends) => Firing::Fired { sends },
+            let mut sends = Vec::new();
+            match apply_entry(cfg, gs, m.dst, m.addr, Some(m), entry, &mut sends) {
+                Ok(()) => Firing::Fired { sends },
                 Err(e) => Firing::Error(e),
             }
         }
+    }
+}
+
+/// The entry a core operation fires at a cache, found without touching
+/// the state. `None` when the op is not currently processable (stall or
+/// no cell) or is a pure hit: no actions and no transition leave the
+/// state unchanged, so the explorer skips them to avoid self-loops.
+pub(crate) fn core_entry<'s>(
+    spec: &'s ProtocolSpec,
+    gs: &GlobalState,
+    cache: u8,
+    addr: u8,
+    op: CoreOp,
+) -> Option<&'s Entry> {
+    let state = gs.line(cache as usize, addr as usize).state;
+    match spec.cache().cell(StateId(state as usize), Trigger::core(op))? {
+        Cell::Stall => None,
+        Cell::Entry(e) if e.actions.is_empty() && e.next.is_none() => None,
+        Cell::Entry(e) => Some(e),
     }
 }
 
@@ -118,26 +139,18 @@ pub fn inject(
     addr: u8,
     op: CoreOp,
 ) -> Result<Option<Vec<Msg>>, ExecError> {
-    let state = gs.caches[cache as usize][addr as usize].state;
-    let Some(cell) = spec.cache().cell(StateId(state as usize), Trigger::core(op)) else {
+    let Some(entry) = core_entry(spec, gs, cache, addr, op) else {
         return Ok(None);
     };
-    let entry = match cell {
-        Cell::Stall => return Ok(None),
-        Cell::Entry(e) => e.clone(),
-    };
-    // Pure hits (no actions, no transition) don't change the state; the
-    // explorer skips them to avoid useless self-loops.
-    if entry.actions.is_empty() && entry.next.is_none() {
-        return Ok(None);
-    }
-    apply_entry(spec, cfg, gs, Node::Cache(cache), addr, None, &entry).map(Some)
+    let mut sends = Vec::new();
+    apply_entry(cfg, gs, Node::Cache(cache), addr, None, entry, &mut sends)?;
+    Ok(Some(sends))
 }
 
 fn current_state(gs: &GlobalState, node: Node, addr: u8) -> u8 {
     match node {
-        Node::Cache(c) => gs.caches[c as usize][addr as usize].state,
-        Node::Dir(_) => gs.dirs[addr as usize].state,
+        Node::Cache(c) => gs.line(c as usize, addr as usize).state,
+        Node::Dir(_) => gs.dir(addr as usize).state,
     }
 }
 
@@ -149,56 +162,58 @@ pub fn eval_guard(guard: Guard, gs: &GlobalState, m: &Msg) -> bool {
         // Cache-side ack guards.
         Guard::AckZero | Guard::AckPositive => {
             let Node::Cache(c) = m.dst else { return false };
-            let total = gs.caches[c as usize][addr].needed_acks as i32 + m.ack as i32;
+            let total = gs.line(c as usize, addr).needed_acks as i32 + m.ack as i32;
             (total == 0) == (guard == Guard::AckZero)
         }
         Guard::LastAck | Guard::NotLastAck => {
             let Node::Cache(c) = m.dst else { return false };
-            let last = gs.caches[c as usize][addr].needed_acks == 1;
+            let last = gs.line(c as usize, addr).needed_acks == 1;
             last == (guard == Guard::LastAck)
         }
         // Directory-side guards.
         Guard::LastSharer | Guard::NotLastSharer => {
-            let others = gs.dirs[addr].sharers & !(1u8 << m.requestor);
+            let others = gs.dir(addr).sharers & !(1u8 << m.requestor);
             (others == 0) == (guard == Guard::LastSharer)
         }
         Guard::FromOwner | Guard::NotFromOwner => {
             let from_owner = match m.src {
-                Node::Cache(c) => gs.dirs[addr].owner == Some(c),
+                Node::Cache(c) => gs.dir(addr).owner == Some(c),
                 Node::Dir(_) => false,
             };
             from_owner == (guard == Guard::FromOwner)
         }
         Guard::LastSnpAck | Guard::NotLastSnpAck => {
-            let last = gs.dirs[addr].pending == 1;
+            let last = gs.dir(addr).pending == 1;
             last == (guard == Guard::LastSnpAck)
         }
         Guard::NoOtherSharers | Guard::HasOtherSharers => {
-            let others = gs.dirs[addr].sharers & !(1u8 << m.requestor);
+            let others = gs.dir(addr).sharers & !(1u8 << m.requestor);
             (others == 0) == (guard == Guard::NoOtherSharers)
         }
         Guard::ReqIsOwner | Guard::ReqNotOwner => {
-            let is_owner = gs.dirs[addr].owner == Some(m.requestor);
+            let is_owner = gs.dir(addr).owner == Some(m.requestor);
             is_owner == (guard == Guard::ReqIsOwner)
         }
     }
 }
 
 /// Applies an entry's actions at `node` for `addr`, triggered by
-/// `trigger_msg` (or a core event when `None`). Returns the sends.
+/// `trigger_msg` (or a core event when `None`). Writes the sends into
+/// `sends` (cleared first). `entry` is the one [`matching_cell`] or
+/// [`core_entry`] found.
 ///
 /// Sends carry the triggering message's requestor (or the acting cache
 /// for core events); sends to deferred readers/writers carry the
 /// recorded ids instead.
-fn apply_entry(
-    spec: &ProtocolSpec,
+pub(crate) fn apply_entry(
     cfg: &McConfig,
     gs: &mut GlobalState,
     node: Node,
     addr: u8,
     trigger_msg: Option<&Msg>,
-    entry: &vnet_protocol::Entry,
-) -> Result<Vec<Msg>, ExecError> {
+    entry: &Entry,
+    sends: &mut Vec<Msg>,
+) -> Result<(), ExecError> {
     let requestor = match trigger_msg {
         Some(m) => m.requestor,
         None => match node {
@@ -207,15 +222,15 @@ fn apply_entry(
         },
     };
     let msg_ack = trigger_msg.map_or(0, |m| m.ack);
-    let mut sends = Vec::new();
+    sends.clear();
 
     for action in &entry.actions {
         match action {
             Action::Send { msg, to, payload } => {
-                emit(spec, cfg, gs, node, addr, requestor, msg_ack, *msg, *to, *payload, &mut sends)?;
+                emit(cfg, gs, node, addr, requestor, msg_ack, *msg, *to, *payload, sends)?;
             }
             Action::SendToSharersExceptReq { msg } => {
-                let sharers = gs.dirs[addr as usize].sharers & !(1u8 << requestor);
+                let sharers = gs.dir(addr as usize).sharers & !(1u8 << requestor);
                 for s in 0..cfg.n_caches as u8 {
                     if sharers & (1 << s) != 0 {
                         sends.push(Msg {
@@ -229,55 +244,55 @@ fn apply_entry(
                     }
                 }
             }
-            Action::SetOwnerToReq => gs.dirs[addr as usize].owner = Some(requestor),
-            Action::ClearOwner => gs.dirs[addr as usize].owner = None,
-            Action::AddReqToSharers => gs.dirs[addr as usize].sharers |= 1 << requestor,
+            Action::SetOwnerToReq => gs.dir_mut(addr as usize).owner = Some(requestor),
+            Action::ClearOwner => gs.dir_mut(addr as usize).owner = None,
+            Action::AddReqToSharers => gs.dir_mut(addr as usize).sharers |= 1 << requestor,
             Action::AddOwnerToSharers => {
-                if let Some(o) = gs.dirs[addr as usize].owner {
-                    gs.dirs[addr as usize].sharers |= 1 << o;
+                let d = gs.dir_mut(addr as usize);
+                if let Some(o) = d.owner {
+                    d.sharers |= 1 << o;
                 }
             }
             Action::RemoveReqFromSharers => {
-                gs.dirs[addr as usize].sharers &= !(1u8 << requestor)
+                gs.dir_mut(addr as usize).sharers &= !(1u8 << requestor)
             }
-            Action::ClearSharers => gs.dirs[addr as usize].sharers = 0,
+            Action::ClearSharers => gs.dir_mut(addr as usize).sharers = 0,
             Action::CopyDataToMem => {}
             Action::RecordReader => {
                 let Node::Cache(c) = node else { unreachable!() };
-                gs.caches[c as usize][addr as usize].readers |= 1 << requestor;
+                gs.line_mut(c as usize, addr as usize).readers |= 1 << requestor;
             }
             Action::RecordWriter => {
                 let Node::Cache(c) = node else { unreachable!() };
-                gs.caches[c as usize][addr as usize].writer = Some((requestor, msg_ack));
+                gs.line_mut(c as usize, addr as usize).writer = Some((requestor, msg_ack));
             }
             Action::SetPendingToOtherSharers => {
-                let others = gs.dirs[addr as usize].sharers & !(1u8 << requestor);
-                gs.dirs[addr as usize].pending = others.count_ones() as i8;
+                let d = gs.dir_mut(addr as usize);
+                d.pending = (d.sharers & !(1u8 << requestor)).count_ones() as i8;
             }
-            Action::DecPending => gs.dirs[addr as usize].pending -= 1,
+            Action::DecPending => gs.dir_mut(addr as usize).pending -= 1,
             Action::AddAcksFromMsg => {
                 let Node::Cache(c) = node else { unreachable!() };
-                gs.caches[c as usize][addr as usize].needed_acks += msg_ack;
+                gs.line_mut(c as usize, addr as usize).needed_acks += msg_ack;
             }
             Action::DecNeededAcks => {
                 let Node::Cache(c) = node else { unreachable!() };
-                gs.caches[c as usize][addr as usize].needed_acks -= 1;
+                gs.line_mut(c as usize, addr as usize).needed_acks -= 1;
             }
         }
     }
 
     if let Some(next) = entry.next {
         match node {
-            Node::Cache(c) => gs.caches[c as usize][addr as usize].state = next.index() as u8,
-            Node::Dir(_) => gs.dirs[addr as usize].state = next.index() as u8,
+            Node::Cache(c) => gs.line_mut(c as usize, addr as usize).state = next.index() as u8,
+            Node::Dir(_) => gs.dir_mut(addr as usize).state = next.index() as u8,
         }
     }
-    Ok(sends)
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
 fn emit(
-    _spec: &ProtocolSpec,
     cfg: &McConfig,
     gs: &mut GlobalState,
     node: Node,
@@ -289,7 +304,7 @@ fn emit(
     payload: Payload,
     sends: &mut Vec<Msg>,
 ) -> Result<(), ExecError> {
-    let dline = &gs.dirs[addr as usize];
+    let dline = *gs.dir(addr as usize);
     let others = (dline.sharers & !(1u8 << requestor)).count_ones() as i8;
     let base_ack = |stored: Option<(u8, i8)>| match payload {
         Payload::None | Payload::Data => 0,
@@ -329,7 +344,7 @@ fn emit(
         }
         Target::Readers => {
             let Node::Cache(c) = node else { unreachable!() };
-            let line = &mut gs.caches[c as usize][addr as usize];
+            let line = gs.line_mut(c as usize, addr as usize);
             let readers = line.readers;
             line.readers = 0;
             for r in 0..cfg.n_caches as u8 {
@@ -347,7 +362,7 @@ fn emit(
         }
         Target::Writer => {
             let Node::Cache(c) = node else { unreachable!() };
-            let line = &mut gs.caches[c as usize][addr as usize];
+            let line = gs.line_mut(c as usize, addr as usize);
             let writer = line.writer.take();
             let (w, stored_ack) = writer.ok_or(ExecError::WriterUnset { msg })?;
             let ack = match payload {
@@ -423,14 +438,14 @@ mod tests {
         assert_eq!(m.dst, Node::Dir(0));
         assert_eq!(m.requestor, 0);
         assert_eq!(spec.message_name(MsgId(m.msg as usize)), "GetM");
-        assert_eq!(gs.caches[0][0].state, cache_state(&spec, "IM_AD")?);
+        assert_eq!(gs.line(0, 0).state, cache_state(&spec, "IM_AD")?);
         Ok(())
     }
 
     #[test]
     fn load_hit_in_m_is_a_no_op() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.caches[0][0].state = cache_state(&spec, "M")?;
+        gs.line_mut(0, 0).state = cache_state(&spec, "M")?;
         let out = inject(&spec, &cfg, &mut gs, 0, 0, CoreOp::Load).map_err(|e| e.display(&spec))?;
         assert_eq!(out, None);
         Ok(())
@@ -448,8 +463,8 @@ mod tests {
             ack: 0,
         };
         let sends = fired(deliver(&spec, &cfg, &mut gs, &msg))?;
-        assert_eq!(gs.dirs[0].owner, Some(1));
-        assert_eq!(gs.dirs[0].state, dir_state(&spec, "M")?);
+        assert_eq!(gs.dir(0).owner, Some(1));
+        assert_eq!(gs.dir(0).state, dir_state(&spec, "M")?);
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].dst, Node::Cache(1));
         assert_eq!(sends[0].ack, 0); // no sharers
@@ -459,8 +474,8 @@ mod tests {
     #[test]
     fn getm_in_s_counts_acks_and_invalidates_sharers() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.dirs[0].state = dir_state(&spec, "S")?;
-        gs.dirs[0].sharers = 0b110; // caches 1 and 2 share
+        gs.dir_mut(0).state = dir_state(&spec, "S")?;
+        gs.dir_mut(0).sharers = 0b110; // caches 1 and 2 share
         let msg = Msg {
             msg: mid(&spec, "GetM")?.index() as u8,
             addr: 0,
@@ -481,15 +496,15 @@ mod tests {
         let invs: Vec<&Msg> = sends.iter().filter(|m| m.msg == inv.index() as u8).collect();
         assert_eq!(invs.len(), 2);
         assert!(invs.iter().all(|m| m.requestor == 0));
-        assert_eq!(gs.dirs[0].sharers, 0);
-        assert_eq!(gs.dirs[0].owner, Some(0));
+        assert_eq!(gs.dir(0).sharers, 0);
+        assert_eq!(gs.dir(0).owner, Some(0));
         Ok(())
     }
 
     #[test]
     fn stall_reported_in_transient_state() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.dirs[0].state = dir_state(&spec, "S_D")?;
+        gs.dir_mut(0).state = dir_state(&spec, "S_D")?;
         let msg = Msg {
             msg: mid(&spec, "GetM")?.index() as u8,
             addr: 0,
@@ -521,9 +536,9 @@ mod tests {
     #[test]
     fn ack_guards_combine_message_and_counter() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.caches[0][0].state = cache_state(&spec, "IM_AD")?;
+        gs.line_mut(0, 0).state = cache_state(&spec, "IM_AD")?;
         // Two early Inv-Acks already arrived.
-        gs.caches[0][0].needed_acks = -2;
+        gs.line_mut(0, 0).needed_acks = -2;
         let msg = Msg {
             msg: mid(&spec, "Data")?.index() as u8,
             addr: 0,
@@ -535,16 +550,16 @@ mod tests {
         // 2 + (-2) == 0: the ack=0 entry fires straight to M.
         let sends = fired(deliver(&spec, &cfg, &mut gs, &msg))?;
         assert!(sends.is_empty());
-        assert_eq!(gs.caches[0][0].state, cache_state(&spec, "M")?);
-        assert_eq!(gs.caches[0][0].needed_acks, 0);
+        assert_eq!(gs.line(0, 0).state, cache_state(&spec, "M")?);
+        assert_eq!(gs.line(0, 0).needed_acks, 0);
         Ok(())
     }
 
     #[test]
     fn last_inv_ack_completes_write() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.caches[0][0].state = cache_state(&spec, "IM_A")?;
-        gs.caches[0][0].needed_acks = 1;
+        gs.line_mut(0, 0).state = cache_state(&spec, "IM_A")?;
+        gs.line_mut(0, 0).needed_acks = 1;
         let msg = Msg {
             msg: mid(&spec, "Inv-Ack")?.index() as u8,
             addr: 0,
@@ -554,8 +569,8 @@ mod tests {
             ack: 0,
         };
         fired(deliver(&spec, &cfg, &mut gs, &msg))?;
-        assert_eq!(gs.caches[0][0].state, cache_state(&spec, "M")?);
-        assert_eq!(gs.caches[0][0].needed_acks, 0);
+        assert_eq!(gs.line(0, 0).state, cache_state(&spec, "M")?);
+        assert_eq!(gs.line(0, 0).needed_acks, 0);
         Ok(())
     }
 
@@ -564,7 +579,7 @@ mod tests {
         let spec = protocols::msi_nonblocking_cache();
         let cfg = McConfig::general(&spec);
         let mut gs = GlobalState::initial(&spec, &cfg);
-        gs.caches[0][0].state = cache_state(&spec, "IM_AD")?;
+        gs.line_mut(0, 0).state = cache_state(&spec, "IM_AD")?;
         // A Fwd-GetM for cache 2 arrives and is deferred.
         let fwd = Msg {
             msg: mid(&spec, "Fwd-GetM")?.index() as u8,
@@ -576,7 +591,7 @@ mod tests {
         };
         let sends = fired(deliver(&spec, &cfg, &mut gs, &fwd))?;
         assert!(sends.is_empty());
-        assert_eq!(gs.caches[0][0].writer, Some((2, 0)));
+        assert_eq!(gs.line(0, 0).writer, Some((2, 0)));
         // Data (ack=0) completes the write and serves the writer.
         let dm = Msg {
             msg: mid(&spec, "Data")?.index() as u8,
@@ -590,8 +605,8 @@ mod tests {
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].dst, Node::Cache(2));
         assert_eq!(sends[0].requestor, 2);
-        assert_eq!(gs.caches[0][0].writer, None);
-        assert_eq!(gs.caches[0][0].state, cache_state(&spec, "I")?);
+        assert_eq!(gs.line(0, 0).writer, None);
+        assert_eq!(gs.line(0, 0).state, cache_state(&spec, "I")?);
         Ok(())
     }
 

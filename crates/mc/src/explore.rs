@@ -530,7 +530,9 @@ fn run_serial_inner(
     let mut truncated: Option<DegradeReason> = None;
     let mut since_flush = 0usize;
     let mut accounted = 0u64;
-    // Run-lifetime scratch: successor state, key encoding, label text.
+    // Run-lifetime scratch: the decoded frontier state, successor
+    // state, key encoding, label text.
+    let mut gs = GlobalState::initial(spec, cfg);
     let mut expand_scratch = Scratch::new(spec, cfg);
     let mut key_buf: Vec<u8> = Vec::with_capacity(128);
     let mut label_buf = String::new();
@@ -591,12 +593,9 @@ fn run_serial_inner(
                 frontier.append(&mut next_frontier);
                 break 'bfs;
             }
-            let gs = if store.keys.get_into(id, &mut key_buf) {
-                GlobalState::decode(&key_buf, cfg)
-            } else {
-                None
-            };
-            let Some(gs) = gs else {
+            let decoded = store.keys.get_into(id, &mut key_buf)
+                && GlobalState::decode_into(&key_buf, cfg, &mut gs);
+            if !decoded {
                 // Unreachable for states we interned ourselves; treat
                 // as corruption (or a vanished spill segment), keep the
                 // run resumable, never panic.
@@ -607,7 +606,7 @@ fn run_serial_inner(
                 frontier.push_front(id);
                 frontier.append(&mut next_frontier);
                 break 'bfs;
-            };
+            }
             // Early stops requested from inside the expansion callback
             // (which cannot `break 'bfs` or `return` across the closure
             // boundary itself).
@@ -707,7 +706,7 @@ fn run_serial_inner(
             });
             match outcome {
                 ExpandOutcome::Bug { rule, detail } => {
-                    let mut trace = rebuild_trace(spec, cfg, &mut store, id, gs);
+                    let mut trace = rebuild_trace(spec, cfg, &mut store, id, gs.clone());
                     // The recorded rule/detail name canonical indices
                     // under symmetry; re-derive them from the concrete
                     // terminal the de-canonicalized trace reaches.
@@ -738,7 +737,7 @@ fn run_serial_inner(
                             meter.peak_bytes(),
                             store.keys.spill_stats().spilled_bytes,
                         );
-                        let trace = rebuild_trace(spec, cfg, &mut store, id, gs);
+                        let trace = rebuild_trace(spec, cfg, &mut store, id, gs.clone());
                         return Ok(CheckpointedRun::Finished(Verdict::Deadlock {
                             depth: level,
                             trace,

@@ -89,31 +89,25 @@ impl Swmr {
     /// Checks the invariant on one state; returns a description of the
     /// violation if any address breaks it.
     pub fn check(&self, gs: &GlobalState, spec: &ProtocolSpec) -> Option<String> {
-        let n_addrs = gs.dirs.len();
-        for addr in 0..n_addrs {
-            let mut writers = Vec::new();
-            let mut readers = Vec::new();
-            for (c, row) in gs.caches.iter().enumerate() {
-                let s = row[addr].state;
-                if self.writable.contains(&s) {
-                    writers.push(c);
-                } else if self.readable.contains(&s) {
-                    readers.push(c);
-                }
-            }
-            if writers.len() > 1 || (writers.len() == 1 && !readers.is_empty()) {
+        let n_caches = gs.n_caches();
+        for addr in 0..gs.n_addrs() {
+            let writes = |c: &usize| self.writable.contains(&gs.line(*c, addr).state);
+            let reads = |c: &usize| !writes(c) && self.readable.contains(&gs.line(*c, addr).state);
+            let writers = (0..n_caches).filter(writes).count();
+            let readers = (0..n_caches).filter(reads).count();
+            if writers > 1 || (writers == 1 && readers > 0) {
                 let name = |c: usize| {
-                    let s = gs.caches[c][addr].state;
+                    let s = gs.line(c, addr).state;
                     format!(
                         "C{}:{}",
                         c + 1,
                         spec.cache().state(vnet_protocol::StateId(s as usize)).name
                     )
                 };
-                let all: Vec<String> = writers
-                    .iter()
-                    .chain(readers.iter())
-                    .map(|&c| name(c))
+                let all: Vec<String> = (0..n_caches)
+                    .filter(writes)
+                    .chain((0..n_caches).filter(reads))
+                    .map(name)
                     .collect();
                 return Some(format!(
                     "SWMR violated for addr {}: {}",
@@ -136,7 +130,7 @@ mod tests {
     use vnet_protocol::protocols;
 
     fn put(gs: &mut GlobalState, spec: &ProtocolSpec, c: usize, addr: usize, state: &str) {
-        gs.caches[c][addr].state = spec.cache().state_by_name(state).unwrap().index() as u8;
+        gs.line_mut(c, addr).state = spec.cache().state_by_name(state).unwrap().index() as u8;
     }
 
     #[test]

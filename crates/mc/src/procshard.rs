@@ -553,14 +553,15 @@ impl Shard {
         // independent of both the shard count and replay history.
         let mut finding: Option<Finding> = None;
         let mut scratch_key: Vec<u8> = Vec::with_capacity(128);
+        let mut gs = GlobalState::initial(spec, cfg);
         if let Some(swmr) = &cfg.swmr {
             for idx in frontier.clone() {
                 if !self.keys.get_into(idx, &mut scratch_key) {
                     return Err(format!("claimed state {idx} unreadable"));
                 }
-                let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
+                if !GlobalState::decode_into(&scratch_key, cfg, &mut gs) {
                     return Err(format!("claimed state {idx} failed to decode"));
-                };
+                }
                 if let Some(detail) = swmr.check(&gs, spec) {
                     finding = Some(Finding {
                         kind: FIND_INVARIANT,
@@ -583,9 +584,9 @@ impl Shard {
                 if !self.keys.get_into(idx, &mut scratch_key) {
                     return Err(format!("frontier state {idx} unreadable"));
                 }
-                let Some(gs) = GlobalState::decode(&scratch_key, cfg) else {
+                if !GlobalState::decode_into(&scratch_key, cfg, &mut gs) {
                     return Err(format!("frontier state {idx} failed to decode"));
-                };
+                }
                 let canon = &mut self.canon;
                 let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
                     // Key-only canonicalization: no permuted state is ever

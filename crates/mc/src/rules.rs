@@ -13,9 +13,9 @@
 //! choice is used in [`IcnOrder::PointToPoint`] mode.
 
 use crate::config::{IcnOrder, InjectionBudget, McConfig};
-use crate::exec::{deliver, inject, Firing};
+use crate::exec::{apply_entry, core_entry, matching_cell, ExecError};
 use crate::state::{GlobalState, Msg, Node};
-use vnet_protocol::{MsgId, ProtocolSpec};
+use vnet_protocol::{Cell, MsgId, ProtocolSpec};
 
 /// One enabled transition out of a state.
 #[derive(Debug, Clone)]
@@ -121,12 +121,13 @@ impl Label<'_> {
     }
 }
 
-/// Reusable buffers for [`expand`]: one successor scratch state plus
-/// the placement log. Create once per run (or per worker thread); after
-/// warm-up the expansion hot path performs no state-clone allocations.
+/// Reusable buffers for [`expand`]: one successor scratch state, the
+/// placement log and the send list. Create once per run (or per worker
+/// thread); the expansion hot path then allocates nothing.
 pub struct Scratch {
     next: GlobalState,
     choices: Vec<(u8, u16, u8)>,
+    sends: Vec<Msg>,
 }
 
 impl Scratch {
@@ -135,6 +136,7 @@ impl Scratch {
         Scratch {
             next: GlobalState::initial(spec, cfg),
             choices: Vec::new(),
+            sends: Vec::new(),
         }
     }
 }
@@ -161,6 +163,9 @@ pub enum ExpandOutcome {
 /// successor reference points into `scratch` and is only valid for the
 /// duration of the call — encode or clone it before returning. Return
 /// `false` from `f` to stop the expansion early.
+///
+/// Each rule's table cell is looked up on `gs` itself, so a rule that
+/// stalls or does not apply costs no state copy.
 pub fn expand<F>(
     spec: &ProtocolSpec,
     cfg: &McConfig,
@@ -171,43 +176,39 @@ pub fn expand<F>(
 where
     F: FnMut(&GlobalState, Label<'_>) -> bool,
 {
+    let Scratch {
+        next,
+        choices,
+        sends,
+    } = scratch;
     let mut count = 0usize;
+    let inject_bug = |kind: &RuleKind, e: ExecError| ExpandOutcome::Bug {
+        rule: Label { kind, choices: &[] }.render(spec),
+        detail: e.display(spec),
+    };
 
     // --- inject ---
     match &cfg.budget {
         InjectionBudget::PerCache(_) => {
             for c in 0..cfg.n_caches as u8 {
-                if gs.budgets[c as usize] == 0 {
+                if gs.budgets()[c as usize] == 0 {
                     continue;
                 }
                 for a in 0..cfg.n_addrs as u8 {
                     for op in vnet_protocol::CoreOp::all() {
+                        let Some(entry) = core_entry(spec, gs, c, a, op) else {
+                            continue;
+                        };
                         let kind = RuleKind::Inject { cache: c, addr: a, op };
-                        scratch.next.copy_from(gs);
-                        scratch.next.budgets[c as usize] -= 1;
-                        match inject(spec, cfg, &mut scratch.next, c, a, op) {
-                            Ok(Some(sends)) => {
-                                scratch.choices.clear();
-                                if !place(
-                                    cfg,
-                                    &kind,
-                                    &mut scratch.next,
-                                    &sends,
-                                    0,
-                                    &mut scratch.choices,
-                                    &mut count,
-                                    &mut f,
-                                ) {
-                                    return ExpandOutcome::Stopped;
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                return ExpandOutcome::Bug {
-                                    rule: Label { kind: &kind, choices: &[] }.render(spec),
-                                    detail: e.display(spec),
-                                }
-                            }
+                        next.copy_from(gs);
+                        next.budgets_mut()[c as usize] -= 1;
+                        let fired = apply_entry(cfg, next, Node::Cache(c), a, None, entry, sends);
+                        if let Err(e) = fired {
+                            return inject_bug(&kind, e);
+                        }
+                        choices.clear();
+                        if !place(cfg, &kind, next, sends, 0, choices, &mut count, &mut f) {
+                            return ExpandOutcome::Stopped;
                         }
                     }
                 }
@@ -216,38 +217,20 @@ where
         InjectionBudget::Explicit(list) => {
             // Scripted injections issue in list order: only the first
             // unissued entry is eligible.
-            let i = gs.used_injections.trailing_ones() as usize;
-            if i < list.len() {
-                let (c, a, op) = list[i];
-                let kind = RuleKind::Inject {
-                    cache: c as u8,
-                    addr: a as u8,
-                    op,
-                };
-                scratch.next.copy_from(gs);
-                scratch.next.used_injections |= 1 << i;
-                match inject(spec, cfg, &mut scratch.next, c as u8, a as u8, op) {
-                    Ok(Some(sends)) => {
-                        scratch.choices.clear();
-                        if !place(
-                            cfg,
-                            &kind,
-                            &mut scratch.next,
-                            &sends,
-                            0,
-                            &mut scratch.choices,
-                            &mut count,
-                            &mut f,
-                        ) {
-                            return ExpandOutcome::Stopped;
-                        }
+            let i = gs.used_injections().trailing_ones() as usize;
+            if let Some(&(c, a, op)) = list.get(i) {
+                let (c, a) = (c as u8, a as u8);
+                if let Some(entry) = core_entry(spec, gs, c, a, op) {
+                    let kind = RuleKind::Inject { cache: c, addr: a, op };
+                    next.copy_from(gs);
+                    next.set_used_injections(gs.used_injections() | 1 << i);
+                    let fired = apply_entry(cfg, next, Node::Cache(c), a, None, entry, sends);
+                    if let Err(e) = fired {
+                        return inject_bug(&kind, e);
                     }
-                    Ok(None) => {}
-                    Err(e) => {
-                        return ExpandOutcome::Bug {
-                            rule: Label { kind: &kind, choices: &[] }.render(spec),
-                            detail: e.display(spec),
-                        }
+                    choices.clear();
+                    if !place(cfg, &kind, next, sends, 0, choices, &mut count, &mut f) {
+                        return ExpandOutcome::Stopped;
                     }
                 }
             }
@@ -256,40 +239,39 @@ where
 
     // --- advance ---
     let n_vns = cfg.vns.n_vns();
-    for (bi, buf) in gs.global_bufs.iter().enumerate() {
-        let Some(&m) = buf.front() else { continue };
+    for bi in 0..gs.n_global_bufs() {
+        let Some(&m) = gs.queue(bi).first() else { continue };
         let vn = bi / 2;
-        let fifo_idx = m.dst.index(cfg.n_caches) * n_vns + vn;
-        if gs.endpoint_fifos[fifo_idx].len() >= cfg.endpoint_capacity {
+        let fifo = gs.fifo_queue(m.dst.index(cfg.n_caches) * n_vns + vn);
+        if gs.is_full(fifo) {
             continue;
         }
-        scratch.next.copy_from(gs);
-        let Some(m) = scratch.next.global_bufs[bi].pop_front() else {
-            continue; // unreachable: front() above was Some
-        };
-        scratch.next.endpoint_fifos[fifo_idx].push_back(m);
+        next.copy_from(gs);
+        next.pop_front(bi);
+        let pushed = next.push_back(fifo, m);
+        debug_assert!(pushed, "the destination FIFO had a free slot");
         count += 1;
         let kind = RuleKind::Advance { vn, b: bi % 2, msg: m };
-        if !f(&scratch.next, Label { kind: &kind, choices: &[] }) {
+        if !f(next, Label { kind: &kind, choices: &[] }) {
             return ExpandOutcome::Stopped;
         }
     }
 
     // --- consume ---
-    for (fi, fifo) in gs.endpoint_fifos.iter().enumerate() {
-        let Some(&m) = fifo.front() else { continue };
-        scratch.next.copy_from(gs);
-        scratch.next.endpoint_fifos[fi].pop_front();
-        match deliver(spec, cfg, &mut scratch.next, &m) {
-            Firing::Stalled => continue,
-            Firing::Undefined => {
+    for fi in 0..gs.n_endpoint_fifos() {
+        let q = gs.fifo_queue(fi);
+        let Some(&m) = gs.queue(q).first() else { continue };
+        let entry = match matching_cell(spec, gs, &m) {
+            Some(Cell::Entry(entry)) => entry,
+            Some(Cell::Stall) => continue,
+            None => {
                 let state_name = match m.dst {
                     Node::Cache(c) => {
-                        let s = gs.caches[c as usize][m.addr as usize].state;
+                        let s = gs.line(c as usize, m.addr as usize).state;
                         spec.cache().state(vnet_protocol::StateId(s as usize)).name.clone()
                     }
                     Node::Dir(_) => {
-                        let s = gs.dirs[m.addr as usize].state;
+                        let s = gs.dir(m.addr as usize).state;
                         spec.directory()
                             .state(vnet_protocol::StateId(s as usize))
                             .name
@@ -305,28 +287,19 @@ where
                     ),
                 };
             }
-            Firing::Error(e) => {
-                return ExpandOutcome::Bug {
-                    rule: format!("consume {}", m.display(spec)),
-                    detail: e.display(spec),
-                };
-            }
-            Firing::Fired { sends } => {
-                let kind = RuleKind::Consume { msg: m };
-                scratch.choices.clear();
-                if !place(
-                    cfg,
-                    &kind,
-                    &mut scratch.next,
-                    &sends,
-                    0,
-                    &mut scratch.choices,
-                    &mut count,
-                    &mut f,
-                ) {
-                    return ExpandOutcome::Stopped;
-                }
-            }
+        };
+        next.copy_from(gs);
+        next.pop_front(q);
+        if let Err(e) = apply_entry(cfg, next, m.dst, m.addr, Some(&m), entry, sends) {
+            return ExpandOutcome::Bug {
+                rule: format!("consume {}", m.display(spec)),
+                detail: e.display(spec),
+            };
+        }
+        let kind = RuleKind::Consume { msg: m };
+        choices.clear();
+        if !place(cfg, &kind, next, sends, 0, choices, &mut count, &mut f) {
+            return ExpandOutcome::Stopped;
         }
     }
 
@@ -397,14 +370,13 @@ where
     };
     for &b in bufs {
         let bi = vn * 2 + b;
-        if state.global_bufs[bi].len() >= cfg.global_capacity {
-            continue;
+        if !state.push_back(bi, m) {
+            continue; // buffer full
         }
-        state.global_bufs[bi].push_back(m);
         choices.push((m.msg, vn as u16, b as u8));
         let ok = place(cfg, kind, state, sends, i + 1, choices, count, f);
         choices.pop();
-        state.global_bufs[bi].pop_back();
+        state.pop_back(bi);
         if !ok {
             return false;
         }
@@ -502,7 +474,7 @@ mod tests {
             .ok_or("no consume successor")?;
         // The GetM was consumed by the directory, which replied with Data.
         assert_eq!(cons.state.messages_in_flight(), 1);
-        assert!(cons.state.dirs.iter().any(|d| d.owner.is_some()));
+        assert!(cons.state.dirs().iter().any(|d| d.owner.is_some()));
         Ok(())
     }
 

@@ -37,8 +37,8 @@ pub fn permute(
     addr_perm: &[usize],
 ) -> GlobalState {
     let n = cache_perm.len();
-    debug_assert_eq!(gs.caches.len(), n);
-    debug_assert_eq!(gs.dirs.len(), addr_perm.len());
+    debug_assert_eq!(gs.n_caches(), n);
+    debug_assert_eq!(gs.n_addrs(), addr_perm.len());
     let cache_inv = invert(cache_perm);
     let addr_inv = invert(addr_perm);
 
@@ -65,69 +65,52 @@ pub fn permute(
         ..*m
     };
 
-    let caches: Vec<Vec<_>> = (0..n)
-        .map(|nc| {
-            let row = &gs.caches[cache_inv[nc]];
-            (0..addr_perm.len())
-                .map(|na| {
-                    let mut line = row[addr_inv[na]].clone();
-                    line.readers = remap_mask(line.readers);
-                    if let Some((w, a)) = line.writer {
-                        line.writer = Some((remap_cache(w), a));
-                    }
-                    line
-                })
-                .collect()
-        })
-        .collect();
+    let mut out = gs.clone();
+    for (nc, &oc) in cache_inv.iter().enumerate() {
+        for (na, &oa) in addr_inv.iter().enumerate() {
+            let mut line = *gs.line(oc, oa);
+            line.readers = remap_mask(line.readers);
+            if let Some((w, a)) = line.writer {
+                line.writer = Some((remap_cache(w), a));
+            }
+            *out.line_mut(nc, na) = line;
+        }
+    }
 
-    // `dirs` is indexed by address, so rows move with the address
-    // permutation while their cache references are remapped.
-    let dirs = (0..addr_perm.len())
-        .map(|na| {
-            let mut d = gs.dirs[addr_inv[na]].clone();
-            d.sharers = remap_mask(d.sharers);
-            d.owner = d.owner.map(remap_cache);
-            d
-        })
-        .collect();
+    // Directory lines are indexed by address, so rows move with the
+    // address permutation while their cache references are remapped.
+    for (na, &oa) in addr_inv.iter().enumerate() {
+        let mut d = *gs.dir(oa);
+        d.sharers = remap_mask(d.sharers);
+        d.owner = d.owner.map(remap_cache);
+        *out.dir_mut(na) = d;
+    }
 
-    let mut budgets = vec![0u8; gs.budgets.len()];
-    for (i, &b) in gs.budgets.iter().enumerate() {
-        budgets[cache_perm[i]] = b;
+    for (i, &b) in gs.budgets().iter().enumerate() {
+        out.budgets_mut()[cache_perm[i]] = b;
     }
 
     // A message's *queue position* is part of the state; only identities
     // are remapped. The per-endpoint FIFOs, however, move with their
     // endpoint (dir endpoints are fixed points).
+    out.clear_queues();
+    for bi in 0..gs.n_global_bufs() {
+        for m in gs.queue(bi) {
+            out.push_back(bi, remap_msg(m));
+        }
+    }
     let n_vns = cfg.vns.n_vns().max(1);
-    let n_eps = gs.endpoint_fifos.len() / n_vns;
-    let mut endpoint_fifos = Vec::with_capacity(gs.endpoint_fifos.len());
+    let n_eps = gs.n_endpoint_fifos() / n_vns;
     for new_ep in 0..n_eps {
         let old_ep = cache_inv.get(new_ep).copied().unwrap_or(new_ep);
         for vn in 0..n_vns {
-            endpoint_fifos.push(
-                gs.endpoint_fifos[old_ep * n_vns + vn]
-                    .iter()
-                    .map(remap_msg)
-                    .collect(),
-            );
+            let to = out.fifo_queue(new_ep * n_vns + vn);
+            for m in gs.queue(gs.fifo_queue(old_ep * n_vns + vn)) {
+                out.push_back(to, remap_msg(m));
+            }
         }
     }
-    let global_bufs = gs
-        .global_bufs
-        .iter()
-        .map(|buf| buf.iter().map(remap_msg).collect())
-        .collect();
-
-    GlobalState {
-        caches,
-        dirs,
-        budgets,
-        used_injections: gs.used_injections,
-        global_bufs,
-        endpoint_fifos,
-    }
+    out
 }
 
 /// Inverse of a permutation given as `perm[old] = new`.
@@ -305,8 +288,11 @@ impl Canonicalizer {
         // Bit `c` set: old cache row `c` names a cache (a deferred
         // reader or writer), so its image bytes depend on the whole
         // cache permutation, not just on where the row lands.
-        let id_rows = gs.caches.iter().enumerate().fold(0u32, |acc, (c, row)| {
-            let ids = row.iter().any(|l| l.readers != 0 || l.writer.is_some());
+        let id_rows = (0..gs.n_caches()).fold(0u32, |acc, c| {
+            let ids = gs
+                .row(c)
+                .iter()
+                .any(|l| l.readers != 0 || l.writer.is_some());
             acc | (u32::from(ids) << c)
         });
         let mut i = 0;
@@ -406,7 +392,7 @@ fn encode_bounded(
     for nc in 0..n_caches {
         let start = out.len();
         let oc = p.cache_inv[nc];
-        let row = &gs.caches[oc];
+        let row = gs.row(oc);
         for na in 0..n_addrs {
             let l = &row[p.addr_inv[na]];
             out.push(l.state);
@@ -428,16 +414,17 @@ fn encode_bounded(
     }
     let start = out.len();
     for na in 0..n_addrs {
-        let d = &gs.dirs[p.addr_inv[na]];
+        let d = gs.dir(p.addr_inv[na]);
         out.push(d.state);
         out.push(d.owner.map_or(0xff, remap_cache));
         out.push(remap_mask(d.sharers));
         out.push(d.pending as u8);
     }
-    for nc in 0..gs.budgets.len() {
-        out.push(gs.budgets[p.cache_inv[nc]]);
+    let budgets = gs.budgets();
+    for nc in 0..budgets.len() {
+        out.push(budgets[p.cache_inv[nc]]);
     }
-    out.extend(gs.used_injections.to_le_bytes());
+    out.extend(gs.used_injections().to_le_bytes());
     if lost(out, best, start, &mut below) {
         return Outcome::NotSmaller;
     }
@@ -455,23 +442,23 @@ fn encode_bounded(
         out.push(p.cache[m.requestor as usize] as u8);
         out.push(m.ack as u8);
     };
-    for buf in &gs.global_bufs {
+    for bi in 0..gs.n_global_bufs() {
         let start = out.len();
         out.push(0xfe);
-        for m in buf {
+        for m in gs.queue(bi) {
             enc_msg(out, m);
         }
         if lost(out, best, start, &mut below) {
             return Outcome::NotSmaller;
         }
     }
-    let n_eps = gs.endpoint_fifos.len() / n_vns;
+    let n_eps = gs.n_endpoint_fifos() / n_vns;
     for ne in 0..n_eps {
         let oe = if ne < n_caches { p.cache_inv[ne] } else { ne };
         for vn in 0..n_vns {
             let start = out.len();
             out.push(0xfd);
-            for m in &gs.endpoint_fifos[oe * n_vns + vn] {
+            for m in gs.queue(gs.fifo_queue(oe * n_vns + vn)) {
                 enc_msg(out, m);
             }
             if lost(out, best, start, &mut below) {
@@ -536,9 +523,9 @@ mod tests {
     fn permutation_composes_to_identity() {
         let (spec, cfg, mut gs) = setup();
         let m = spec.cache().state_by_name("M").unwrap();
-        gs.caches[0][0].state = m.index() as u8;
-        gs.dirs[0].owner = Some(0);
-        gs.dirs[0].sharers = 0b011;
+        gs.line_mut(0, 0).state = m.index() as u8;
+        gs.dir_mut(0).owner = Some(0);
+        gs.dir_mut(0).sharers = 0b011;
         let once = permute(&cfg, &gs, &[1, 2, 0], &id(2));
         let back = permute(&cfg, &once, &[2, 0, 1], &id(2));
         assert_eq!(back, gs);
@@ -550,11 +537,11 @@ mod tests {
         let m = spec.cache().state_by_name("M").unwrap();
         // Two states that differ only by which cache holds M.
         let mut a = base.clone();
-        a.caches[0][0].state = m.index() as u8;
-        a.dirs[0].owner = Some(0);
+        a.line_mut(0, 0).state = m.index() as u8;
+        a.dir_mut(0).owner = Some(0);
         let mut b = base.clone();
-        b.caches[2][0].state = m.index() as u8;
-        b.dirs[0].owner = Some(2);
+        b.line_mut(2, 0).state = m.index() as u8;
+        b.dir_mut(0).owner = Some(2);
         assert_eq!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
     }
 
@@ -564,9 +551,9 @@ mod tests {
         let m = spec.cache().state_by_name("M").unwrap();
         let s = spec.cache().state_by_name("S").unwrap();
         let mut a = base.clone();
-        a.caches[0][0].state = m.index() as u8;
+        a.line_mut(0, 0).state = m.index() as u8;
         let mut b = base.clone();
-        b.caches[0][0].state = s.index() as u8;
+        b.line_mut(0, 0).state = s.index() as u8;
         assert_ne!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
     }
 
@@ -583,23 +570,24 @@ mod tests {
             requestor: 0,
             ack: 0,
         };
-        gs.endpoint_fifos[Node::Cache(0).index(3) * n_vns].push_back(msg);
+        let q = gs.fifo_queue(Node::Cache(0).index(3) * n_vns);
+        gs.push_back(q, msg);
         let p = permute(&cfg, &gs, &[2, 0, 1], &id(2));
         // The FIFO moved from endpoint 0 to endpoint 2, and the message's
         // identity fields were remapped.
-        let moved = &p.endpoint_fifos[Node::Cache(2).index(3) * n_vns];
+        let moved = p.queue(p.fifo_queue(Node::Cache(2).index(3) * n_vns));
         assert_eq!(moved.len(), 1);
         assert_eq!(moved[0].src, Node::Cache(2));
         assert_eq!(moved[0].requestor, 2);
-        assert!(p.endpoint_fifos[0].is_empty());
+        assert!(p.queue(p.fifo_queue(0)).is_empty());
     }
 
     #[test]
     fn budgets_permute() {
         let (_, cfg, mut gs) = setup();
-        gs.budgets = vec![0, 1, 2];
+        gs.budgets_mut().copy_from_slice(&[0, 1, 2]);
         let p = permute(&cfg, &gs, &[1, 2, 0], &id(2));
-        assert_eq!(p.budgets, vec![2, 0, 1]);
+        assert_eq!(p.budgets(), [2, 0, 1]);
     }
 
     #[test]
@@ -607,26 +595,29 @@ mod tests {
         let (spec, cfg, mut gs) = setup_one_dir();
         let m = spec.cache().state_by_name("M").unwrap();
         let gets = spec.message_by_name("GetS").unwrap();
-        gs.caches[1][0].state = m.index() as u8;
-        gs.dirs[0].owner = Some(1);
-        gs.dirs[0].pending = 1;
-        gs.global_bufs[0].push_back(Msg {
-            msg: gets.index() as u8,
-            addr: 0,
-            src: Node::Cache(1),
-            dst: Node::Dir(0),
-            requestor: 1,
-            ack: 0,
-        });
+        gs.line_mut(1, 0).state = m.index() as u8;
+        gs.dir_mut(0).owner = Some(1);
+        gs.dir_mut(0).pending = 1;
+        gs.push_back(
+            0,
+            Msg {
+                msg: gets.index() as u8,
+                addr: 0,
+                src: Node::Cache(1),
+                dst: Node::Dir(0),
+                requestor: 1,
+                ack: 0,
+            },
+        );
         let p = permute(&cfg, &gs, &id(3), &[1, 0]);
         // Cache columns swapped per row; dir rows swapped; message
         // addresses remapped; dir endpoints untouched.
-        assert_eq!(p.caches[1][1].state, m.index() as u8);
-        assert_eq!(p.caches[1][0].state, gs.caches[1][1].state);
-        assert_eq!(p.dirs[1].owner, Some(1));
-        assert_eq!(p.dirs[1].pending, 1);
-        assert_eq!(p.global_bufs[0][0].addr, 1);
-        assert_eq!(p.global_bufs[0][0].dst, Node::Dir(0));
+        assert_eq!(p.line(1, 1).state, m.index() as u8);
+        assert_eq!(p.line(1, 0).state, gs.line(1, 1).state);
+        assert_eq!(p.dir(1).owner, Some(1));
+        assert_eq!(p.dir(1).pending, 1);
+        assert_eq!(p.queue(0)[0].addr, 1);
+        assert_eq!(p.queue(0)[0].dst, Node::Dir(0));
     }
 
     #[test]
@@ -749,9 +740,10 @@ mod tests {
     /// names a cache.
     fn scatter_ids(gs: &GlobalState, seed: u64) -> GlobalState {
         let mut out = gs.clone();
-        let n = out.caches.len();
+        let n = out.n_caches();
         let mut x = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
-        for line in out.caches.iter_mut().flatten() {
+        for i in 0..n * out.n_addrs() {
+            let line = out.line_mut(i / gs.n_addrs(), i % gs.n_addrs());
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -765,9 +757,8 @@ mod tests {
     }
 
     fn has_ids_in_cache_rows(gs: &GlobalState) -> bool {
-        gs.caches
-            .iter()
-            .flatten()
+        (0..gs.n_caches())
+            .flat_map(|c| gs.row(c))
             .any(|l| l.readers != 0 || l.writer.is_some())
     }
 

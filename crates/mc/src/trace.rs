@@ -1,6 +1,7 @@
 //! Counterexample traces.
 
 use crate::config::McConfig;
+use crate::rules::{expand, ExpandOutcome, Scratch};
 use crate::state::GlobalState;
 use vnet_protocol::ProtocolSpec;
 
@@ -33,26 +34,37 @@ impl Trace {
     /// lean on to validate parallel-explorer witnesses).
     pub fn replay(&self, spec: &ProtocolSpec, cfg: &McConfig) -> Result<GlobalState, String> {
         let mut cur = GlobalState::initial(spec, cfg);
+        let mut next = cur.clone();
+        let mut scratch = Scratch::new(spec, cfg);
+        let mut label = String::new();
         for (i, step) in self.steps.iter().enumerate() {
-            match crate::rules::successors(spec, cfg, &cur) {
-                crate::rules::Expansion::Bug { rule, detail } => {
-                    return Err(format!(
-                        "step {}: expansion hit a spec bug in `{rule}`: {detail}",
-                        i + 1
-                    ));
-                }
-                crate::rules::Expansion::Ok(succs) => {
-                    match succs.into_iter().find(|s| s.label == *step) {
-                        Some(s) => cur = s.state,
-                        None => {
-                            return Err(format!(
-                                "step {}: label `{step}` is not enabled in the replayed state",
-                                i + 1
-                            ));
-                        }
+            // The first successor carrying the step's label is taken;
+            // the expansion runs to the end so that a spec bug in any
+            // rule of the state is reported.
+            let mut found = false;
+            let outcome = expand(spec, cfg, &cur, &mut scratch, |succ, l| {
+                if !found {
+                    l.render_into(spec, &mut label);
+                    if label == *step {
+                        next.copy_from(succ);
+                        found = true;
                     }
                 }
+                true
+            });
+            if let ExpandOutcome::Bug { rule, detail } = outcome {
+                return Err(format!(
+                    "step {}: expansion hit a spec bug in `{rule}`: {detail}",
+                    i + 1
+                ));
             }
+            if !found {
+                return Err(format!(
+                    "step {}: label `{step}` is not enabled in the replayed state",
+                    i + 1
+                ));
+            }
+            std::mem::swap(&mut cur, &mut next);
         }
         Ok(cur)
     }
@@ -90,6 +102,8 @@ pub(crate) fn decanonicalize_chain(
 ) -> Result<Trace, String> {
     let mut canon = crate::symmetry::Canonicalizer::new(cfg);
     let mut cur = GlobalState::initial(spec, cfg);
+    let mut next = cur.clone();
+    let mut scratch = Scratch::new(spec, cfg);
     let mut key = Vec::with_capacity(160);
     canon.canonical_key_into(&cur, &mut key);
     let Some(first) = chain.first() else {
@@ -100,33 +114,32 @@ pub(crate) fn decanonicalize_chain(
     }
     let mut steps = Vec::with_capacity(chain.len().saturating_sub(1));
     for (depth, want) in chain.iter().enumerate().skip(1) {
-        let succs = match crate::rules::successors(spec, cfg, &cur) {
-            crate::rules::Expansion::Ok(s) => s,
-            crate::rules::Expansion::Bug { rule, detail } => {
-                return Err(format!(
-                    "expansion hit a spec bug at depth {depth} in `{rule}`: {detail}"
-                ));
-            }
-        };
+        // The first successor whose canonical key is the recorded child
+        // is taken; the expansion runs to the end so that a spec bug in
+        // any rule of the state is reported.
         let mut found = None;
-        for s in succs {
-            canon.canonical_key_into(&s.state, &mut key);
-            if key == *want {
-                found = Some(s);
-                break;
+        let outcome = expand(spec, cfg, &cur, &mut scratch, |succ, l| {
+            if found.is_none() {
+                canon.canonical_key_into(succ, &mut key);
+                if key == *want {
+                    next.copy_from(succ);
+                    found = Some(l.render(spec));
+                }
             }
+            true
+        });
+        if let ExpandOutcome::Bug { rule, detail } = outcome {
+            return Err(format!(
+                "expansion hit a spec bug at depth {depth} in `{rule}`: {detail}"
+            ));
         }
-        match found {
-            Some(s) => {
-                steps.push(s.label);
-                cur = s.state;
-            }
-            None => {
-                return Err(format!(
-                    "no successor at depth {depth} maps onto the recorded canonical state"
-                ));
-            }
-        }
+        let Some(label) = found else {
+            return Err(format!(
+                "no successor at depth {depth} maps onto the recorded canonical state"
+            ));
+        };
+        steps.push(label);
+        std::mem::swap(&mut cur, &mut next);
     }
     Ok(Trace { steps, last: cur })
 }

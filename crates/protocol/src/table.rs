@@ -143,10 +143,15 @@ impl ControllerSpec {
         state: StateId,
         msg: MsgId,
     ) -> impl Iterator<Item = (&Guard, &Cell)> {
-        self.row(state).filter_map(move |(t, c)| match t.event {
-            Event::Msg(m) if m == msg => Some((&t.guard, c)),
-            _ => None,
-        })
+        // Triggers order by event, then guard, so one message's guarded
+        // variants are a contiguous run of the row.
+        let with = |guard| Trigger {
+            event: Event::Msg(msg),
+            guard,
+        };
+        self.table
+            .range((state, with(Guard::Always))..=(state, with(Guard::ReqNotOwner)))
+            .map(|((_, t), c)| (&t.guard, c))
     }
 
     /// All states from which a transition leads into `state`, together
@@ -258,6 +263,29 @@ mod tests {
         let c = controller();
         assert_eq!(c.entries_for_message(StateId(1), MsgId(1)).count(), 1);
         assert_eq!(c.entries_for_message(StateId(1), MsgId(0)).count(), 0);
+    }
+
+    #[test]
+    fn entries_for_message_spans_every_guard_of_that_message_only() {
+        let mut c = controller();
+        let guarded = |msg, guard| Trigger {
+            event: Event::Msg(MsgId(msg)),
+            guard,
+        };
+        for (msg, guard) in [
+            (1, Guard::ReqNotOwner),
+            (1, Guard::Always),
+            (1, Guard::LastAck),
+            (0, Guard::ReqNotOwner),
+            (2, Guard::Always),
+        ] {
+            c.set(StateId(2), guarded(msg, guard), Cell::Stall);
+        }
+        let guards: Vec<Guard> = c
+            .entries_for_message(StateId(2), MsgId(1))
+            .map(|(g, _)| *g)
+            .collect();
+        assert_eq!(guards, [Guard::Always, Guard::LastAck, Guard::ReqNotOwner]);
     }
 
     #[test]

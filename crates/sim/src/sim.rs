@@ -7,7 +7,7 @@ use crate::workload::Workload;
 use std::collections::VecDeque;
 use vnet_graph::cycles::elementary_cycles;
 use vnet_graph::{Budget, DiGraph, NodeId, Provenance, Rng64};
-use vnet_mc::exec::{deliver, inject, Firing};
+use vnet_mc::exec::{deliver, inject, matching_cell, Firing};
 use vnet_mc::{GlobalState, IcnOrder, InjectionBudget, McConfig, Msg, Node, VnMap};
 use vnet_protocol::{Cell, ProtocolSpec, StateId, Trigger};
 
@@ -283,7 +283,7 @@ impl Simulator {
                 if op.at > now {
                     continue;
                 }
-                let line_state = self.state.caches[c][op.addr].state;
+                let line_state = self.state.line(c, op.addr).state;
                 let cell = self
                     .spec
                     .cache()
@@ -359,8 +359,8 @@ impl Simulator {
                                     .spec
                                     .cache()
                                     .state(StateId(
-                                        self.state.caches[cc as usize]
-                                            [inflight.msg.addr as usize]
+                                        self.state
+                                            .line(cc as usize, inflight.msg.addr as usize)
                                             .state as usize,
                                     ))
                                     .name
@@ -369,7 +369,7 @@ impl Simulator {
                                     .spec
                                     .directory()
                                     .state(StateId(
-                                        self.state.dirs[inflight.msg.addr as usize].state
+                                        self.state.dir(inflight.msg.addr as usize).state
                                             as usize,
                                     ))
                                     .name
@@ -505,7 +505,7 @@ impl Simulator {
             // --- 5. transaction completion ---
             for c in 0..n_caches {
                 if let Some((addr, start)) = self.outstanding[c] {
-                    let s = self.state.caches[c][addr].state;
+                    let s = self.state.line(c, addr).state;
                     if !self.spec.cache().state(StateId(s as usize)).is_transient() {
                         acc.record_latency(now - start + 1);
                         self.outstanding[c] = None;
@@ -666,10 +666,9 @@ impl Simulator {
                 else {
                     continue;
                 };
-                let mut probe = self.state.clone();
                 if !matches!(
-                    deliver(&self.spec, &self.mc_cfg, &mut probe, &head.msg),
-                    Firing::Stalled
+                    matching_cell(&self.spec, &self.state, &head.msg),
+                    Some(Cell::Stall)
                 ) {
                     continue;
                 }

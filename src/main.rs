@@ -337,11 +337,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                             n - 1
                         );
                     } else {
-                        println!(
-                            "parameterized: {} VN(s) (one fewer) lose the certificate — \
-                             the minimum is tight for all N",
-                            n - 1
-                        );
+                        println!("{}", fold_probe_line(n));
                     }
                 }
             }
@@ -1509,6 +1505,28 @@ fn dump_rejected(
 }
 
 /// The value following `name` in `args`, if the flag is present.
+/// What `vnet analyze` may claim after folding the last of `n_vns` VNs
+/// into the one before it loses the flow certificate. With two VNs that
+/// fold is the only one-VN map, so the minimum is tight; with more, the
+/// other (n_vns − 1)-VN maps were never checked.
+fn fold_probe_line(n_vns: usize) -> String {
+    if n_vns == 2 {
+        format!(
+            "parameterized: {} VN(s) (one fewer) lose the certificate — \
+             the minimum is tight for all N",
+            n_vns - 1
+        )
+    } else {
+        format!(
+            "parameterized: folding VN {} into VN {} loses the certificate; \
+             other {}-VN maps were not checked",
+            n_vns - 1,
+            n_vns - 2,
+            n_vns - 1
+        )
+    }
+}
+
 fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == name) {
         None => Ok(None),
@@ -1748,4 +1766,30 @@ fn vnet_bench_render(spec: &ProtocolSpec, kind: ControllerKind) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fold_probe_line;
+
+    #[test]
+    fn two_vns_folded_to_one_prove_the_minimum_tight() {
+        assert_eq!(
+            fold_probe_line(2),
+            "parameterized: 1 VN(s) (one fewer) lose the certificate — \
+             the minimum is tight for all N"
+        );
+    }
+
+    #[test]
+    fn more_vns_claim_only_the_fold_that_was_checked() {
+        let line = fold_probe_line(3);
+        assert_eq!(
+            line,
+            "parameterized: folding VN 2 into VN 1 loses the certificate; \
+             other 2-VN maps were not checked"
+        );
+        assert!(!line.contains("tight"));
+        assert!(fold_probe_line(4).contains("folding VN 3 into VN 2"));
+    }
 }

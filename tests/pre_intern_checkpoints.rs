@@ -57,8 +57,8 @@ fn pre_intern_checkpoint_refuses_a_mismatched_config() {
 
 /// Damages the fixture's structure with `f`, reseals it so its
 /// checksums are valid, and asserts the resume path rejects it as
-/// corrupt.
-fn corrupted_resume_fails_closed(tag: &str, f: impl FnOnce(&mut Single)) {
+/// corrupt; returns the error's detail.
+fn corrupted_resume_fails_closed(tag: &str, f: impl FnOnce(&mut Single)) -> String {
     let (spec, cfg) = config(VnMap::one_per_message);
     let bytes = std::fs::read(fixture()).unwrap_or_else(|e| panic!("fixture unreadable: {e}"));
     let mut parts = parse(&bytes);
@@ -70,10 +70,11 @@ fn corrupted_resume_fails_closed(tag: &str, f: impl FnOnce(&mut Single)) {
         Err(CheckpointError::Corrupt { detail, .. }) => {
             assert!(!detail.is_empty(), "corrupt error must say what is wrong");
             assert!(!detail.contains("checksum"), "{tag}: rejected by checksum, not structure");
+            let _ = std::fs::remove_file(&path);
+            detail
         }
         other => panic!("{tag}: expected Corrupt, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -99,4 +100,22 @@ fn pre_intern_checkpoint_with_unvisited_frontier_state_is_rejected() {
         // frontier can no longer be resolved against the visited set.
         parts.frontier[0].1 = parts.entries.len() as u32;
     });
+}
+
+/// A frontier state whose last endpoint FIFO holds one message more than
+/// the FIFO's capacity is no state of the run's config. Every other
+/// structural check passes, so the state codec must be what refuses it.
+#[test]
+fn pre_intern_checkpoint_with_an_overfull_fifo_is_rejected() {
+    let (_, cfg) = config(VnMap::one_per_message);
+    let detail = corrupted_resume_fails_closed("overfull-fifo", |parts| {
+        let idx = parts.frontier[0].1 as usize;
+        let key = &mut parts.entries[idx].0;
+        // The key ends with the last FIFO's messages; append capacity + 1
+        // more (message 0 for X, from C1 to Dir1).
+        for _ in 0..=cfg.endpoint_capacity {
+            key.extend([0, 0, 0x00, 0x80, 0, 0]);
+        }
+    });
+    assert!(detail.contains("does not decode"), "rejected for: {detail}");
 }
