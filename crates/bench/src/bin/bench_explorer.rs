@@ -22,6 +22,10 @@
 //!   `vnet mc --mem-budget`); the report then measures spill-tier
 //!   throughput instead of in-RAM throughput.
 //!
+//! Each row runs in its own child process (the harness re-executes
+//! itself with the hidden `--row NAME`), so a row's time does not
+//! depend on the allocator and cache state the rows before it left.
+//!
 //! Independent of `--mem-budget`, the suite always includes one
 //! spill-path workload (`CHI@derived-fig3+spill`, group
 //! `table1_mc_spill`) so the committed report tracks out-of-core
@@ -29,13 +33,17 @@
 //!
 //! The workloads are the paper's §VII verification subjects: the
 //! Table I deadlock confirmations (Figure-3 scenario) and the bounded
-//! depth-series sweeps. All runs are serial and deterministic, so
-//! states and levels are bit-stable; only wall time varies.
+//! depth-series sweeps. Two `+par2` rows (group `table1_mc_par`) run
+//! Figure-3 subjects on the thread-parallel explorer with 2 threads.
+//! Every run is deterministic, so states and levels are bit-stable;
+//! only wall time varies.
 
 use std::path::PathBuf;
 use std::time::Instant;
 use vnet_core::minimize_vns;
-use vnet_mc::{explore_budgeted, InjectionBudget, McConfig, SpillConfig, Verdict, VnMap};
+use vnet_mc::{
+    explore_budgeted, explore_parallel, InjectionBudget, McConfig, SpillConfig, Verdict, VnMap,
+};
 use vnet_protocol::{protocols, ProtocolSpec};
 
 /// One named (spec, config) pair to measure.
@@ -44,13 +52,16 @@ struct Workload {
     group: &'static str,
     spec: ProtocolSpec,
     cfg: McConfig,
+    /// Worker threads of the thread-parallel explorer; `None` runs the
+    /// serial explorer.
+    threads: Option<usize>,
 }
 
 /// One measured result.
 struct Measurement {
     name: String,
     group: &'static str,
-    verdict: &'static str,
+    verdict: String,
     states: usize,
     levels: usize,
     wall_ms: f64,
@@ -88,6 +99,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
+            threads: None,
         });
     }
     for spec in [
@@ -102,6 +114,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
+            threads: None,
         });
     }
     // table1_mc_spill: one Figure-3 subject forced out-of-core, so the
@@ -118,6 +131,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_spill",
             spec,
             cfg,
+            threads: None,
         });
     }
     // table1_mc_sym: the symmetry-reduced Table I sweep. A complete
@@ -141,6 +155,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
+            threads: None,
         });
     }
     // The 4-cache follow-up row: symmetry (group order 4!·2! = 48) is
@@ -163,6 +178,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
+            threads: None,
         });
     }
     // mc_depth_series: the bounded general sweeps (the big ones).
@@ -181,6 +197,20 @@ fn workloads() -> Vec<Workload> {
             group: "mc_depth_series",
             spec,
             cfg,
+            threads: None,
+        });
+    }
+    // table1_mc_par: Figure-3 subjects on the thread-parallel explorer,
+    // so scale-out throughput is gated like serial throughput.
+    for spec in [protocols::chi(), protocols::msi_nonblocking_cache()] {
+        let vns = derived_vns(&spec);
+        let cfg = McConfig::figure3(&spec).with_vns(vns);
+        out.push(Workload {
+            name: format!("{}@derived-fig3+par2", spec.name()),
+            group: "table1_mc_par",
+            spec,
+            cfg,
+            threads: Some(2),
         });
     }
     out
@@ -195,7 +225,10 @@ fn measure(w: &Workload, repeat: usize, budget: &vnet_graph::Budget) -> Measurem
     let mut spill_bytes = 0u64;
     for _ in 0..repeat {
         let t = Instant::now();
-        let v = explore_budgeted(&w.spec, &w.cfg, budget);
+        let v = match w.threads {
+            None => explore_budgeted(&w.spec, &w.cfg, budget),
+            Some(n) => explore_parallel(&w.spec, &w.cfg, n),
+        };
         walls.push(t.elapsed().as_secs_f64() * 1e3);
         let stats = v.stats();
         states = stats.states;
@@ -214,7 +247,7 @@ fn measure(w: &Workload, repeat: usize, budget: &vnet_graph::Budget) -> Measurem
     Measurement {
         name: w.name.clone(),
         group: w.group,
-        verdict,
+        verdict: verdict.to_string(),
         states,
         levels,
         wall_ms,
@@ -226,6 +259,49 @@ fn measure(w: &Workload, repeat: usize, budget: &vnet_graph::Budget) -> Measurem
         peak_bytes,
         spill_bytes,
     }
+}
+
+/// Measures `w` in a fresh child process (this binary with `--row`),
+/// so its time does not depend on what earlier rows left behind.
+fn measure_in_child(
+    w: &Workload,
+    repeat: usize,
+    mem_budget: Option<u64>,
+) -> Result<Measurement, String> {
+    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+    let mut cmd = std::process::Command::new(exe);
+    cmd.args(["--row", &w.name, "--repeat", &repeat.to_string()]);
+    if let Some(b) = mem_budget {
+        cmd.args(["--mem-budget", &b.to_string()]);
+    }
+    let out = cmd.output().map_err(|e| e.to_string())?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("row "))
+        .ok_or_else(|| format!("no result line (exit {:?})", out.status.code()))?;
+    let f: Vec<&str> = line.split_whitespace().collect();
+    let num = |i: usize| -> Result<f64, String> {
+        f.get(i)
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("malformed result line `{line}`"))
+    };
+    let (states, wall_ms) = (num(1)? as usize, num(3)?);
+    Ok(Measurement {
+        name: w.name.clone(),
+        group: w.group,
+        verdict: f[0].to_string(),
+        states,
+        levels: num(2)? as usize,
+        wall_ms,
+        states_per_sec: if wall_ms > 0.0 {
+            states as f64 / (wall_ms / 1e3)
+        } else {
+            0.0
+        },
+        peak_bytes: num(4)? as u64,
+        spill_bytes: num(5)? as u64,
+    })
 }
 
 fn to_json(results: &[Measurement]) -> String {
@@ -332,7 +408,34 @@ fn main() {
         },
     };
 
-    let mut selected: Vec<Workload> = workloads()
+    // Child mode: measure the one named row and print it as one line.
+    if let Some(name) = flag(&args, "--row") {
+        let Some(mut w) = workloads().into_iter().find(|w| w.name == name) else {
+            eprintln!("bench_explorer: no workload named `{name}`");
+            std::process::exit(1);
+        };
+        let mut budget = vnet_graph::Budget::unlimited();
+        if let Some(b) = mem_budget {
+            // Out-of-core mode: same budget → spill-threshold split the
+            // CLI uses, so bench numbers transfer to `vnet mc
+            // --mem-budget` runs.
+            budget = budget.with_mem_limit(b);
+            let dir = spill_dir().join("row");
+            w.cfg = w
+                .cfg
+                .clone()
+                .with_spill(SpillConfig::new(dir, b.saturating_mul(4) / 5));
+        }
+        let m = measure(&w, repeat, &budget);
+        let _ = std::fs::remove_dir_all(spill_dir());
+        println!(
+            "row {} {} {} {} {} {}",
+            m.verdict, m.states, m.levels, m.wall_ms, m.peak_bytes, m.spill_bytes
+        );
+        return;
+    }
+
+    let selected: Vec<Workload> = workloads()
         .into_iter()
         .filter(|w| only.as_ref().is_none_or(|o| w.name.contains(o.as_str())))
         .collect();
@@ -340,28 +443,23 @@ fn main() {
         eprintln!("bench_explorer: no workload matches the --only filter");
         std::process::exit(1);
     }
-    // Out-of-core mode: same budget → spill-threshold split the CLI
-    // uses, so bench numbers transfer to `vnet mc --mem-budget` runs.
-    let mut budget = vnet_graph::Budget::unlimited();
-    if let Some(b) = mem_budget {
-        budget = budget.with_mem_limit(b);
-        for (i, w) in selected.iter_mut().enumerate() {
-            let dir = spill_dir().join(format!("w{i}"));
-            w.cfg = w.cfg.clone().with_spill(SpillConfig::new(dir, b.saturating_mul(4) / 5));
-        }
-    }
 
     println!("bench_explorer: {} workload(s), repeat={repeat}", selected.len());
     let mut results = Vec::with_capacity(selected.len());
     for w in &selected {
-        let m = measure(w, repeat, &budget);
+        let m = match measure_in_child(w, repeat, mem_budget) {
+            Ok(m) => m,
+            Err(e) => {
+                eprintln!("bench_explorer: row {} failed: {e}", w.name);
+                std::process::exit(1);
+            }
+        };
         println!(
             "  {:<44} {:>9} states  {:>8.1} ms  {:>10.0} states/s  peak {} B  spilled {} B  [{}]",
             m.name, m.states, m.wall_ms, m.states_per_sec, m.peak_bytes, m.spill_bytes, m.verdict
         );
         results.push(m);
     }
-    let _ = std::fs::remove_dir_all(spill_dir());
 
     let json = to_json(&results);
     if let Err(e) = std::fs::write(&out_path, &json) {

@@ -456,7 +456,7 @@ const SHARD_RESTART: u64 = 16;
 /// segments in this encoding.
 pub(crate) struct ShardEncoder {
     labels: Vec<u8>,
-    label_idx: std::collections::HashMap<String, u32>,
+    label_idx: std::collections::HashMap<String, u32, vnet_graph::FxBuildHasher>,
     n_labels: u32,
     entries: Vec<u8>,
     count: u64,
@@ -467,7 +467,7 @@ impl ShardEncoder {
     pub(crate) fn new() -> Self {
         ShardEncoder {
             labels: Vec::new(),
-            label_idx: std::collections::HashMap::new(),
+            label_idx: std::collections::HashMap::default(),
             n_labels: 0,
             entries: Vec::new(),
             count: 0,

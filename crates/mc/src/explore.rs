@@ -9,8 +9,8 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, ShardEncoder};
 use crate::config::McConfig;
-use crate::intern::{InternError, LabelTable, StateId};
-use crate::rules::{expand, ExpandOutcome, Scratch};
+use crate::intern::{InternError, StateId};
+use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{SpillArena, SpillConfig, SpillStats};
 use crate::state::GlobalState;
 use crate::trace::Trace;
@@ -258,13 +258,14 @@ struct Store {
     /// Canonical state encodings, one copy each — hot in a bump arena,
     /// cold on disk once a spill config's threshold is crossed.
     keys: SpillArena,
-    /// Rule labels, shared across states.
-    labels: LabelTable,
+    /// Rule labels, shared across states: compact rule references,
+    /// rendered only for a flush or a witness.
+    labels: RuleTable,
     /// `parents[id]` — the id the state was first reached from (the
     /// initial state points at itself).
     parents: Vec<StateId>,
-    /// `label_ids[id]` — the rule label taken from the parent (label 0
-    /// is the empty string, reserved for the initial state).
+    /// `label_ids[id]` — the rule label taken from the parent (the
+    /// initial state's is the empty label).
     label_ids: Vec<u32>,
     /// `levels[id]` — the BFS level at which the state was claimed.
     levels: Vec<u32>,
@@ -272,10 +273,10 @@ struct Store {
 
 impl Store {
     fn new(spill: Option<SpillConfig>) -> Self {
-        let mut labels = LabelTable::new();
-        // Reserve label id 0 for the empty (initial-state) label.
-        let empty = labels.intern("");
-        debug_assert_eq!(empty, 0);
+        let mut labels = RuleTable::new();
+        // Label id 0 is the empty (initial-state) label. A fresh table
+        // cannot refuse one empty key.
+        let _ = labels.intern_ref(&[]);
         Store {
             keys: SpillArena::new(spill),
             labels,
@@ -345,7 +346,13 @@ fn seed_store(store: &mut Store, ckpt: &Checkpoint) -> Result<VecDeque<StateId>,
                 });
             }
         }
-        let lid = store.labels.intern(&e.label);
+        let lid = store
+            .labels
+            .intern_text(&e.label)
+            .map_err(|why| CheckpointError::Corrupt {
+                offset: 0,
+                detail: format!("checkpoint exceeds the label table: {why}"),
+            })?;
         store.push_link(e.parent, lid, e.level);
         // Spill while seeding, not after: a resumed run's peak must
         // match what a fresh run reaching this point would carry, and a
@@ -373,6 +380,13 @@ fn flush(
     // Flush duration feeds the `explore.checkpoint_flush_us` histogram;
     // the clock is only read while metrics are on.
     let clock = vnet_obs::metrics_enabled().then(std::time::Instant::now);
+    let labels = store
+        .labels
+        .texts(spec)
+        .map_err(|id| CheckpointError::Corrupt {
+            offset: 0,
+            detail: format!("rule label {id} is damaged"),
+        })?;
     let mut enc = ShardEncoder::new();
     let mut key: Vec<u8> = Vec::with_capacity(128);
     for i in 0..store.len() {
@@ -384,7 +398,9 @@ fn flush(
                 detail: format!("visited state {i} unreadable at flush"),
             });
         }
-        let label = store.labels.get(store.label_ids[i]);
+        let label = labels
+            .get(store.label_ids[i] as usize)
+            .map_or("", String::as_str);
         enc.push(&key, 0, store.parents[i], label, store.levels[i]);
     }
     let res = crate::checkpoint::write(
@@ -531,11 +547,11 @@ fn run_serial_inner(
     let mut since_flush = 0usize;
     let mut accounted = 0u64;
     // Run-lifetime scratch: the decoded frontier state, successor
-    // state, key encoding, label text.
+    // state, key encoding, rule reference.
     let mut gs = GlobalState::initial(spec, cfg);
     let mut expand_scratch = Scratch::new(spec, cfg);
     let mut key_buf: Vec<u8> = Vec::with_capacity(128);
-    let mut label_buf = String::new();
+    let mut rule_buf: Vec<u8> = Vec::with_capacity(32);
 
     // Charge the starting footprint exactly. For a fresh run that is
     // the initial state; for a resumed run the rebuilt store — the same
@@ -644,8 +660,18 @@ fn run_serial_inner(
                 if !inserted {
                     return true;
                 }
-                label.render_into(spec, &mut label_buf);
-                let lid = store.labels.intern(&label_buf);
+                rule_buf.clear();
+                label.encode_into(&mut rule_buf);
+                let lid = match store.labels.intern_ref(&rule_buf) {
+                    Ok(lid) => lid,
+                    Err(why) => {
+                        // The key stays interned without a link; the
+                        // store's length (its links) leaves it out, so a
+                        // resumed run claims it afresh.
+                        stop = Some(Stop::Overflow(why));
+                        return false;
+                    }
+                };
                 store.push_link(id, lid, (level + 1) as u32);
                 if let Some(swmr) = &cfg.swmr {
                     // SWMR is permutation-invariant, so the concrete
@@ -879,7 +905,7 @@ fn rebuild_trace(
     let mut cur = id;
     while (cur as usize) < store.len() && seen.insert(cur as usize) {
         ids.push(cur);
-        if store.labels.get(store.label_ids[cur as usize]).is_empty() {
+        if store.labels.is_root(store.label_ids[cur as usize]) {
             break; // the root carries the empty label
         }
         cur = store.parents[cur as usize];
@@ -904,7 +930,13 @@ fn rebuild_trace(
     }
     let steps = ids
         .iter()
-        .map(|&sid| store.labels.get(store.label_ids[sid as usize]).to_string())
+        .map(|&sid| {
+            let mut label = String::new();
+            store
+                .labels
+                .render_into(spec, store.label_ids[sid as usize], &mut label);
+            label
+        })
         .filter(|l| !l.is_empty())
         .collect();
     Trace { steps, last }

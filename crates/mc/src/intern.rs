@@ -24,7 +24,21 @@ pub type StateId = u32;
 const EMPTY: u32 = u32::MAX;
 /// Initial slot count of the open-addressing table (power of two).
 const INITIAL_SLOTS: usize = 64;
+/// Largest slot count: ids and tags share one `u32`, so the id field
+/// stays below 32 bits and a vacant slot ([`EMPTY`]) never collides
+/// with a packed one.
+const MAX_SLOTS: usize = 1 << 31;
 
+/// Where a key hashes to in a table of `1 << bits` slots, and the tag
+/// its packed slot carries. Both come from the top 32 hash bits — the
+/// best-mixed ones, and independent of the low bits the explorers'
+/// `hash % n` partitions pin: the home slot is the top `bits`, the tag
+/// the next `32 - bits`, shifted above the id field.
+#[inline]
+fn home_and_tag(hash: u64, bits: u32) -> (usize, u32) {
+    let top = (hash >> 32) as u32;
+    ((top >> (32 - bits)) as usize, top << bits)
+}
 /// Why an intern could not be completed. Both variants are resource
 /// exhaustion, not corruption: callers degrade the run (a bounded
 /// verdict) instead of aborting the process.
@@ -55,9 +69,13 @@ pub struct StateArena {
     /// `offsets[i]..offsets[i+1]` is the span of id `i`; length is
     /// `len() + 1`.
     offsets: Vec<u32>,
-    /// Open-addressing slots holding ids ([`EMPTY`] = vacant). Length
-    /// is a power of two; resized at ¾ load.
+    /// Open-addressing slots ([`EMPTY`] = vacant). Length is a power
+    /// of two `1 << bits`; resized at ¾ load. An occupied slot packs
+    /// the id in its low `bits` bits and hash bits above them (the
+    /// tag), so a probe reads the key only when the tag matches.
     table: Vec<u32>,
+    /// `log2(table.len())`: the width of the id field in a slot.
+    bits: u32,
 }
 
 impl Default for StateArena {
@@ -73,6 +91,7 @@ impl StateArena {
             data: Vec::new(),
             offsets: vec![0],
             table: vec![EMPTY; INITIAL_SLOTS],
+            bits: INITIAL_SLOTS.trailing_zeros(),
         }
     }
 
@@ -98,15 +117,32 @@ impl StateArena {
 
     /// The id of `bytes`, if already interned.
     pub fn lookup(&self, bytes: &[u8]) -> Option<StateId> {
+        self.lookup_hashed(bytes, fx_hash_bytes(bytes))
+    }
+
+    /// [`StateArena::lookup`] with `hash = fx_hash_bytes(bytes)`
+    /// supplied by a caller that already computed it (to route the key).
+    pub(crate) fn lookup_hashed(&self, bytes: &[u8], hash: u64) -> Option<StateId> {
+        self.probe(bytes, hash).ok()
+    }
+
+    /// Finds `bytes`: `Ok(id)` when interned, else `Err(slot)` with the
+    /// vacant slot where it belongs.
+    #[inline]
+    fn probe(&self, bytes: &[u8], hash: u64) -> Result<StateId, usize> {
+        debug_assert_eq!(hash, fx_hash_bytes(bytes));
         let mask = self.table.len() - 1;
-        let mut slot = (fx_hash_bytes(bytes) as usize) & mask;
+        let id_mask = mask as u32;
+        let (mut slot, tag) = home_and_tag(hash, self.bits);
         loop {
-            match self.table[slot] {
-                EMPTY => return None,
-                id => {
-                    if self.get(id) == bytes {
-                        return Some(id);
-                    }
+            let packed = self.table[slot];
+            if packed == EMPTY {
+                return Err(slot);
+            }
+            if packed & !id_mask == tag {
+                let id = packed & id_mask;
+                if self.get(id) == bytes {
+                    return Ok(id);
                 }
             }
             slot = (slot + 1) & mask;
@@ -119,26 +155,27 @@ impl StateArena {
     /// a structured [`InternError`], never a panic or an abort: every
     /// growth path reserves via `try_reserve` first.
     pub fn intern(&mut self, bytes: &[u8]) -> Result<(StateId, bool), InternError> {
-        let mask = self.table.len() - 1;
-        let mut slot = (fx_hash_bytes(bytes) as usize) & mask;
-        loop {
-            match self.table[slot] {
-                EMPTY => break,
-                id => {
-                    if self.get(id) == bytes {
-                        return Ok((id, false));
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        self.intern_hashed(bytes, fx_hash_bytes(bytes))
+    }
+
+    /// [`StateArena::intern`] with `hash = fx_hash_bytes(bytes)`
+    /// supplied by the caller.
+    pub(crate) fn intern_hashed(
+        &mut self,
+        bytes: &[u8],
+        hash: u64,
+    ) -> Result<(StateId, bool), InternError> {
+        let slot = match self.probe(bytes, hash) {
+            Ok(id) => return Ok((id, false)),
+            Err(slot) => slot,
+        };
         let id = self.len();
         if id >= EMPTY as usize || self.data.len() + bytes.len() > u32::MAX as usize {
             return Err(InternError::AddressSpace);
         }
-        // The probe loop above requires at least one EMPTY slot; if an
-        // earlier resize was refused by the allocator, stop before the
-        // table can fill up completely.
+        // The probe loop requires at least one EMPTY slot, and a packed
+        // id must stay below the all-ones id field; if an earlier resize
+        // was refused by the allocator, stop before either can break.
         if id + 1 >= self.table.len() {
             return Err(InternError::AllocFailed);
         }
@@ -147,7 +184,7 @@ impl StateArena {
         }
         self.data.extend_from_slice(bytes);
         self.offsets.push(self.data.len() as u32);
-        self.table[slot] = id as u32;
+        self.table[slot] = home_and_tag(hash, self.bits).1 | id as u32;
         // Resize at ¾ load, re-probing every id into the doubled table.
         // A refused resize is not yet fatal: inserts continue into the
         // existing table (at degraded probe lengths) until the one-
@@ -160,6 +197,10 @@ impl StateArena {
 
     fn grow_table(&mut self) {
         let new_len = self.table.len() * 2;
+        if new_len > MAX_SLOTS {
+            return;
+        }
+        let bits = self.bits + 1;
         let mask = new_len - 1;
         let mut table = Vec::new();
         if table.try_reserve_exact(new_len).is_err() {
@@ -167,13 +208,21 @@ impl StateArena {
         }
         table.resize(new_len, EMPTY);
         for id in 0..self.len() as u32 {
-            let mut slot = (fx_hash_bytes(self.get(id)) as usize) & mask;
+            let (mut slot, tag) = home_and_tag(fx_hash_bytes(self.get(id)), bits);
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            table[slot] = id;
+            table[slot] = tag | id;
         }
         self.table = table;
+        self.bits = bits;
+    }
+
+    /// Forgets every key, keeping the allocations for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.data.clear();
+        self.offsets.truncate(1);
+        self.table.fill(EMPTY);
     }
 
     /// Bytes of interned encodings (excluding index overhead) — the
@@ -195,54 +244,6 @@ impl StateArena {
         self.data.capacity() as u64
             + (self.offsets.capacity() * std::mem::size_of::<u32>()) as u64
             + (self.table.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-/// Interner for rule labels. A run sees at most a few hundred distinct
-/// labels, each shared by thousands of states, so storing a `u32` per
-/// state instead of an owned `String` removes one allocation per
-/// claimed state.
-#[derive(Debug, Clone, Default)]
-pub struct LabelTable {
-    /// One arena of label text, like [`StateArena`] but keyed by str.
-    arena: StateArena,
-}
-
-impl LabelTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        LabelTable::default()
-    }
-
-    /// Interns `label`, returning its id. Falls back to id 0 (the first
-    /// interned label) on arena overflow, which cannot happen before
-    /// the state arena overflows — labels are a tiny subset of key
-    /// bytes.
-    pub fn intern(&mut self, label: &str) -> u32 {
-        match self.arena.intern(label.as_bytes()) {
-            Ok((id, _)) => id,
-            Err(_) => 0,
-        }
-    }
-
-    /// The label text of `id` (empty for out-of-range ids).
-    pub fn get(&self, id: u32) -> &str {
-        std::str::from_utf8(self.arena.get(id)).unwrap_or("")
-    }
-
-    /// Number of distinct labels.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// `true` when no label has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// Exact heap bytes held.
-    pub fn heap_bytes(&self) -> u64 {
-        self.arena.heap_bytes()
     }
 }
 
@@ -326,15 +327,65 @@ mod tests {
     }
 
     #[test]
-    fn label_table_round_trips() {
-        let mut t = LabelTable::new();
-        let empty = t.intern("");
-        let a = t.intern("C1 sends GetM(X)");
-        let b = t.intern("Dir1 handles GetS(X)");
-        assert_eq!(t.intern("C1 sends GetM(X)"), a);
-        assert_eq!(t.get(empty), "");
-        assert_eq!(t.get(a), "C1 sends GetM(X)");
-        assert_eq!(t.get(b), "Dir1 handles GetS(X)");
-        assert_eq!(t.len(), 3);
+    fn tagged_slots_agree_with_a_hashmap_oracle() {
+        use std::collections::HashMap;
+        // 400k variable-length keys take the table to 2^20 slots, where
+        // a slot keeps only 12 tag bits; every intern and lookup must
+        // still agree with an oracle map, including repeats and misses.
+        let key = |i: u32| -> Vec<u8> {
+            let len = 1 + (i.wrapping_mul(2_654_435_761) % 37) as usize;
+            let mut k: Vec<u8> = (0..len).map(|j| (i as usize * 31 + j * 7) as u8).collect();
+            k.extend_from_slice(&i.to_le_bytes());
+            k
+        };
+        let mut a = StateArena::new();
+        let mut oracle: HashMap<Vec<u8>, StateId> = HashMap::new();
+        for i in 0..400_000u32 {
+            let k = key(i);
+            let expect = oracle.get(&k).copied();
+            assert_eq!(a.lookup(&k), expect, "lookup before intern of key {i}");
+            let (id, fresh) = a.intern(&k).unwrap();
+            match expect {
+                Some(old) => assert_eq!((id, fresh), (old, false), "key {i}"),
+                None => {
+                    assert_eq!((id, fresh), (oracle.len() as StateId, true), "key {i}");
+                    oracle.insert(k.clone(), id);
+                }
+            }
+            // Re-intern an earlier key now and then: a repeat, not a claim.
+            if i % 7 == 3 {
+                let back = key(i / 2);
+                assert_eq!(
+                    a.intern(&back).unwrap(),
+                    (oracle[&back], false),
+                    "repeat {i}"
+                );
+            }
+        }
+        assert_eq!(a.len(), oracle.len());
+        assert_eq!(
+            a.table.len(),
+            1 << 20,
+            "the table must reach the 12-tag-bit size"
+        );
+        for (k, &id) in &oracle {
+            assert_eq!(a.get(id), k.as_slice());
+            assert_eq!(a.lookup(k), Some(id));
+        }
+        for miss in 400_000..400_100u32 {
+            assert_eq!(a.lookup(&key(miss)), None, "absent key {miss}");
+        }
+        assert_eq!(a.load_factor_pct(), (a.len() as u64 * 100) / (1 << 20));
+        assert!(a.load_factor_pct() <= 75);
+        let expect = a.data.capacity() as u64
+            + (a.offsets.capacity() * 4) as u64
+            + (a.table.capacity() * 4) as u64;
+        assert_eq!(a.heap_bytes(), expect);
+        assert_eq!(std::mem::size_of_val(&a.table[0]), 4, "slots stay 4 bytes");
+        // A cleared arena keeps its allocations and interns afresh.
+        a.clear();
+        assert_eq!((a.len(), a.heap_bytes()), (0, expect));
+        assert_eq!(a.lookup(&key(5)), None);
+        assert_eq!(a.intern(&key(5)).unwrap(), (0, true));
     }
 }

@@ -69,7 +69,7 @@ pub use flows::{
     check_parameterized, check_vn_map, extract_flows, flows_canonical, Flow, FlowProvenance,
     FlowVerdict,
 };
-pub use intern::{InternError, LabelTable, StateArena, StateId};
+pub use intern::{InternError, StateArena, StateId};
 pub use invariant::Swmr;
 pub use explore::{
     explore, explore_budgeted, explore_budgeted_with, explore_checkpointed, explore_with, resume,

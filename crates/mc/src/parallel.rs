@@ -2,27 +2,42 @@
 //!
 //! The paper ran its Murphi models on a 768 GB Xeon server for up to 72
 //! hours; this module is our budget substitute — spread each BFS level
-//! across worker threads with a sharded visited set. Three guarantees
-//! on top of the plain thread-pool version:
+//! across worker threads over a visited set split into 64 fixed hash
+//! partitions. Each level runs as four steps:
 //!
-//! * **Deterministic witnesses.** Parent links are claimed with a
-//!   min-key tie-break (among predecessors at the same BFS level, the
-//!   lexicographically smallest `(parent key, rule label)` wins) and
-//!   the reported finding of a level is the one with the smallest state
-//!   key, so the verdict — kind, depth, *and* witness trace — is a pure
-//!   function of the BFS level sets, not of thread scheduling. An
-//!   interrupted-then-resumed run reports the same witness as an
-//!   uninterrupted one.
-//! * **Panic isolation.** Worker bodies run under
-//!   [`std::panic::catch_unwind`]; a supervisor collects worker losses,
-//!   re-shards the dead worker's remaining frontier slice, and restarts
-//!   it with backoff up to [`ParallelOpts::max_restarts`] times. On
-//!   exhaustion the abandoned states are counted and the run returns a
-//!   verdict tagged [`DegradeReason::WorkerLoss`] instead of hanging
-//!   the level barrier or crashing the process.
+//! 1. **Expand.** Worker `w` takes the `w`-th contiguous slice of the
+//!    frontier and, for each successor not already in the (read-only)
+//!    visited set, appends a candidate — its key, the parent's frontier
+//!    position and a compact rule reference (`Label::encode_into`) —
+//!    to its own buffer for the
+//!    key's partition. Expansion writes nothing shared: no lock, no
+//!    label text.
+//! 2. **Route** is the partition choice above (`fx_hash(key) % 64`).
+//! 3. **Claim.** Each partition is claimed by one worker, which scans
+//!    the workers' buffers for it in worker order — frontier order — so
+//!    the first occurrence of a key wins, exactly the serial explorer's
+//!    first-reach rule. Labels are rendered only for winners, and only
+//!    when a checkpoint or a trace needs their text.
+//! 4. **Commit.** Winners, collected in candidate order, form the next
+//!    frontier as `(partition, id)` references.
+//!
+//! Three guarantees follow:
+//!
+//! * **The serial explorer's order.** Frontier order, parent links and
+//!   therefore witnesses equal the serial explorer's for any thread
+//!   count, and a level's findings resolve to the first one in that
+//!   order. Partition-local ids follow candidate order too, so a
+//!   checkpoint flush is byte-identical across runs and thread counts.
+//! * **Panic isolation.** Expansion runs under
+//!   [`std::panic::catch_unwind`] and has no side effect outside its
+//!   worker's buffers, so a lost worker's slice is simply expanded
+//!   again, with backoff, up to [`ParallelOpts::max_restarts`] times. On
+//!   exhaustion the run returns a verdict tagged
+//!   [`DegradeReason::WorkerLoss`] instead of hanging the level barrier
+//!   or crashing the process.
 //! * **Checkpoint/resume.** With a [`CheckpointPolicy`], progress is
 //!   flushed at level boundaries in the format every explorer shares
-//!   (one section per visited shard), and [`resume_parallel`] continues
+//!   (one section per partition), and [`resume_parallel`] continues
 //!   from a snapshot any explorer flushed.
 //!
 //! Used by the long bounded sweeps (`vnet campaign`); the serial
@@ -30,258 +45,298 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, ShardEncoder};
 use crate::config::McConfig;
-use crate::explore::CheckpointedRun;
-use crate::intern::{InternError, LabelTable, StateArena};
-use crate::rules::{expand, ExpandOutcome, Scratch};
+use crate::explore::{CheckpointedRun, ExploreStats, Verdict};
+use crate::intern::{InternError, StateArena};
+use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
 use crate::state::GlobalState;
-use crate::explore::{ExploreStats, Verdict};
 use crate::trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 use vnet_graph::{fx_hash_bytes, Budget, DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
 
-const SHARDS: usize = 64;
+/// Fixed partition count of the visited set (and sections per flush).
+const PARTS: usize = 64;
+/// Claim result of a candidate that lost to an earlier occurrence.
+const LOST: u32 = u32::MAX;
 
-/// One interned shard of the visited structure. State keys live once in
-/// `keys` (dense shard-local ids); `meta[id]` holds the parent link as
-/// an id into `pkeys` — a *second*, shard-local arena of parent keys.
-/// Interning parents locally keeps the deterministic min-resolve
-/// tie-break (it compares parent bytes) free of cross-shard locking:
-/// a parent's canonical id lives in whatever shard owns it, but the
-/// few dozen bytes of its encoding are cheap to duplicate per shard
-/// that references it, and duplicates within a shard still intern to
-/// one copy.
-#[derive(Default)]
-struct Shard {
-    keys: StateArena,
-    pkeys: StateArena,
-    labels: LabelTable,
-    /// `(parent id in pkeys, label id, claim level)` per key id.
-    meta: Vec<(u32, u32, u32)>,
+/// A visited state: `(partition, partition-local id)`.
+type Ref = (u32, u32);
+
+/// The parent link of one claimed state.
+#[derive(Clone, Copy)]
+struct Link {
+    parent: Ref,
+    /// Id of the rule label in [`Part::rules`].
+    rule: u32,
+    level: u32,
 }
 
-impl Shard {
+/// One partition of the visited set. Owned by exactly one worker while
+/// a level is claimed, read-only while it is expanded.
+#[derive(Default)]
+struct Part {
+    keys: StateArena,
+    rules: RuleTable,
+    /// Per key id.
+    links: Vec<Link>,
+}
+
+impl Part {
     fn heap_bytes(&self) -> u64 {
         self.keys.heap_bytes()
-            + self.pkeys.heap_bytes()
-            + self.labels.heap_bytes()
-            + (self.meta.capacity() * std::mem::size_of::<(u32, u32, u32)>()) as u64
+            + self.rules.heap_bytes()
+            + (self.links.capacity() * std::mem::size_of::<Link>()) as u64
+    }
+}
+
+fn part_of(hash: u64) -> usize {
+    (hash % PARTS as u64) as usize
+}
+
+/// How a run degrades when one of its arenas cannot grow.
+fn exhaustion_reason(why: InternError) -> DegradeReason {
+    match why {
+        InternError::AllocFailed => DegradeReason::MemoryPressure {
+            what: "threaded explorer arena".into(),
+        },
+        InternError::AddressSpace => DegradeReason::Bound {
+            what: "intern arena address space exhausted".into(),
+        },
     }
 }
 
 struct Visited {
-    shards: Vec<Mutex<Shard>>,
-    count: AtomicUsize,
-    /// Exact heap bytes held by the shard stores, maintained as a sum
-    /// of per-claim capacity deltas so the supervisor can enforce a
-    /// memory budget at level boundaries without walking the shards.
-    /// Entries are never removed, so this is also the peak.
-    bytes: AtomicU64,
-    /// Set if any shard's arena ran out of `u32` address space; checked
-    /// at level boundaries and degraded like any other resource bound.
-    overflowed: AtomicBool,
-    /// Set if the allocator itself refused arena growth (`try_reserve`
-    /// failed) — surfaced as memory pressure rather than a size bound.
-    alloc_failed: AtomicBool,
+    parts: Vec<Part>,
 }
 
 impl Visited {
     fn new() -> Self {
         Visited {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            count: AtomicUsize::new(0),
-            bytes: AtomicU64::new(0),
-            overflowed: AtomicBool::new(false),
-            alloc_failed: AtomicBool::new(false),
+            parts: (0..PARTS).map(|_| Part::default()).collect(),
         }
-    }
-
-    /// Records an intern failure under the matching degrade flag.
-    fn note_exhaustion(&self, why: InternError) {
-        match why {
-            InternError::AllocFailed => self.alloc_failed.store(true, Ordering::Relaxed),
-            InternError::AddressSpace => self.overflowed.store(true, Ordering::Relaxed),
-        }
-    }
-
-    fn shard_of(key: &[u8]) -> usize {
-        (fx_hash_bytes(key) as usize) % SHARDS
-    }
-
-    /// Inserts if absent; returns `true` when this call claimed the key.
-    ///
-    /// When the key is already claimed *at the same BFS level*, the
-    /// stored parent link is min-resolved: the lexicographically
-    /// smallest `(parent, label)` wins regardless of arrival order.
-    /// That makes the parent forest — and hence every witness trace — a
-    /// deterministic function of the level sets. Claims from later
-    /// levels never replace an earlier link (which would lengthen the
-    /// trace or create a cycle).
-    fn claim(&self, key: &[u8], parent: &[u8], label: &str, level: u32) -> bool {
-        let mut shard = self.shards[Self::shard_of(key)]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let before = shard.heap_bytes();
-        let (kid, fresh) = match shard.keys.intern(key) {
-            Ok(v) => v,
-            Err(why) => {
-                self.note_exhaustion(why);
-                return false;
-            }
-        };
-        let claimed = if fresh {
-            let pid = shard.pkeys.intern(parent).map_or(0, |(id, _)| id);
-            let lid = shard.labels.intern(label);
-            shard.meta.push((pid, lid, level));
-            self.count.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            let (pid, lid, lv) = shard.meta[kid as usize];
-            if lv == level
-                && (parent, label) < (shard.pkeys.get(pid), shard.labels.get(lid))
-            {
-                let pid = shard.pkeys.intern(parent).map_or(0, |(id, _)| id);
-                let lid = shard.labels.intern(label);
-                shard.meta[kid as usize] = (pid, lid, level);
-            }
-            false
-        };
-        let after = shard.heap_bytes();
-        if after > before {
-            self.bytes.fetch_add(after - before, Ordering::Relaxed);
-        }
-        claimed
     }
 
     fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.parts.iter().map(|p| p.links.len()).sum()
     }
 
+    /// Exact heap bytes held by the partitions. Entries are never
+    /// removed, so this is also the peak.
     fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.parts.iter().map(Part::heap_bytes).sum()
     }
 
-    fn lookup(&self, key: &[u8]) -> Option<(Vec<u8>, String)> {
-        let shard = self.shards[Self::shard_of(key)]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let kid = shard.keys.lookup(key)?;
-        let (pid, lid, _) = shard.meta[kid as usize];
-        Some((
-            shard.pkeys.get(pid).to_vec(),
-            shard.labels.get(lid).to_string(),
-        ))
+    fn key(&self, (p, id): Ref) -> &[u8] {
+        self.parts
+            .get(p as usize)
+            .map_or(&[], |part| part.keys.get(id))
     }
 
-    /// Writes a checkpoint of the visited set: one section per shard in
-    /// shard-local id order, with parents and `frontier` resolved to
-    /// `(shard, id)` references. Runs at a level barrier, when no worker
-    /// holds a shard.
+    /// Writes a checkpoint of the visited set: one section per partition
+    /// in partition-local id order; parents and `frontier` are already
+    /// `(partition, id)` references. Labels are rendered here, the only
+    /// place besides a witness that needs their text.
     fn flush(
         &self,
-        frontier: &[GlobalState],
+        spec: &ProtocolSpec,
+        frontier: &[Ref],
         fingerprint: u64,
         level: usize,
         path: &Path,
     ) -> Result<(), CheckpointError> {
-        let shards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-            .collect();
-        let locate = |key: &[u8]| {
-            let s = Self::shard_of(key);
-            match shards[s].keys.lookup(key) {
-                Some(id) => Ok((s as u32, id)),
-                None => Err(CheckpointError::Corrupt {
+        let mut sections = Vec::with_capacity(PARTS);
+        for (p, part) in self.parts.iter().enumerate() {
+            let labels = part
+                .rules
+                .texts(spec)
+                .map_err(|rule| CheckpointError::Corrupt {
                     offset: 0,
-                    detail: "a parent or frontier state is not in the visited set".into(),
-                }),
-            }
-        };
-        let mut sections = Vec::with_capacity(SHARDS);
-        for shard in &shards {
+                    detail: format!("partition {p} rule label {rule} is damaged"),
+                })?;
             let mut enc = ShardEncoder::new();
-            for (kid, &(pid, lid, lv)) in shard.meta.iter().enumerate() {
-                let (ps, pi) = locate(shard.pkeys.get(pid))?;
-                let key = shard.keys.get(kid as u32);
-                enc.push(key, ps, pi, shard.labels.get(lid), lv);
+            for (id, link) in part.links.iter().enumerate() {
+                let (ps, pi) = link.parent;
+                let label = labels.get(link.rule as usize).map_or("", String::as_str);
+                enc.push(part.keys.get(id as u32), ps, pi, label, link.level);
             }
             sections.push(enc.finish());
         }
-        let mut key = Vec::with_capacity(128);
-        let refs = frontier
-            .iter()
-            .map(|gs| {
-                gs.encode_into(&mut key);
-                locate(&key)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let nodes_spent = self.len() as u64;
-        let refs = refs.into_iter();
-        crate::checkpoint::write(path, fingerprint, level, nodes_spent, &sections, refs)
+        crate::checkpoint::write(
+            path,
+            fingerprint,
+            level,
+            nodes_spent,
+            &sections,
+            frontier.iter().copied(),
+        )
     }
 
-    /// Seeds the shards from a loaded checkpoint and returns its
-    /// frontier states.
-    fn seed(&self, ckpt: &Checkpoint, cfg: &McConfig) -> Result<Vec<GlobalState>, CheckpointError> {
+    /// Seeds the partitions from a loaded checkpoint and returns its
+    /// frontier. Entries are interned in file order; parents are
+    /// resolved in a second pass, since a parent may sit in a later
+    /// section of the file.
+    fn seed(&mut self, ckpt: &Checkpoint) -> Result<Vec<Ref>, CheckpointError> {
+        let exhausted = |why: InternError| CheckpointError::Corrupt {
+            offset: 0,
+            detail: format!("checkpoint exceeds the intern arena: {why}"),
+        };
+        let mut refs: Vec<Ref> = Vec::with_capacity(ckpt.entries.len());
         for e in &ckpt.entries {
-            let mut shard = self.shards[Self::shard_of(&e.key)]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let before = shard.heap_bytes();
-            let (_, fresh) = match shard.keys.intern(&e.key) {
-                Ok(v) => v,
-                Err(why) => {
-                    self.note_exhaustion(why);
-                    continue;
-                }
-            };
-            if fresh {
-                let parent = &ckpt.entries[e.parent as usize].key;
-                let pid = shard.pkeys.intern(parent).map_or(0, |(id, _)| id);
-                let lid = shard.labels.intern(&e.label);
-                shard.meta.push((pid, lid, e.level));
-                self.count.fetch_add(1, Ordering::Relaxed);
+            let p = part_of(fx_hash_bytes(&e.key));
+            let part = &mut self.parts[p];
+            let (id, fresh) = part.keys.intern(&e.key).map_err(exhausted)?;
+            if !fresh {
+                return Err(CheckpointError::Corrupt {
+                    offset: 0,
+                    detail: "checkpoint repeats a visited key".into(),
+                });
             }
-            let after = shard.heap_bytes();
-            if after > before {
-                self.bytes.fetch_add(after - before, Ordering::Relaxed);
-            }
+            let rule = part.rules.intern_text(&e.label).map_err(exhausted)?;
+            part.links.push(Link {
+                parent: (p as u32, id),
+                rule,
+                level: e.level,
+            });
+            refs.push((p as u32, id));
         }
-        ckpt.frontier
-            .iter()
-            .map(|&i| {
-                GlobalState::decode(&ckpt.entries[i as usize].key, cfg).ok_or_else(|| {
-                    CheckpointError::Corrupt {
-                        offset: 0,
-                        detail: format!("frontier entry {i} does not decode"),
-                    }
-                })
-            })
-            .collect()
+        for (e, &(p, id)) in ckpt.entries.iter().zip(&refs) {
+            self.parts[p as usize].links[id as usize].parent = refs[e.parent as usize];
+        }
+        Ok(ckpt.frontier.iter().map(|&i| refs[i as usize]).collect())
     }
 }
 
-#[derive(Clone)]
+/// One successor routed to a partition. Its key is the same-numbered
+/// entry of the buffer's key arena; its rule reference sits at
+/// `rules[rule..rule + rlen]`.
+struct Cand {
+    hash: u64,
+    rule: u32,
+    rlen: u32,
+    /// The parent's position in the frontier.
+    pos: u32,
+}
+
+/// One worker's candidates for one partition, in emission order. Keys
+/// are interned, so a key the worker emitted before is not buffered
+/// again: a later occurrence can never win the claim.
+#[derive(Default)]
+struct CandBuf {
+    keys: StateArena,
+    rules: Vec<u8>,
+    cands: Vec<Cand>,
+}
+
+impl CandBuf {
+    fn rule(&self, c: &Cand) -> &[u8] {
+        &self.rules[c.rule as usize..(c.rule + c.rlen) as usize]
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        self.keys.heap_bytes()
+            + (self.rules.capacity() + self.cands.capacity() * std::mem::size_of::<Cand>()) as u64
+    }
+}
+
+/// What one worker's expansion of its frontier slice produced. Reused
+/// across levels so buffers keep their capacity. Aligned so that two
+/// workers' hot vector headers never share a cache line.
+#[repr(align(128))]
+struct WorkerOut {
+    bufs: Vec<CandBuf>,
+    /// The partition of each candidate, in emission order: the merge
+    /// key that turns per-partition claim results back into frontier
+    /// order.
+    order: Vec<u8>,
+    /// The slice's first deadlock or model error, if any.
+    finding: Option<Finding>,
+    /// Why the slice could not be expanded: a frontier state that does
+    /// not decode, or a candidate buffer the allocator refused.
+    defect: Option<DegradeReason>,
+}
+
+impl WorkerOut {
+    fn new() -> Self {
+        WorkerOut {
+            bufs: (0..PARTS).map(|_| CandBuf::default()).collect(),
+            order: Vec::new(),
+            finding: None,
+            defect: None,
+        }
+    }
+
+    fn clear(&mut self) {
+        for b in &mut self.bufs {
+            b.keys.clear();
+            b.rules.clear();
+            b.cands.clear();
+        }
+        self.order.clear();
+        self.finding = None;
+        self.defect = None;
+    }
+
+    /// Heap bytes of the candidate buffers, from capacities.
+    fn heap_bytes(&self) -> u64 {
+        self.bufs.iter().map(CandBuf::heap_bytes).sum::<u64>() + self.order.capacity() as u64
+    }
+}
+
+/// A level's counterexample candidate.
 struct Finding {
     kind: FindingKind,
-    state: GlobalState,
-    key: Vec<u8>,
-    extra: String,
+    /// Worker slice, then candidate sequence number within it: with
+    /// `kind`, the serial explorer's detection order.
+    at: (usize, usize),
+    /// The state it implicates: a frontier state (deadlock, model
+    /// error) or a freshly claimed one (invariant).
+    state: Ref,
+    rule: String,
+    detail: String,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum FindingKind {
-    // Report priority when several findings share the minimal key:
-    // specification bugs first, then invariant violations, deadlocks.
+    // Declaration order breaks a tie at equal `at`: a deadlock or model
+    // error of one state is detected before the first successor of the
+    // next state is claimed.
     Bug,
-    Invariant,
     Deadlock,
+    Invariant,
+}
+
+impl Finding {
+    fn order(&self) -> ((usize, usize), FindingKind) {
+        (self.at, self.kind)
+    }
+}
+
+/// Per-worker reusable buffers: the rule-expansion scratch, the decoded
+/// frontier state, and the key encoding. Aligned like [`WorkerOut`].
+#[repr(align(128))]
+struct WorkScratch {
+    rules: Scratch,
+    gs: GlobalState,
+    key: Vec<u8>,
+    /// Symmetry group + scratch, `None` outside symmetry mode.
+    canon: Option<crate::symmetry::Canonicalizer>,
+}
+
+impl WorkScratch {
+    fn new(spec: &ProtocolSpec, cfg: &McConfig) -> Self {
+        WorkScratch {
+            rules: Scratch::new(spec, cfg),
+            gs: GlobalState::initial(spec, cfg),
+            key: Vec::with_capacity(128),
+            canon: cfg
+                .symmetry
+                .then(|| crate::symmetry::Canonicalizer::new(cfg)),
+        }
+    }
 }
 
 /// Deterministic fault injection for the supervisor tests and the CI
@@ -467,8 +522,8 @@ fn run_parallel_inner(
         return Err(CheckpointError::Config { detail });
     }
 
-    let visited = Visited::new();
-    let mut frontier: Vec<GlobalState>;
+    let mut visited = Visited::new();
+    let mut frontier: Vec<Ref>;
     let mut level: usize;
     // A resumed run must expand at least one level before honoring the
     // stop file: loading and re-seeding a large checkpoint can outlast
@@ -480,19 +535,36 @@ fn run_parallel_inner(
     let mut may_stop = start.is_none();
     match start {
         Some(ckpt) => {
-            frontier = visited.seed(&ckpt, cfg)?;
+            frontier = visited.seed(&ckpt)?;
             level = ckpt.level;
         }
         None => {
             let initial = GlobalState::initial(spec, cfg);
-            let (initial, init_key) = if cfg.symmetry {
-                crate::symmetry::canonicalize(cfg, &initial)
+            let init_key = if cfg.symmetry {
+                crate::symmetry::canonicalize(cfg, &initial).1
             } else {
-                let key = initial.encode();
-                (initial, key)
+                initial.encode()
             };
-            visited.claim(&init_key, &init_key, "", 0);
-            frontier = vec![initial];
+            let p = part_of(fx_hash_bytes(&init_key));
+            let part = &mut visited.parts[p];
+            let root = part
+                .keys
+                .intern(&init_key)
+                .and_then(|(id, _)| Ok((id, part.rules.intern_ref(&[])?)))
+                .map(|(id, rule)| {
+                    let parent = (p as u32, id);
+                    part.links.push(Link {
+                        parent,
+                        rule,
+                        level: 0,
+                    });
+                    id
+                })
+                .map_err(|why| CheckpointError::Corrupt {
+                    offset: 0,
+                    detail: format!("intern arena rejected the initial state: {why}"),
+                })?;
+            frontier = vec![(p as u32, root)];
             level = 0;
         }
     }
@@ -503,14 +575,21 @@ fn run_parallel_inner(
     let mut truncated: Option<DegradeReason> = None;
     let mut since_flush = 0usize;
     let mut restarts_used = 0u32;
-
+    let mut resumable = true;
+    let mut peak = visited.bytes();
     let fingerprint = crate::checkpoint::fingerprint(spec, cfg);
+
+    // Run-lifetime buffers, one per worker: candidate buffers and
+    // expansion scratch; and one claim result list per partition.
+    let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::new()).collect();
+    let mut scratch: Vec<WorkScratch> = (0..threads).map(|_| WorkScratch::new(spec, cfg)).collect();
+    let mut claimed: Vec<Vec<u32>> = (0..PARTS).map(|_| Vec::new()).collect();
 
     while !frontier.is_empty() {
         // ---- Level boundary: interrupts, flushes, budget, bounds. ----
         if let Some(pol) = &opts.policy {
             if may_stop && pol.stop_file.as_ref().is_some_and(|p| p.exists()) {
-                visited.flush(&frontier, fingerprint, level, &pol.path)?;
+                visited.flush(spec, &frontier, fingerprint, level, &pol.path)?;
                 return Ok(CheckpointedRun::Interrupted {
                     checkpoint: pol.path.clone(),
                     states: visited.len(),
@@ -522,7 +601,7 @@ fn run_parallel_inner(
                 .deadline
                 .is_some_and(|d| d.saturating_sub(started.elapsed()) < pol.deadline_window);
             if since_flush > pol.every_states || deadline_imminent {
-                visited.flush(&frontier, fingerprint, level, &pol.path)?;
+                visited.flush(spec, &frontier, fingerprint, level, &pol.path)?;
                 since_flush = 0;
             }
         }
@@ -531,25 +610,11 @@ fn run_parallel_inner(
         // after a cancel or a memory trip is at most one BFS level.
         if let Some(token) = &opts.budget.cancel {
             if let Some(reason) = token.reason() {
-                complete = false;
                 truncated = Some(DegradeReason::Cancelled { reason });
             }
         }
-        if visited.alloc_failed.load(Ordering::Relaxed) && truncated.is_none() {
-            complete = false;
-            truncated = Some(DegradeReason::MemoryPressure {
-                what: "visited-set shard arena".into(),
-            });
-        }
-        if visited.overflowed.load(Ordering::Relaxed) && truncated.is_none() {
-            complete = false;
-            truncated = Some(DegradeReason::Bound {
-                what: "intern arena address space exhausted".into(),
-            });
-        }
         if let Some(limit) = opts.budget.mem_limit {
             if truncated.is_none() && visited.bytes() > limit {
-                complete = false;
                 truncated = Some(DegradeReason::MemLimit {
                     limit,
                     peak: visited.bytes(),
@@ -558,143 +623,67 @@ fn run_parallel_inner(
         }
         if let Some(limit) = opts.budget.node_limit {
             if truncated.is_none() && visited.len() as u64 > limit {
-                complete = false;
                 truncated = Some(DegradeReason::NodeLimit { limit });
             }
         }
         if let Some(deadline) = opts.budget.deadline {
             if truncated.is_none() && started.elapsed() >= deadline {
-                complete = false;
                 truncated = Some(DegradeReason::DeadlineExpired { deadline });
             }
         }
         if truncated.is_none() {
             if let Some(max) = cfg.max_depth {
                 if level >= max {
-                    complete = false;
                     truncated = Some(DegradeReason::Bound {
                         what: format!("depth limit of {max} reached"),
                     });
                 }
             }
             if visited.len() >= cfg.max_states {
-                complete = false;
                 truncated = Some(DegradeReason::Bound {
                     what: format!("state limit of {} reached", cfg.max_states),
                 });
             }
         }
         if truncated.is_some() {
+            complete = false;
             break;
         }
 
-        // ---- Expand the level under the supervisor. ----
-        let next: Mutex<Vec<GlobalState>> = Mutex::new(Vec::new());
-        let findings: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
-
-        // Work items: (frontier index, force). Force mode re-enqueues
-        // successors even when their claim is a duplicate — used when
-        // retrying a state whose expansion may have died between
-        // claiming a successor and publishing it to `next`.
-        let mut items: Vec<(usize, bool)> = (0..frontier.len()).map(|i| (i, false)).collect();
+        // ---- Expand: contiguous frontier slices, retried on panic. ----
+        let workers = threads.min(frontier.len());
+        let slice = frontier.len().div_ceil(workers);
+        let mut pending: Vec<usize> = (0..workers).collect();
         let mut wave = 0u32;
-
         loop {
-            let chunk = items.len().div_ceil(threads).max(1);
-            // (chunk start offset, states processed) per worker; a lost
-            // worker's remaining slice is items[start+processed..end].
-            let losses: Mutex<Vec<(usize, usize, usize, String)>> = Mutex::new(Vec::new());
-
-            std::thread::scope(|scope| {
-                let (next, findings, losses, visited, frontier, items, inject_left) = (
-                    &next,
-                    &findings,
-                    &losses,
-                    &visited,
-                    &frontier,
-                    &items,
-                    &inject_left,
-                );
-                for start in (0..items.len()).step_by(chunk) {
-                    let end = (start + chunk).min(items.len());
-                    scope.spawn(move || {
-                        let progress = AtomicUsize::new(0);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            let mut scratch = WorkScratch::new(spec, cfg);
-                            for (done, &(idx, force)) in items[start..end].iter().enumerate() {
-                                if let Some(inj) = opts.inject {
-                                    if inj.level == level
-                                        && inject_left
-                                            .fetch_update(
-                                                Ordering::Relaxed,
-                                                Ordering::Relaxed,
-                                                |n| n.checked_sub(1),
-                                            )
-                                            .is_ok()
-                                    {
-                                        std::panic::panic_any(format!(
-                                            "injected worker fault at level {level}"
-                                        ));
-                                    }
-                                }
-                                let gs = &frontier[idx];
-                                expand_one(
-                                    spec,
-                                    cfg,
-                                    visited,
-                                    next,
-                                    findings,
-                                    gs,
-                                    level,
-                                    force,
-                                    &mut scratch,
-                                );
-                                progress.store(done + 1, Ordering::Relaxed);
-                            }
-                            if vnet_obs::metrics_enabled() {
-                                if let Some(c) = scratch.canon.as_mut() {
-                                    c.flush_metrics();
-                                }
-                            }
-                        }));
-                        if let Err(payload) = result {
-                            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                                (*s).to_string()
-                            } else if let Some(s) = payload.downcast_ref::<String>() {
-                                s.clone()
-                            } else {
-                                "worker panicked".to_string()
-                            };
-                            losses
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push((start, progress.load(Ordering::Relaxed), end, detail));
-                        }
-                    });
-                }
-            });
-
-            let losses = losses
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if losses.is_empty() {
+            let failed = expand_wave(
+                spec,
+                cfg,
+                opts,
+                &visited,
+                &frontier,
+                slice,
+                level,
+                &inject_left,
+                &pending,
+                &mut outs,
+                &mut scratch,
+            );
+            if failed.is_empty() {
                 break;
             }
-            // Re-shard the dead workers' remaining slices. The state a
-            // worker died on may have published only part of its
-            // successor claims, so it is retried in force mode; the
-            // untouched tail is retried normally.
-            let mut retry: Vec<(usize, bool)> = Vec::new();
-            for (start, processed, end, _detail) in &losses {
-                let rest = &items[start + processed..*end];
-                for (j, &(idx, force)) in rest.iter().enumerate() {
-                    retry.push((idx, force || j == 0));
-                }
-            }
             if restarts_used >= opts.max_restarts {
-                complete = false;
+                let lost_states = failed
+                    .iter()
+                    .map(|&w| {
+                        frontier
+                            .len()
+                            .min((w + 1) * slice)
+                            .saturating_sub(w * slice)
+                    })
+                    .sum();
                 truncated = Some(DegradeReason::WorkerLoss {
-                    lost_states: retry.len(),
+                    lost_states,
                     restarts: restarts_used,
                 });
                 break;
@@ -703,87 +692,96 @@ fn run_parallel_inner(
             vnet_obs::counter("explore.worker_restarts_total").inc();
             std::thread::sleep(opts.backoff.saturating_mul(1 << (wave.min(8))));
             wave += 1;
-            items = retry;
+            pending = failed;
+        }
+        if truncated.is_some() {
+            // Worker loss exhausted the restart budget mid-level: the
+            // level did not complete, so the level counter stays put and
+            // no checkpoint is flushed (the last boundary checkpoint
+            // remains valid).
+            complete = false;
+            resumable = false;
+            break;
+        }
+        let outs_now = &outs[..workers];
+        if let Some(defect) = outs_now.iter().find_map(|o| o.defect.clone()) {
+            complete = false;
+            truncated = Some(defect);
+            break;
+        }
+        peak = peak.max(visited.bytes() + outs_now.iter().map(WorkerOut::heap_bytes).sum::<u64>());
+        if vnet_obs::metrics_enabled() {
+            let candidates: usize = outs_now.iter().map(|o| o.order.len()).sum();
+            vnet_obs::counter("explore.parallel.candidates_total").add(candidates as u64);
         }
 
-        // ---- Resolve the level's findings deterministically. ----
-        let mut findings = findings
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        findings.sort_by(|a, b| (&a.key, a.kind).cmp(&(&b.key, b.kind)));
-        if let Some(f) = findings.into_iter().next() {
+        // ---- Claim: one worker per partition, candidates in order. ----
+        let (invariants, exhausted) = claim_level(
+            spec,
+            cfg,
+            &mut visited,
+            outs_now,
+            &frontier,
+            level,
+            &mut claimed,
+        );
+        if let Some(why) = exhausted {
+            truncated.get_or_insert(exhaustion_reason(why));
+        }
+        peak = peak.max(visited.bytes());
+
+        // ---- Resolve the level's findings: the first in order wins. ----
+        let first = outs
+            .iter_mut()
+            .take(workers)
+            .filter_map(|o| o.finding.take())
+            .chain(invariants)
+            .min_by_key(Finding::order);
+        if let Some(f) = first {
             let stats = ExploreStats {
                 states: visited.len(),
                 levels: level,
                 complete: false,
                 provenance: Provenance::Exact,
-                peak_bytes: visited.bytes(),
+                peak_bytes: peak,
                 spill_bytes: 0,
             };
-            let trace = rebuild(
-                spec,
-                cfg,
-                &visited,
-                &f.key,
-                f.state,
-                matches!(f.kind, FindingKind::Bug).then_some(&f.extra),
-            );
-            // Under symmetry the recorded detail names canonical
-            // indices; keep it consistent with the concrete terminal
-            // the de-canonicalized trace replays to.
-            let detail = if cfg.symmetry {
-                match f.kind {
-                    FindingKind::Bug => crate::trace::concrete_bug(spec, cfg, &trace.last)
-                        .map(|(r, d)| format!("{r}: {d}"))
-                        .unwrap_or(f.extra),
-                    FindingKind::Invariant => cfg
-                        .swmr
-                        .as_ref()
-                        .and_then(|s| s.check(&trace.last, spec))
-                        .unwrap_or(f.extra),
-                    FindingKind::Deadlock => f.extra,
-                }
-            } else {
-                f.extra
-            };
-            return Ok(CheckpointedRun::Finished(match f.kind {
-                FindingKind::Deadlock => Verdict::Deadlock {
-                    depth: level,
-                    trace,
-                    stats,
-                },
-                FindingKind::Bug => Verdict::ModelError {
-                    trace,
-                    detail,
-                    stats,
-                },
-                FindingKind::Invariant => Verdict::InvariantViolation {
-                    trace,
-                    detail,
-                    stats,
-                },
-            }));
+            return Ok(CheckpointedRun::Finished(finding_verdict(
+                spec, cfg, &visited, f, level, stats,
+            )));
         }
-
         if truncated.is_some() {
-            // Worker loss exhausted the restart budget mid-level: the
-            // level did not complete, so the level counter stays put and
-            // no checkpoint is flushed (a mixed-level snapshot would be
-            // inconsistent; the last boundary checkpoint remains valid).
+            // An exhausted arena dropped some claims: the visited set no
+            // longer matches any level boundary, so nothing is flushed.
+            complete = false;
+            resumable = false;
             break;
         }
-        frontier = next
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+
+        // ---- Commit: winners in candidate order form the frontier. ----
+        let mut next = Vec::new();
+        let mut cursor = [0usize; PARTS];
+        for out in &outs[..workers] {
+            for &p in &out.order {
+                let p = p as usize;
+                let id = claimed[p][cursor[p]];
+                cursor[p] += 1;
+                if id != LOST {
+                    next.push((p as u32, id));
+                }
+            }
+        }
+        frontier = next;
         since_flush += frontier.len();
         level += 1;
         may_stop = true;
     }
 
+    // A truncated run is resumable — flush its level-boundary snapshot —
+    // unless the level it stopped in was left half claimed.
     if let Some(pol) = &opts.policy {
-        let resumable = !matches!(truncated, Some(DegradeReason::WorkerLoss { .. }));
         if truncated.is_some() && resumable {
-            visited.flush(&frontier, fingerprint, level, &pol.path)?;
+            visited.flush(spec, &frontier, fingerprint, level, &pol.path)?;
         }
     }
 
@@ -795,194 +793,390 @@ fn run_parallel_inner(
             None => Provenance::Exact,
             Some(reason) => Provenance::Degraded { reason },
         },
-        peak_bytes: visited.bytes(),
-        // The thread-parallel explorer keeps its shards entirely in
+        peak_bytes: peak,
+        // The thread-parallel explorer keeps its partitions entirely in
         // RAM; out-of-core runs go through the serial or process-shard
         // explorers.
         spill_bytes: 0,
     })))
 }
 
-/// Per-worker reusable buffers: the rule-expansion scratch plus key and
-/// label encodings. Everything here is reused across the worker's whole
-/// chunk, so expansion allocates only for freshly claimed states.
-struct WorkScratch {
-    rules: Scratch,
-    /// Successor key encoding.
-    key: Vec<u8>,
-    /// Parent (source state) key encoding.
-    pkey: Vec<u8>,
-    /// Rendered rule label.
-    label: String,
-    /// Symmetry group + scratch, `None` outside symmetry mode.
-    canon: Option<crate::symmetry::Canonicalizer>,
+/// Expands the slices of the `pending` workers on their own threads.
+/// Returns the workers that panicked; their output is discarded and
+/// the slice can simply be expanded again.
+#[allow(clippy::too_many_arguments)]
+fn expand_wave(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    opts: &ParallelOpts,
+    visited: &Visited,
+    frontier: &[Ref],
+    slice: usize,
+    level: usize,
+    inject_left: &AtomicU32,
+    pending: &[usize],
+    outs: &mut [WorkerOut],
+    scratch: &mut [WorkScratch],
+) -> Vec<usize> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = outs
+            .iter_mut()
+            .zip(scratch.iter_mut())
+            .enumerate()
+            .filter(|(w, _)| pending.contains(w))
+            .map(|(w, (out, scratch))| {
+                let range = w * slice..frontier.len().min((w + 1) * slice);
+                let handle = scope.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        out.clear();
+                        for pos in range {
+                            if let Some(inj) = opts.inject {
+                                if inj.level == level
+                                    && inject_left
+                                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                                            n.checked_sub(1)
+                                        })
+                                        .is_ok()
+                                {
+                                    std::panic::panic_any(format!(
+                                        "injected worker fault at level {level}"
+                                    ));
+                                }
+                            }
+                            expand_one(spec, cfg, visited, frontier, pos, w, out, scratch);
+                        }
+                        if vnet_obs::metrics_enabled() {
+                            if let Some(c) = scratch.canon.as_mut() {
+                                c.flush_metrics();
+                            }
+                        }
+                    }))
+                    .is_ok()
+                });
+                (w, handle)
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|(w, h)| (!matches!(h.join(), Ok(true))).then_some(w))
+            .collect()
+    })
 }
 
-impl WorkScratch {
-    fn new(spec: &ProtocolSpec, cfg: &McConfig) -> Self {
-        WorkScratch {
-            rules: Scratch::new(spec, cfg),
-            key: Vec::with_capacity(128),
-            pkey: Vec::with_capacity(128),
-            label: String::new(),
-            canon: cfg
-                .symmetry
-                .then(|| crate::symmetry::Canonicalizer::new(cfg)),
-        }
-    }
-}
-
-/// Expands one frontier state: claims successors into the visited map,
-/// publishes them to `next`, and records findings. Publishing happens
-/// per source state so a panic can lose at most the in-flight batch —
-/// which the supervisor retries in force mode.
+/// Expands frontier state `pos` into worker `w`'s candidate buffers.
 #[allow(clippy::too_many_arguments)]
 fn expand_one(
     spec: &ProtocolSpec,
     cfg: &McConfig,
     visited: &Visited,
-    next: &Mutex<Vec<GlobalState>>,
-    findings: &Mutex<Vec<Finding>>,
-    gs: &GlobalState,
-    level: usize,
-    force: bool,
+    frontier: &[Ref],
+    pos: usize,
+    w: usize,
+    out: &mut WorkerOut,
     scratch: &mut WorkScratch,
 ) {
     let WorkScratch {
         rules,
+        gs,
         key,
-        pkey,
-        label,
         canon,
     } = scratch;
-    // Frontier states are already canonical in symmetry mode, so the
-    // plain encoding is the parent's interned key in both modes.
-    gs.encode_into(pkey);
-    let mut batch: Vec<GlobalState> = Vec::new();
-    let outcome = expand(spec, cfg, gs, rules, |sstate, lab| {
+    if !GlobalState::decode_into(visited.key(frontier[pos]), cfg, gs) {
+        out.defect = Some(DegradeReason::Bound {
+            what: "interned state failed to decode".into(),
+        });
+        return;
+    }
+    let WorkerOut {
+        bufs,
+        order,
+        defect,
+        ..
+    } = out;
+    let outcome = expand(spec, cfg, gs, rules, |succ, label| {
         // Symmetry mode derives the canonical *key* without
         // materializing any permuted state.
         match canon.as_mut() {
-            Some(c) => c.canonical_key_into(sstate, key),
-            None => sstate.encode_into(key),
+            Some(c) => c.canonical_key_into(succ, key),
+            None => succ.encode_into(key),
         }
-        // The label is rendered for every claim attempt (not only fresh
-        // ones) because the same-level min-resolve tie-break compares
-        // label text; the buffer is reused so no allocation per call.
-        lab.render_into(spec, label);
-        let claimed = visited.claim(key, pkey, label, (level + 1) as u32);
-        if !claimed && !force {
+        let hash = fx_hash_bytes(key);
+        let p = part_of(hash);
+        // A state of an earlier level would lose its claim: drop it
+        // here, where the lookup runs in parallel and costs no buffer.
+        if visited.parts[p].keys.lookup_hashed(key, hash).is_some() {
             return true;
         }
-        // Only claimed-or-forced successors need the canonical
-        // representative materialized (it is what the key decodes to).
-        let canon_state = if canon.is_some() {
-            GlobalState::decode(key, cfg)
-        } else {
-            None
-        };
-        if claimed {
-            if let Some(swmr) = &cfg.swmr {
-                let check = canon_state.as_ref().unwrap_or(sstate);
-                if let Some(detail) = swmr.check(check, spec) {
-                    findings
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(Finding {
-                            kind: FindingKind::Invariant,
-                            state: check.clone(),
-                            key: key.clone(),
-                            extra: detail,
-                        });
-                    return true;
-                }
+        let buf = &mut bufs[p];
+        match buf.keys.intern_hashed(key, hash) {
+            Ok((_, true)) => {}
+            Ok((_, false)) => return true,
+            Err(why) => {
+                defect.get_or_insert(exhaustion_reason(why));
+                return false;
             }
         }
-        batch.push(canon_state.unwrap_or_else(|| sstate.clone()));
+        let rule = buf.rules.len();
+        label.encode_into(&mut buf.rules);
+        buf.cands.push(Cand {
+            hash,
+            rule: rule as u32,
+            rlen: (buf.rules.len() - rule) as u32,
+            pos: pos as u32,
+        });
+        order.push(p as u8);
         true
     });
-    match outcome {
-        ExpandOutcome::Bug { rule, detail } => {
-            findings
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(Finding {
-                    kind: FindingKind::Bug,
-                    state: gs.clone(),
-                    key: pkey.clone(),
-                    extra: format!("{rule}: {detail}"),
-                });
+    // Only the slice's first deadlock or model error can be the level's
+    // first finding; later ones are not recorded.
+    if out.finding.is_some() {
+        return;
+    }
+    let (kind, rule, detail) = match outcome {
+        ExpandOutcome::Bug { rule, detail } => (FindingKind::Bug, rule, detail),
+        ExpandOutcome::Done(0) if !gs.is_quiescent(spec) => {
+            (FindingKind::Deadlock, String::new(), String::new())
         }
-        ExpandOutcome::Done(0) => {
-            if !gs.is_quiescent(spec) {
-                findings
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(Finding {
-                        kind: FindingKind::Deadlock,
-                        state: gs.clone(),
-                        key: pkey.clone(),
-                        extra: String::new(),
-                    });
+        // A stop is a defect of this slice's buffers, already recorded.
+        ExpandOutcome::Done(_) | ExpandOutcome::Stopped => return,
+    };
+    out.finding = Some(Finding {
+        kind,
+        at: (w, out.order.len()),
+        state: frontier[pos],
+        rule,
+        detail,
+    });
+}
+
+/// Claims a level's candidates: each partition on one thread, scanning
+/// the workers' buffers in worker order, so the first occurrence of a
+/// key wins. `claimed[p]` receives, per candidate of partition `p` in
+/// that scan order, the new id or [`LOST`]. Fresh states are SWMR
+/// checked here; the violations come back as findings, with the first
+/// arena exhaustion, if any.
+fn claim_level(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    visited: &mut Visited,
+    outs: &[WorkerOut],
+    frontier: &[Ref],
+    level: usize,
+    claimed: &mut [Vec<u32>],
+) -> (Vec<Finding>, Option<InternError>) {
+    let workers = outs.len();
+    let mut tasks: Vec<Vec<(usize, &mut Part, &mut Vec<u32>)>> =
+        (0..workers).map(|_| Vec::new()).collect();
+    for (p, (part, res)) in visited.parts.iter_mut().zip(claimed.iter_mut()).enumerate() {
+        tasks[p % workers].push((p, part, res));
+    }
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = tasks
+            .into_iter()
+            .map(|task| {
+                scope.spawn(move || {
+                    let mut findings = Vec::new();
+                    let mut exhausted = None;
+                    let mut check = cfg.swmr.as_ref().map(|_| GlobalState::initial(spec, cfg));
+                    for (p, part, res) in task {
+                        res.clear();
+                        for (w, out) in outs.iter().enumerate() {
+                            let buf = &out.bufs[p];
+                            for (i, c) in buf.cands.iter().enumerate() {
+                                let key = buf.keys.get(i as u32);
+                                // After an exhaustion nothing more is
+                                // claimed: keys and links stay aligned.
+                                let fresh = match exhausted {
+                                    Some(_) => Ok(None),
+                                    None => part.keys.intern_hashed(key, c.hash).and_then(
+                                        |(id, new)| {
+                                            if !new {
+                                                return Ok(None);
+                                            }
+                                            let rule = part.rules.intern_ref(buf.rule(c))?;
+                                            part.links.push(Link {
+                                                parent: frontier[c.pos as usize],
+                                                rule,
+                                                level: level as u32 + 1,
+                                            });
+                                            Ok(Some(id))
+                                        },
+                                    ),
+                                };
+                                let id = match fresh {
+                                    Ok(Some(id)) => id,
+                                    Ok(None) => {
+                                        res.push(LOST);
+                                        continue;
+                                    }
+                                    Err(why) => {
+                                        exhausted = Some(why);
+                                        res.push(LOST);
+                                        continue;
+                                    }
+                                };
+                                res.push(id);
+                                let (Some(swmr), Some(gs)) = (&cfg.swmr, check.as_mut()) else {
+                                    continue;
+                                };
+                                // SWMR is permutation-invariant, so the
+                                // canonical representative stands in for
+                                // the concrete successor.
+                                if !GlobalState::decode_into(key, cfg, gs) {
+                                    continue;
+                                }
+                                if let Some(detail) = swmr.check(gs, spec) {
+                                    findings.push(Finding {
+                                        kind: FindingKind::Invariant,
+                                        // The buffer index for now; the
+                                        // caller turns it into a sequence
+                                        // number.
+                                        at: (w, i),
+                                        state: (p as u32, id),
+                                        rule: String::new(),
+                                        detail,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                    (findings, exhausted)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut findings = Vec::new();
+    let mut exhausted = None;
+    for r in results {
+        match r {
+            Ok((f, e)) => {
+                findings.extend(f);
+                if exhausted.is_none() {
+                    exhausted = e;
+                }
+            }
+            // A claim thread has no injected faults; a panic here is a
+            // defect, surfaced as exhaustion of the level's claims.
+            Err(_) => exhausted = exhausted.or(Some(InternError::AllocFailed)),
+        }
+    }
+    // Invariant findings carry their buffer index; the emission sequence
+    // number is the position of that buffer entry in the worker's order.
+    for f in &mut findings {
+        let (w, i) = f.at;
+        let p = f.state.0 as u8;
+        let seq = outs[w]
+            .order
+            .iter()
+            .enumerate()
+            .filter(|&(_, &q)| q == p)
+            .nth(i)
+            .map_or(usize::MAX, |(s, _)| s);
+        f.at = (w, seq);
+    }
+    (findings, exhausted)
+}
+
+/// The verdict for a level's first finding, its witness rebuilt from
+/// the parent links.
+fn finding_verdict(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    visited: &Visited,
+    f: Finding,
+    level: usize,
+    stats: ExploreStats,
+) -> Verdict {
+    let last = GlobalState::decode(visited.key(f.state), cfg)
+        .unwrap_or_else(|| GlobalState::initial(spec, cfg));
+    let mut trace = rebuild(spec, cfg, visited, f.state, last);
+    match f.kind {
+        FindingKind::Deadlock => Verdict::Deadlock {
+            depth: level,
+            trace,
+            stats,
+        },
+        FindingKind::Bug => {
+            // The recorded rule/detail name canonical indices under
+            // symmetry; re-derive them from the concrete terminal the
+            // de-canonicalized trace reaches.
+            let (rule, detail) = if cfg.symmetry {
+                crate::trace::concrete_bug(spec, cfg, &trace.last).unwrap_or((f.rule, f.detail))
+            } else {
+                (f.rule, f.detail)
+            };
+            trace.steps.push(rule);
+            Verdict::ModelError {
+                trace,
+                detail,
+                stats,
             }
         }
-        ExpandOutcome::Done(_) | ExpandOutcome::Stopped => {
-            next.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .extend(batch);
+        FindingKind::Invariant => {
+            // Keep the violation text consistent with the concrete
+            // terminal the trace replays to.
+            let detail = if cfg.symmetry {
+                cfg.swmr
+                    .as_ref()
+                    .and_then(|s| s.check(&trace.last, spec))
+                    .unwrap_or(f.detail)
+            } else {
+                f.detail
+            };
+            Verdict::InvariantViolation {
+                trace,
+                detail,
+                stats,
+            }
         }
     }
 }
 
-/// Walks the parent keys from `key` to the root. Outside symmetry mode
-/// the stored labels already form a concrete execution; under symmetry
-/// they reference canonical indices, so the trace is de-canonicalized
-/// from the canonical key chain instead (the keys are the parent links
-/// here, so the chain comes for free).
+/// Walks the parent links from `state` to the root. Outside symmetry
+/// mode the stored labels already form a concrete execution; under
+/// symmetry they reference canonical indices, so the trace is
+/// de-canonicalized from the chain of canonical keys instead.
 fn rebuild(
     spec: &ProtocolSpec,
     cfg: &McConfig,
     visited: &Visited,
-    key: &[u8],
+    state: Ref,
     last: GlobalState,
-    bug_rule: Option<&String>,
 ) -> Trace {
     let mut steps = Vec::new();
-    let mut chain = vec![key.to_vec()];
-    let mut cur = key.to_vec();
+    let mut chain = Vec::new();
+    let mut cur = state;
+    let mut label = String::new();
     // The step cap guards against parent cycles, which cannot arise
     // from this explorer's claims but could from a crafted checkpoint.
-    while let Some((parent, label)) = visited.lookup(&cur) {
-        if label.is_empty() || steps.len() > visited.len() {
+    loop {
+        chain.push(visited.key(cur).to_vec());
+        let Some(part) = visited.parts.get(cur.0 as usize) else {
+            break;
+        };
+        let Some(link) = part.links.get(cur.1 as usize) else {
+            break;
+        };
+        if part.rules.is_root(link.rule)
+            || !part.rules.render_into(spec, link.rule, &mut label)
+            || steps.len() > visited.len()
+        {
             break;
         }
-        steps.push(label);
-        chain.push(parent.clone());
-        cur = parent;
+        steps.push(label.clone());
+        cur = link.parent;
     }
     steps.reverse();
     chain.reverse();
-    let mut trace = if cfg.symmetry {
+    if cfg.symmetry {
         match crate::trace::decanonicalize_chain(spec, cfg, &chain) {
             Ok(t) => t,
             Err(why) => crate::trace::decanonicalize_failed(&why, last),
         }
     } else {
         Trace { steps, last }
-    };
-    if let Some(rule) = bug_rule {
-        let step = if cfg.symmetry {
-            // The recorded rule names canonical indices; re-derive the
-            // concrete one from the terminal the trace reaches.
-            crate::trace::concrete_bug(spec, cfg, &trace.last)
-                .map(|(r, d)| format!("{r}: {d}"))
-                .unwrap_or_else(|| rule.clone())
-        } else {
-            rule.clone()
-        };
-        trace.steps.push(step);
     }
-    trace
 }
 
 // Test-only panics below (unwrap/expect on known-good fixtures,
@@ -1124,6 +1318,68 @@ mod tests {
             "wrong provenance: {:?}",
             stats.provenance
         );
+        Ok(())
+    }
+
+    #[test]
+    fn findings_resolve_to_the_serial_explorers_first() -> Result<(), String> {
+        // A directory that grants M to every requestor without
+        // invalidating anyone: two stores make two writers, reachable
+        // along many paths at the same depth.
+        use vnet_protocol::{acts, CoreOp, Guard, MsgType, ProtocolBuilder, Target};
+        let mut b = ProtocolBuilder::new("broken-grants");
+        b.msg("GetM", MsgType::Request)
+            .msg("Data", MsgType::DataResponse);
+        b.cache_stable(&["I", "M"]).cache_transient(&["IM"]);
+        b.dir_stable(&["I"]);
+        b.cache_on_core(
+            "I",
+            CoreOp::Store,
+            acts().send("GetM", Target::Dir).goto("IM"),
+        );
+        b.cache_on_msg_if("IM", "Data", Guard::AckZero, acts().goto("M"));
+        b.dir_on_msg("I", "GetM", acts().send_data("Data", Target::Req));
+        let spec = b.build();
+        let mut cfg = McConfig::general(&spec)
+            .with_budget(InjectionBudget::PerCache(1))
+            .with_swmr(crate::invariant::Swmr::by_convention(&spec));
+        cfg.n_caches = 3;
+        cfg.n_addrs = 1;
+        cfg.n_dirs = 1;
+        let Verdict::InvariantViolation { trace, detail, .. } = crate::explore(&spec, &cfg) else {
+            return Err("the serial explorer must find the SWMR violation".into());
+        };
+        for threads in [1, 2, 4] {
+            match explore_parallel(&spec, &cfg, threads) {
+                Verdict::InvariantViolation {
+                    trace: t,
+                    detail: d,
+                    ..
+                } => {
+                    assert_eq!(t.steps, trace.steps, "{threads} threads: witness diverged");
+                    assert_eq!(t.last, trace.last, "{threads} threads: terminal diverged");
+                    assert_eq!(d, detail, "{threads} threads: detail diverged");
+                }
+                other => return Err(format!("{threads} threads: {}", other.summary())),
+            }
+        }
+        // The Figure-3 deadlock, likewise, with several workers.
+        let spec = protocols::msi_blocking_cache();
+        let cfg = McConfig::figure3(&spec);
+        let serial = crate::explore(&spec, &cfg);
+        let Verdict::Deadlock { trace, .. } = &serial else {
+            return Err(format!("figure3 must deadlock, got {}", serial.summary()));
+        };
+        for threads in [1, 3] {
+            let Verdict::Deadlock { trace: t, .. } = explore_parallel(&spec, &cfg, threads) else {
+                return Err(format!("{threads} threads missed the deadlock"));
+            };
+            assert_eq!(
+                (&t.steps, &t.last),
+                (&trace.steps, &trace.last),
+                "{threads} threads"
+            );
+        }
         Ok(())
     }
 }

@@ -14,8 +14,9 @@
 
 use crate::config::{IcnOrder, InjectionBudget, McConfig};
 use crate::exec::{apply_entry, core_entry, matching_cell, ExecError};
+use crate::intern::{InternError, StateArena};
 use crate::state::{GlobalState, Msg, Node};
-use vnet_protocol::{Cell, MsgId, ProtocolSpec};
+use vnet_protocol::{Cell, CoreOp, MsgId, ProtocolSpec};
 
 /// One enabled transition out of a state.
 #[derive(Debug, Clone)]
@@ -42,9 +43,9 @@ pub enum Expansion {
 }
 
 /// A successor's rule identity, renderable to the human label on
-/// demand. Rules fire orders of magnitude more often than fresh states
-/// are claimed, so the explorers defer the string work to the claim
-/// site and the hot path stays allocation-free.
+/// demand. Rules fire orders of magnitude more often than labels are
+/// read, so the explorers keep a compact reference per claim and
+/// render text only for a checkpoint or a witness.
 #[derive(Debug, Clone, Copy)]
 pub enum RuleKind {
     /// A cache performed a core operation.
@@ -74,7 +75,7 @@ pub enum RuleKind {
 
 /// A borrowed rule label: the rule plus the buffer placements chosen
 /// for its sends. Render with [`Label::render_into`] only when the
-/// label text is actually needed (fresh claim, tie-break, trace).
+/// label text is actually needed (checkpoint, tie-break, trace).
 #[derive(Debug, Clone, Copy)]
 pub struct Label<'a> {
     kind: &'a RuleKind,
@@ -92,32 +93,218 @@ impl Label<'_> {
 
     /// [`Label::render`] into a caller-owned buffer (cleared first).
     pub fn render_into(&self, spec: &ProtocolSpec, out: &mut String) {
-        use std::fmt::Write;
-        out.clear();
+        render_parts(spec, self.kind, self.choices.iter().copied(), out);
+    }
+
+    /// Appends the label's compact rule reference: what the explorers
+    /// carry per candidate successor instead of label text, rendered by
+    /// [`render_rule_ref`] only where text is needed. An inject is
+    /// `[0, cache, addr, op]`, an advance `[1, vn lo, vn hi, buffer,
+    /// msg×6]`, a consume `[2, msg×6]`; then the send count and
+    /// `[msg, vn lo, vn hi, buffer]` per send. The empty reference
+    /// stands for the initial state's empty label.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self.kind {
             RuleKind::Inject { cache, addr, op } => {
-                let _ = write!(out, "inject C{} {op} {}", cache + 1, addr_name(*addr));
+                let op = CoreOp::all().iter().position(|o| o == op).unwrap_or(0);
+                out.extend([0, *cache, *addr, op as u8]);
             }
             RuleKind::Advance { vn, b, msg } => {
-                let _ = write!(out, "advance vn{vn}.b{b} ");
-                msg.display_into(spec, out);
+                out.push(1);
+                out.extend((*vn as u16).to_le_bytes());
+                out.push(*b as u8);
+                out.extend(msg.encode());
             }
             RuleKind::Consume { msg } => {
-                out.push_str("consume ");
-                msg.display_into(spec, out);
-                let _ = write!(out, " at {}", msg.dst);
+                out.push(2);
+                out.extend(msg.encode());
             }
         }
-        if !self.choices.is_empty() {
-            out.push_str(" [");
-            for (i, (m, vn, b)) in self.choices.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        out.push(self.choices.len() as u8);
+        for &(m, vn, b) in self.choices {
+            out.push(m);
+            out.extend(vn.to_le_bytes());
+            out.push(b);
+        }
+    }
+}
+
+/// Renders a rule reference written by [`Label::encode_into`] into
+/// `out` (cleared first). Returns `false` — with `out` unspecified — for
+/// a malformed reference or one naming a message `spec` lacks, so a
+/// damaged file fails closed instead of panicking.
+pub(crate) fn render_rule_ref(spec: &ProtocolSpec, bytes: &[u8], out: &mut String) -> bool {
+    out.clear();
+    if bytes.is_empty() {
+        return true;
+    }
+    let n_msgs = spec.messages().len();
+    let msg_at = |at: usize| -> Option<Msg> {
+        let b: [u8; 6] = bytes.get(at..at + 6)?.try_into().ok()?;
+        let m = Msg::decode(b);
+        ((m.msg as usize) < n_msgs).then_some(m)
+    };
+    let (kind, rest) = match bytes[0] {
+        0 if bytes.len() >= 4 => match CoreOp::all().get(bytes[3] as usize) {
+            Some(&op) => (
+                RuleKind::Inject {
+                    cache: bytes[1],
+                    addr: bytes[2],
+                    op,
+                },
+                4,
+            ),
+            None => return false,
+        },
+        1 => match msg_at(4) {
+            Some(msg) => (
+                RuleKind::Advance {
+                    vn: u16::from_le_bytes([bytes[1], bytes[2]]) as usize,
+                    b: bytes[3] as usize,
+                    msg,
+                },
+                10,
+            ),
+            None => return false,
+        },
+        2 => match msg_at(1) {
+            Some(msg) => (RuleKind::Consume { msg }, 7),
+            None => return false,
+        },
+        _ => return false,
+    };
+    let Some((&count, sends)) = bytes.get(rest..).and_then(<[u8]>::split_first) else {
+        return false;
+    };
+    if sends.len() != count as usize * 4 || sends.chunks_exact(4).any(|c| c[0] as usize >= n_msgs) {
+        return false;
+    }
+    let choices = sends
+        .chunks_exact(4)
+        .map(|c| (c[0], u16::from_le_bytes([c[1], c[2]]), c[3]));
+    render_parts(spec, &kind, choices, out);
+    true
+}
+
+/// First byte of an interned rule that is literal label text (read
+/// from a checkpoint) rather than a compact reference; no compact
+/// reference starts with it.
+const LITERAL: u8 = 0xff;
+
+/// The rule labels of claimed states, interned. The explorers intern
+/// each claim's compact rule reference ([`Label::encode_into`]); labels
+/// read back from a checkpoint are interned as literal text. A run sees
+/// a few hundred distinct labels, each shared by thousands of states,
+/// so a state stores a `u32` id and label text is rendered only for a
+/// checkpoint or a witness — never per claim.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RuleTable {
+    arena: StateArena,
+}
+
+impl RuleTable {
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        RuleTable::default()
+    }
+
+    /// Interns a compact rule reference; the empty reference is the
+    /// initial state's empty label.
+    pub(crate) fn intern_ref(&mut self, rule: &[u8]) -> Result<u32, InternError> {
+        self.arena.intern(rule).map(|(id, _)| id)
+    }
+
+    /// Interns literal label text (the empty label as the empty
+    /// reference, so [`RuleTable::is_root`] holds for it either way).
+    pub(crate) fn intern_text(&mut self, label: &str) -> Result<u32, InternError> {
+        if label.is_empty() {
+            return self.intern_ref(&[]);
+        }
+        let mut bytes = Vec::with_capacity(1 + label.len());
+        bytes.push(LITERAL);
+        bytes.extend_from_slice(label.as_bytes());
+        self.intern_ref(&bytes)
+    }
+
+    /// `true` for the empty label, which only the initial state carries.
+    pub(crate) fn is_root(&self, id: u32) -> bool {
+        self.arena.get(id).is_empty()
+    }
+
+    /// Renders label `id` into `out` (cleared first). `false` for an id
+    /// never interned or a damaged reference.
+    pub(crate) fn render_into(&self, spec: &ProtocolSpec, id: u32, out: &mut String) -> bool {
+        if id as usize >= self.arena.len() {
+            return false;
+        }
+        match self.arena.get(id).split_first() {
+            Some((&LITERAL, text)) => match std::str::from_utf8(text) {
+                Ok(t) => {
+                    out.clear();
+                    out.push_str(t);
+                    true
                 }
-                let _ = write!(out, "{}\u{2192}vn{vn}b{b}", spec.message_name(MsgId(*m as usize)));
-            }
-            out.push(']');
+                Err(_) => false,
+            },
+            _ => render_rule_ref(spec, self.arena.get(id), out),
         }
+    }
+
+    /// Every label's text, indexed by id — each rendered once, for a
+    /// checkpoint flush. `Err(id)` names a damaged reference.
+    pub(crate) fn texts(&self, spec: &ProtocolSpec) -> Result<Vec<String>, u32> {
+        (0..self.arena.len() as u32)
+            .map(|id| {
+                let mut text = String::new();
+                self.render_into(spec, id, &mut text)
+                    .then_some(text)
+                    .ok_or(id)
+            })
+            .collect()
+    }
+
+    /// Exact heap bytes held.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        self.arena.heap_bytes()
+    }
+}
+
+/// The label text of `kind` with its send placements `choices`.
+fn render_parts(
+    spec: &ProtocolSpec,
+    kind: &RuleKind,
+    choices: impl ExactSizeIterator<Item = (u8, u16, u8)>,
+    out: &mut String,
+) {
+    use std::fmt::Write;
+    out.clear();
+    match kind {
+        RuleKind::Inject { cache, addr, op } => {
+            let _ = write!(out, "inject C{} {op} {}", cache + 1, addr_name(*addr));
+        }
+        RuleKind::Advance { vn, b, msg } => {
+            let _ = write!(out, "advance vn{vn}.b{b} ");
+            msg.display_into(spec, out);
+        }
+        RuleKind::Consume { msg } => {
+            out.push_str("consume ");
+            msg.display_into(spec, out);
+            let _ = write!(out, " at {}", msg.dst);
+        }
+    }
+    if choices.len() > 0 {
+        out.push_str(" [");
+        for (i, (m, vn, b)) in choices.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{}\u{2192}vn{vn}b{b}",
+                spec.message_name(MsgId(m as usize))
+            );
+        }
+        out.push(']');
     }
 }
 
@@ -491,6 +678,103 @@ mod tests {
             })
         });
         assert!(flipped);
+    }
+
+    #[test]
+    fn rule_refs_render_the_label_text() -> TestResult {
+        // Every successor label of a few expanded levels round-trips
+        // through its compact rule reference, and damage fails closed.
+        let spec = protocols::msi_blocking_cache();
+        let cfg = McConfig::general(&spec);
+        let mut level = vec![GlobalState::initial(&spec, &cfg)];
+        let mut scratch = Scratch::new(&spec, &cfg);
+        let (mut bytes, mut text, mut seen) = (Vec::new(), String::new(), 0);
+        for _ in 0..4 {
+            let mut next = Vec::new();
+            for gs in &level {
+                let mut bad = None;
+                expand(&spec, &cfg, gs, &mut scratch, |s, label| {
+                    bytes.clear();
+                    label.encode_into(&mut bytes);
+                    if !render_rule_ref(&spec, &bytes, &mut text) || text != label.render(&spec) {
+                        bad = Some(label.render(&spec));
+                    }
+                    seen += 1;
+                    next.push(s.clone());
+                    true
+                });
+                if let Some(l) = bad {
+                    return Err(format!("rule ref of `{l}` did not render back"));
+                }
+            }
+            level = next;
+            level.truncate(200);
+        }
+        assert!(seen > 100, "too few successors checked: {seen}");
+        assert!(render_rule_ref(&spec, &[], &mut text) && text.is_empty());
+        for bad in [
+            &[3u8][..],
+            &[0, 1, 0, 9, 0],
+            &[2, 200, 0, 0, 0, 0, 0, 0],
+            &[0, 1, 0, 1, 1],
+        ] {
+            assert!(!render_rule_ref(&spec, bad, &mut text), "{bad:?} accepted");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rule_table_round_trips_references_and_literal_labels() {
+        let spec = protocols::msi_blocking_cache();
+        let cfg = McConfig::figure3(&spec);
+        let mut t = RuleTable::new();
+        let empty = t.intern_text("").unwrap();
+        let a = t.intern_text("C1 sends GetM(X)").unwrap();
+        let b = t.intern_text("Dir1 handles GetS(X)").unwrap();
+        assert_eq!(t.intern_text("C1 sends GetM(X)").unwrap(), a);
+        assert_eq!(
+            t.intern_ref(&[]).unwrap(),
+            empty,
+            "the empty label is the root's"
+        );
+        let mut reference = Vec::new();
+        let mut rendered = String::new();
+        expand(
+            &spec,
+            &cfg,
+            &GlobalState::initial(&spec, &cfg),
+            &mut Scratch::new(&spec, &cfg),
+            |_, l| {
+                l.encode_into(&mut reference);
+                rendered = l.render(&spec);
+                false
+            },
+        );
+        let r = t.intern_ref(&reference).unwrap();
+        assert!(t.is_root(empty) && !t.is_root(a) && !t.is_root(r));
+        let mut out = String::from("stale");
+        for (id, text) in [
+            (empty, ""),
+            (a, "C1 sends GetM(X)"),
+            (b, "Dir1 handles GetS(X)"),
+            (r, &rendered),
+        ] {
+            assert!(t.render_into(&spec, id, &mut out));
+            assert_eq!(out, text);
+        }
+        assert!(
+            !t.render_into(&spec, 99, &mut out),
+            "unknown ids fail closed"
+        );
+        assert_eq!(
+            t.texts(&spec).unwrap(),
+            vec![
+                "".to_string(),
+                "C1 sends GetM(X)".into(),
+                "Dir1 handles GetS(X)".into(),
+                rendered
+            ]
+        );
     }
 
     #[test]

@@ -177,12 +177,22 @@ impl SpillArena {
     /// both tiers: a cold hit is verified against the decoded blob, so
     /// a fingerprint collision can never alias two distinct states.
     pub fn intern(&mut self, bytes: &[u8]) -> Result<(StateId, bool), InternError> {
+        self.intern_hashed(bytes, fx_hash_bytes(bytes))
+    }
+
+    /// [`SpillArena::intern`] with `hash = fx_hash_bytes(bytes)`
+    /// supplied by a caller that already computed it.
+    pub(crate) fn intern_hashed(
+        &mut self,
+        bytes: &[u8],
+        hash: u64,
+    ) -> Result<(StateId, bool), InternError> {
         if self.base > 0 {
-            if let Some(id) = self.lookup_cold(bytes) {
+            if let Some(id) = self.lookup_cold(bytes, hash) {
                 return Ok((id, false));
             }
         }
-        match self.hot.intern(bytes) {
+        match self.hot.intern_hashed(bytes, hash) {
             Ok((local, fresh)) => match local.checked_add(self.base) {
                 Some(gid) => Ok((gid, fresh)),
                 None => Err(InternError::AddressSpace),
@@ -193,11 +203,16 @@ impl SpillArena {
 
     /// The id of `bytes` if present in either tier.
     pub fn lookup(&mut self, bytes: &[u8]) -> Option<StateId> {
-        if let Some(local) = self.hot.lookup(bytes) {
+        self.lookup_hashed(bytes, fx_hash_bytes(bytes))
+    }
+
+    /// [`SpillArena::lookup`] with `hash = fx_hash_bytes(bytes)`.
+    pub(crate) fn lookup_hashed(&mut self, bytes: &[u8], hash: u64) -> Option<StateId> {
+        if let Some(local) = self.hot.lookup_hashed(bytes, hash) {
             return local.checked_add(self.base);
         }
         if self.base > 0 {
-            return self.lookup_cold(bytes);
+            return self.lookup_cold(bytes, hash);
         }
         None
     }
@@ -287,11 +302,11 @@ impl SpillArena {
 
     /// Cold-tier lookup: probe the fingerprint filter, verify each
     /// candidate against the decoded blob.
-    fn lookup_cold(&mut self, bytes: &[u8]) -> Option<StateId> {
+    fn lookup_cold(&mut self, bytes: &[u8], hash: u64) -> Option<StateId> {
         if self.filter.is_empty() {
             return None;
         }
-        let fp = (fx_hash_bytes(bytes) >> 32) as u32;
+        let fp = (hash >> 32) as u32;
         let mask = self.filter.len() - 1;
         let mut slot = fp as usize & mask;
         loop {

@@ -137,7 +137,7 @@ impl Msg {
         }
     }
 
-    fn encode(&self) -> [u8; 6] {
+    pub(crate) fn encode(&self) -> [u8; 6] {
         debug_assert!(
             self.msg < FIFO_SEP,
             "message ids must stay below the separators"
@@ -152,7 +152,7 @@ impl Msg {
         ]
     }
 
-    fn decode(b: [u8; 6]) -> Msg {
+    pub(crate) fn decode(b: [u8; 6]) -> Msg {
         Msg {
             msg: b[0],
             addr: b[1],

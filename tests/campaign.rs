@@ -124,17 +124,19 @@ fn thread_isolation_timeout_then_resume_lineage() {
         name: "CHI".into(),
         arg: "CHI".into(),
     }];
-    // The timeout is far below the ~1.5 s the full run takes in either
-    // profile, so the first attempt *always* times out and the lineage
-    // is exercised; each retry resumes from the flushed checkpoint and
-    // the remainder eventually fits in one slice. The supervisor's
+    // The timeout is far below the ~0.25 s the full run takes in a
+    // release build on a 2-vCPU host (longer in a debug build), so the
+    // first attempt *always* times out and the lineage is exercised;
+    // each retry resumes from the flushed checkpoint, expands at least
+    // one of the 20 levels, and the remainder eventually fits in one
+    // slice. The supervisor's
     // grace window (>= 5 s) covers finishing a BFS level even when the
     // harness runs every other test and their subprocesses
     // concurrently, and the retry budget covers a loaded machine.
     let mut cc = CampaignConfig::new()
         .with_isolation(Isolation::Thread)
         .with_threads(2)
-        .with_timeout(std::time::Duration::from_millis(250))
+        .with_timeout(std::time::Duration::from_millis(50))
         .with_retries(25)
         .with_checkpoint_dir(&ckpts);
     // The default 250 ms doubling backoff is for flaky-environment

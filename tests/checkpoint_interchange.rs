@@ -258,3 +258,104 @@ fn corrupted_v2_checkpoints_are_rejected() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// The threaded flush is a pure function of progress: the explorer
+/// claims in the serial explorer's candidate order, so partition-local
+/// ids — and with them every section byte — do not depend on thread
+/// scheduling or thread count. Two `--parallel 2` runs and `--parallel
+/// 1` and `4` runs stopped by the same node budget flush identical
+/// files, and the file resumes to the uninterrupted verdict under the
+/// serial explorer, the spilling serial explorer and the threaded one.
+/// (The process-shard explorer resumes from its shard directory, not
+/// from a checkpoint file.) The copies are byte-identical, so one
+/// resume per explorer covers every copy.
+#[test]
+fn threaded_flush_is_identical_across_runs_and_thread_counts() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_vnet");
+    let dir = std::env::temp_dir().join(format!("vnet-interchange-par-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mc = |args: &[&str]| -> (Option<i32>, String) {
+        let out = Command::new(bin)
+            .arg("mc")
+            .args(args)
+            .output()
+            .expect("vnet mc should spawn");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let result_line = |stdout: &str| -> String {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("mc-result "))
+            .unwrap_or_else(|| panic!("no mc-result line in:\n{stdout}"))
+            .to_string()
+    };
+
+    let mut copies = Vec::new();
+    for (i, threads) in ["2", "2", "1", "4"].into_iter().enumerate() {
+        let path = dir.join(format!("run{i}-par{threads}.ckpt"));
+        let path_s = path.display().to_string();
+        let (code, out) = mc(&[
+            "CHI",
+            "--machine",
+            "--parallel",
+            threads,
+            "--budget",
+            "nodes=50000",
+            "--checkpoint",
+            &path_s,
+        ]);
+        assert_eq!(
+            code,
+            Some(3),
+            "--parallel {threads} should stop on its budget:\n{out}"
+        );
+        copies.push((
+            threads,
+            std::fs::read(&path).expect("a budgeted run flushes"),
+        ));
+    }
+    let (_, first) = &copies[0];
+    for (threads, bytes) in &copies[1..] {
+        assert!(
+            bytes == first,
+            "--parallel {threads} flushed different bytes than --parallel 2"
+        );
+    }
+
+    let (code, fresh) = mc(&["CHI", "--machine"]);
+    assert_eq!(
+        code,
+        Some(0),
+        "the uninterrupted run must complete:\n{fresh}"
+    );
+    let spill = dir.join("spill").display().to_string();
+    let explorers: [(&str, Vec<&str>); 3] = [
+        ("serial", vec![]),
+        (
+            "spilling serial",
+            vec!["--mem-budget", "9500000", "--spill-dir", &spill],
+        ),
+        ("threaded", vec!["--parallel", "2"]),
+    ];
+    for (name, extra) in &explorers {
+        // A resumed run keeps checkpointing to its file: give each its own.
+        let copy = dir.join(format!("resume-{}.ckpt", name.replace(' ', "-")));
+        std::fs::write(&copy, first).unwrap();
+        let copy_s = copy.display().to_string();
+        let mut args = vec!["CHI", "--machine", "--resume", &copy_s];
+        args.extend(extra);
+        let (code, out) = mc(&args);
+        assert_eq!(code, Some(0), "{name} resume failed:\n{out}");
+        assert_eq!(
+            result_line(&out),
+            result_line(&fresh),
+            "{name} resume diverged"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

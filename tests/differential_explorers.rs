@@ -280,5 +280,9 @@ fn parallel_figure3_witness_replays_to_its_terminal_state() {
         // witness states, but both must be genuinely deadlocked at the
         // same BFS depth — trace length is the depth for both.
         assert_eq!(trace.len(), serial_trace.len());
+        // The threaded explorer claims in the serial explorer's order,
+        // so it reports the very same witness.
+        assert_eq!(trace.steps, serial_trace.steps, "{threads} threads: witness diverged");
+        assert_eq!(trace.last, serial_trace.last, "{threads} threads: terminal diverged");
     }
 }

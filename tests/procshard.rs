@@ -417,3 +417,84 @@ fn conflicting_flags_are_rejected_before_anything_runs() {
         assert_eq!(code, 1, "{args:?} should be a usage error, got:\n{out}");
     }
 }
+
+/// The FNV-1a-style checksum of a shard directory's meta record (the
+/// checkpoint module's constants).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// A directory left mid-run by a binary whose round files predate the
+/// format version has a 12-byte meta record (fingerprint, shard count).
+/// Resuming it must fail closed, naming the remedy, before any worker
+/// reads an outbox: the directory is left exactly as it was found.
+#[test]
+fn shard_directory_of_an_older_format_is_refused() {
+    let dir = tmpdir("old-format");
+    let dir_s = dir.display().to_string();
+    let args = [
+        "CHI",
+        "--machine",
+        "--shard-procs",
+        "2",
+        "--shard-dir",
+        &dir_s,
+        "--budget",
+        "nodes=3000",
+    ];
+    let (code, out) = run_mc(&args);
+    assert_eq!(code, 3, "the budgeted run should stop mid-run:\n{out}");
+
+    let meta = dir.join("meta.bin");
+    let record = std::fs::read(&meta).expect("a shard directory has a meta record");
+    assert_eq!(
+        record.len(),
+        8 + 16,
+        "meta = checksum, fingerprint, shard count, format"
+    );
+    let old = &record[8..20];
+    let mut rewritten = fnv1a(old).to_le_bytes().to_vec();
+    rewritten.extend_from_slice(old);
+    std::fs::write(&meta, &rewritten).unwrap();
+    let snapshot = |d: &std::path::Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().is_file())
+            .map(|e| {
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot(&dir);
+    assert!(
+        before.iter().any(|(name, _)| name.starts_with("out-")),
+        "the mid-run directory should hold outboxes"
+    );
+
+    let out = Command::new(vnet_bin())
+        .arg("mc")
+        .args(args)
+        .output()
+        .expect("vnet mc should spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an old-format directory must be refused:\n{stderr}"
+    );
+    assert!(stderr.contains("shard format 1"), "{stderr}");
+    assert!(stderr.contains("use a fresh --shard-dir"), "{stderr}");
+    assert!(
+        snapshot(&dir) == before,
+        "the refused directory was modified"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
