@@ -34,7 +34,12 @@
 //! The workloads are the paper's §VII verification subjects: the
 //! Table I deadlock confirmations (Figure-3 scenario) and the bounded
 //! depth-series sweeps. Two `+par2` rows (group `table1_mc_par`) run
-//! Figure-3 subjects on the thread-parallel explorer with 2 threads.
+//! Figure-3 subjects on the thread-parallel explorer with 2 threads,
+//! and the `+shard2` row (group `table1_mc_shard`) runs one on the
+//! process-sharded explorer: it re-executes the `vnet` binary next to
+//! this harness (`vnet mc <protocol> --machine --shard-procs 2`), so
+//! build it first (`cargo build --release --bin vnet`). That row
+//! reports no peak or spill bytes, and ignores `--mem-budget`.
 //! Every run is deterministic, so states and levels are bit-stable;
 //! only wall time varies.
 
@@ -46,15 +51,25 @@ use vnet_mc::{
 };
 use vnet_protocol::{protocols, ProtocolSpec};
 
+/// Which explorer a workload runs on.
+#[derive(Clone, Copy)]
+enum Explorer {
+    Serial,
+    /// The thread-parallel explorer with this many threads.
+    Threads(usize),
+    /// The process-sharded explorer with this many worker processes,
+    /// through the `vnet` binary (its default VN map for the protocol,
+    /// the analyzer's minimal one, which `derived_vns` also computes).
+    Procs(usize),
+}
+
 /// One named (spec, config) pair to measure.
 struct Workload {
     name: String,
     group: &'static str,
     spec: ProtocolSpec,
     cfg: McConfig,
-    /// Worker threads of the thread-parallel explorer; `None` runs the
-    /// serial explorer.
-    threads: Option<usize>,
+    explorer: Explorer,
 }
 
 /// One measured result.
@@ -99,7 +114,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     for spec in [
@@ -114,7 +129,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     // table1_mc_spill: one Figure-3 subject forced out-of-core, so the
@@ -131,7 +146,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_spill",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     // table1_mc_sym: the symmetry-reduced Table I sweep. A complete
@@ -155,7 +170,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     // The 4-cache follow-up row: symmetry (group order 4!·2! = 48) is
@@ -178,7 +193,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     // mc_depth_series: the bounded general sweeps (the big ones).
@@ -197,7 +212,7 @@ fn workloads() -> Vec<Workload> {
             group: "mc_depth_series",
             spec,
             cfg,
-            threads: None,
+            explorer: Explorer::Serial,
         });
     }
     // table1_mc_par: Figure-3 subjects on the thread-parallel explorer,
@@ -210,55 +225,123 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_par",
             spec,
             cfg,
-            threads: Some(2),
+            explorer: Explorer::Threads(2),
+        });
+    }
+    // table1_mc_shard: the same kind of subject on the process-sharded
+    // explorer, so its rounds, segments and outboxes are gated too.
+    {
+        let spec = protocols::chi();
+        let vns = derived_vns(&spec);
+        let cfg = McConfig::figure3(&spec).with_vns(vns);
+        out.push(Workload {
+            name: format!("{}@derived-fig3+shard2", spec.name()),
+            group: "table1_mc_shard",
+            spec,
+            cfg,
+            explorer: Explorer::Procs(2),
         });
     }
     out
 }
 
-fn measure(w: &Workload, repeat: usize, budget: &vnet_graph::Budget) -> Measurement {
-    let mut walls: Vec<f64> = Vec::with_capacity(repeat);
-    let mut verdict = "unknown";
-    let mut states = 0usize;
-    let mut levels = 0usize;
-    let mut peak_bytes = 0u64;
-    let mut spill_bytes = 0u64;
-    for _ in 0..repeat {
-        let t = Instant::now();
-        let v = match w.threads {
-            None => explore_budgeted(&w.spec, &w.cfg, budget),
-            Some(n) => explore_parallel(&w.spec, &w.cfg, n),
-        };
-        walls.push(t.elapsed().as_secs_f64() * 1e3);
+/// What one timed run of a workload found.
+struct Run {
+    verdict: String,
+    states: usize,
+    levels: usize,
+    peak_bytes: u64,
+    spill_bytes: u64,
+}
+
+impl Run {
+    fn of(v: &Verdict) -> Run {
         let stats = v.stats();
-        states = stats.states;
-        levels = stats.levels;
-        peak_bytes = stats.peak_bytes;
-        spill_bytes = stats.spill_bytes;
-        verdict = match v {
+        let verdict = match v {
             Verdict::Deadlock { .. } => "deadlock",
             Verdict::NoDeadlock(_) => "no_deadlock",
             Verdict::ModelError { .. } => "model_error",
             Verdict::InvariantViolation { .. } => "invariant_violation",
         };
+        Run {
+            verdict: verdict.to_string(),
+            states: stats.states,
+            levels: stats.levels,
+            peak_bytes: stats.peak_bytes,
+            spill_bytes: stats.spill_bytes,
+        }
     }
+}
+
+/// Runs `vnet mc <protocol> --machine --shard-procs <procs>` in a fresh
+/// shard directory and reads its `mc-result` line.
+fn run_sharded(spec: &ProtocolSpec, procs: usize, dir: &std::path::Path) -> Result<Run, String> {
+    let harness = std::env::current_exe().map_err(|e| e.to_string())?;
+    let vnet = harness.with_file_name(format!("vnet{}", std::env::consts::EXE_SUFFIX));
+    let out = std::process::Command::new(&vnet)
+        .args(["mc", spec.name(), "--machine", "--shard-procs"])
+        .arg(procs.to_string())
+        .arg("--shard-dir")
+        .arg(dir)
+        .output()
+        .map_err(|e| format!("cannot run {}: {e}", vnet.display()))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("mc-result "))
+        .ok_or_else(|| format!("no mc-result line from vnet (exit {:?})", out.status.code()))?;
+    let field = |key: &str| {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .ok_or_else(|| format!("no `{key}` in `{line}`"))
+    };
+    let count = |key: &str| -> Result<usize, String> {
+        field(key)?.parse().map_err(|_| format!("bad `{key}` in `{line}`"))
+    };
+    Ok(Run {
+        verdict: field("kind")?.replace('-', "_"),
+        states: count("states")?,
+        levels: count("levels")?,
+        peak_bytes: 0,
+        spill_bytes: 0,
+    })
+}
+
+fn measure(
+    w: &Workload,
+    repeat: usize,
+    budget: &vnet_graph::Budget,
+) -> Result<Measurement, String> {
+    let mut walls: Vec<f64> = Vec::with_capacity(repeat);
+    let mut last = None;
+    for i in 0..repeat {
+        let t = Instant::now();
+        let run = match w.explorer {
+            Explorer::Serial => Run::of(&explore_budgeted(&w.spec, &w.cfg, budget)),
+            Explorer::Threads(n) => Run::of(&explore_parallel(&w.spec, &w.cfg, n)),
+            Explorer::Procs(n) => run_sharded(&w.spec, n, &spill_dir().join(format!("shard{i}")))?,
+        };
+        walls.push(t.elapsed().as_secs_f64() * 1e3);
+        last = Some(run);
+    }
+    let run = last.ok_or("no repetition ran")?;
     walls.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let wall_ms = walls[walls.len() / 2];
-    Measurement {
+    Ok(Measurement {
         name: w.name.clone(),
         group: w.group,
-        verdict: verdict.to_string(),
-        states,
-        levels,
+        verdict: run.verdict,
+        states: run.states,
+        levels: run.levels,
         wall_ms,
         states_per_sec: if wall_ms > 0.0 {
-            states as f64 / (wall_ms / 1e3)
+            run.states as f64 / (wall_ms / 1e3)
         } else {
             0.0
         },
-        peak_bytes,
-        spill_bytes,
-    }
+        peak_bytes: run.peak_bytes,
+        spill_bytes: run.spill_bytes,
+    })
 }
 
 /// Measures `w` in a fresh child process (this binary with `--row`),
@@ -428,6 +511,13 @@ fn main() {
         }
         let m = measure(&w, repeat, &budget);
         let _ = std::fs::remove_dir_all(spill_dir());
+        let m = match m {
+            Ok(m) => m,
+            Err(e) => {
+                eprintln!("bench_explorer: {name}: {e}");
+                std::process::exit(1);
+            }
+        };
         println!(
             "row {} {} {} {} {} {}",
             m.verdict, m.states, m.levels, m.wall_ms, m.peak_bytes, m.spill_bytes

@@ -31,8 +31,8 @@ fn arrival_orders(order: IcnOrder) -> std::collections::BTreeSet<Vec<u8>> {
 
     // Block the directory for both addresses so the requests stall.
     let s_d = spec.directory().state_by_name("S_D").unwrap();
-    init.dir_mut(0).state = s_d.index() as u8;
-    init.dir_mut(1).state = s_d.index() as u8;
+    init.update_dir(0, |d| d.state = s_d.index() as u8);
+    init.update_dir(1, |d| d.state = s_d.index() as u8);
     // (S_D expects a Data writeback eventually; for this ICN-only demo
     // the directory simply stays blocked.)
 

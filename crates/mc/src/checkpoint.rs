@@ -14,12 +14,18 @@
 //! ```text
 //! magic        8 bytes  b"VNETCKPT"
 //! version      u32 LE   (2)
-//! fingerprint  u64 LE   FNV-1a over the spec's canonical DSL text and
+//! fingerprint  u64 LE   fnv64 over the spec's canonical DSL text and
 //!                       the McConfig fields that shape the state space
 //! payload_len  u64 LE
 //! payload      payload_len bytes (see below)
-//! checksum     u64 LE   FNV-1a over everything above (magic..payload)
+//! checksum     u64 LE   fnv64 over everything above (magic..payload)
 //! ```
+//!
+//! `fnv64` is the FNV-1a loop (offset basis `0xcbf2_9ce4_8422_2325`,
+//! xor each byte, then multiply) with the multiplier
+//! `0x1000_0000_01b3`, not the FNV-1a 64-bit prime `0x100_0000_01b3`:
+//! its values are not FNV-1a's, and a stock FNV-1a does not verify
+//! these files.
 //!
 //! The payload:
 //!
@@ -27,7 +33,7 @@
 //! level        u64 LE
 //! nodes_spent  u64 LE
 //! n_shards     u32 LE
-//! manifest     n_shards × (section_len u64 LE, section FNV-1a u64 LE)
+//! manifest     n_shards × (section_len u64 LE, section fnv64 u64 LE)
 //! sections     the shard sections, concatenated
 //! frontier     u64 LE count, then count × (shard u32 LE, index u32 LE)
 //! ```
@@ -248,7 +254,10 @@ pub struct Checkpoint {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into a running FNV-1a 64-bit hash.
+/// Folds `bytes` into a running `fnv64` (module docs): the FNV-1a loop
+/// with the multiplier `0x1000_0000_01b3`, which is not the FNV-1a
+/// prime. Every checkpoint, shard round file and fingerprint is written
+/// with this constant, so changing it is a format change.
 fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -257,7 +266,8 @@ fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit, the repo's dependency-free checksum/fingerprint hash.
+/// `fnv64` of `bytes` (see [`fnv1a_update`]), the repo's
+/// dependency-free checksum/fingerprint hash.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
@@ -810,6 +820,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
         dir
+    }
+
+    /// Known answers pin the checksum's multiplier, `0x1000_0000_01b3`:
+    /// changing it would change every checkpoint's bytes. The standard
+    /// FNV-1a 64-bit value of "a" is `0xaf63_dc4c_8601_ec8c`.
+    #[test]
+    fn checksum_multiplier_is_pinned_by_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+        assert_eq!(fnv1a(b"VNETCKPT"), 0xcbd8_c9ae_948e_bfd6);
+        assert_ne!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c, "not stock FNV-1a");
+        // The running form folds in pieces to the same value.
+        assert_eq!(fnv1a_update(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     /// Writes `ckpt` to `path` as one section in entry order.

@@ -277,8 +277,8 @@ impl McConfig {
 
     /// Checks the state codec's size limits. The `u8` reader/sharer
     /// masks silently corrupt beyond 8 caches, `Node::Dir` is encoded
-    /// as `0x80 | i`, message addresses are single bytes, and a state
-    /// holds each queue's length in one byte — so any config outside
+    /// as `0x80 | i`, message addresses are single bytes, and a queue
+    /// holds at most 255 messages — so any config outside
     /// these bounds must be rejected before a single
     /// state is encoded, not explored into garbage.
     pub fn validate(&self) -> Result<(), String> {
@@ -304,8 +304,7 @@ impl McConfig {
         let max_cap = crate::state::MAX_QUEUE_CAPACITY;
         if self.global_capacity > max_cap || self.endpoint_capacity > max_cap {
             return Err(format!(
-                "queue capacities {}/{} out of range (0..={max_cap}: a state holds each \
-                 queue's length in one byte)",
+                "queue capacities {}/{} out of range (0..={max_cap} messages per queue)",
                 self.global_capacity, self.endpoint_capacity
             ));
         }

@@ -2,7 +2,7 @@
 //! application against a concrete [`GlobalState`].
 
 use crate::config::McConfig;
-use crate::state::{GlobalState, Msg, Node};
+use crate::state::{CacheLine, DirLine, GlobalState, Msg, Node};
 use vnet_protocol::{
     Action, Cell, ControllerKind, CoreOp, Entry, Guard, MsgId, Payload, ProtocolSpec, StateId,
     Target, Trigger,
@@ -223,14 +223,28 @@ pub(crate) fn apply_entry(
     };
     let msg_ack = trigger_msg.map_or(0, |m| m.ack);
     sends.clear();
+    // The entry reads and writes only the block's directory line and,
+    // at a cache, the cache's line: both are worked on as values and
+    // stored once at the end.
+    let a = addr as usize;
+    let mut dir = gs.dir(a);
+    let mut line = match node {
+        Node::Cache(c) => Some(gs.line(c as usize, a)),
+        Node::Dir(_) => None,
+    };
+    fn cache_line(line: &mut Option<CacheLine>) -> &mut CacheLine {
+        let Some(line) = line.as_mut() else { unreachable!("cache actions fire at caches") };
+        line
+    }
 
     for action in &entry.actions {
         match action {
             Action::Send { msg, to, payload } => {
-                emit(cfg, gs, node, addr, requestor, msg_ack, *msg, *to, *payload, sends)?;
+                let (dir, line) = (&dir, &mut line);
+                emit(cfg, dir, line, node, addr, requestor, msg_ack, *msg, *to, *payload, sends)?;
             }
             Action::SendToSharersExceptReq { msg } => {
-                let sharers = gs.dir(addr as usize).sharers & !(1u8 << requestor);
+                let sharers = dir.sharers & !(1u8 << requestor);
                 for s in 0..cfg.n_caches as u8 {
                     if sharers & (1 << s) != 0 {
                         sends.push(Msg {
@@ -244,57 +258,49 @@ pub(crate) fn apply_entry(
                     }
                 }
             }
-            Action::SetOwnerToReq => gs.dir_mut(addr as usize).owner = Some(requestor),
-            Action::ClearOwner => gs.dir_mut(addr as usize).owner = None,
-            Action::AddReqToSharers => gs.dir_mut(addr as usize).sharers |= 1 << requestor,
+            Action::SetOwnerToReq => dir.owner = Some(requestor),
+            Action::ClearOwner => dir.owner = None,
+            Action::AddReqToSharers => dir.sharers |= 1 << requestor,
             Action::AddOwnerToSharers => {
-                let d = gs.dir_mut(addr as usize);
-                if let Some(o) = d.owner {
-                    d.sharers |= 1 << o;
+                if let Some(o) = dir.owner {
+                    dir.sharers |= 1 << o;
                 }
             }
-            Action::RemoveReqFromSharers => {
-                gs.dir_mut(addr as usize).sharers &= !(1u8 << requestor)
-            }
-            Action::ClearSharers => gs.dir_mut(addr as usize).sharers = 0,
+            Action::RemoveReqFromSharers => dir.sharers &= !(1u8 << requestor),
+            Action::ClearSharers => dir.sharers = 0,
             Action::CopyDataToMem => {}
-            Action::RecordReader => {
-                let Node::Cache(c) = node else { unreachable!() };
-                gs.line_mut(c as usize, addr as usize).readers |= 1 << requestor;
-            }
-            Action::RecordWriter => {
-                let Node::Cache(c) = node else { unreachable!() };
-                gs.line_mut(c as usize, addr as usize).writer = Some((requestor, msg_ack));
-            }
+            Action::RecordReader => cache_line(&mut line).readers |= 1 << requestor,
+            Action::RecordWriter => cache_line(&mut line).writer = Some((requestor, msg_ack)),
             Action::SetPendingToOtherSharers => {
-                let d = gs.dir_mut(addr as usize);
-                d.pending = (d.sharers & !(1u8 << requestor)).count_ones() as i8;
+                dir.pending = (dir.sharers & !(1u8 << requestor)).count_ones() as i8;
             }
-            Action::DecPending => gs.dir_mut(addr as usize).pending -= 1,
-            Action::AddAcksFromMsg => {
-                let Node::Cache(c) = node else { unreachable!() };
-                gs.line_mut(c as usize, addr as usize).needed_acks += msg_ack;
-            }
-            Action::DecNeededAcks => {
-                let Node::Cache(c) = node else { unreachable!() };
-                gs.line_mut(c as usize, addr as usize).needed_acks -= 1;
-            }
+            Action::DecPending => dir.pending -= 1,
+            Action::AddAcksFromMsg => cache_line(&mut line).needed_acks += msg_ack,
+            Action::DecNeededAcks => cache_line(&mut line).needed_acks -= 1,
         }
     }
 
     if let Some(next) = entry.next {
-        match node {
-            Node::Cache(c) => gs.line_mut(c as usize, addr as usize).state = next.index() as u8,
-            Node::Dir(_) => gs.dir_mut(addr as usize).state = next.index() as u8,
+        match &mut line {
+            Some(l) => l.state = next.index() as u8,
+            None => dir.state = next.index() as u8,
         }
+    }
+    gs.set_dir(a, dir);
+    if let (Node::Cache(c), Some(l)) = (node, line) {
+        gs.set_line(c as usize, a, l);
     }
     Ok(())
 }
 
+/// Appends the messages of one send action to `sends`, given the
+/// block's directory line and, at a cache, the cache's line (which a
+/// send to the deferred readers or writer clears).
 #[allow(clippy::too_many_arguments)]
 fn emit(
     cfg: &McConfig,
-    gs: &mut GlobalState,
+    dline: &DirLine,
+    line: &mut Option<CacheLine>,
     node: Node,
     addr: u8,
     requestor: u8,
@@ -304,7 +310,6 @@ fn emit(
     payload: Payload,
     sends: &mut Vec<Msg>,
 ) -> Result<(), ExecError> {
-    let dline = *gs.dir(addr as usize);
     let others = (dline.sharers & !(1u8 << requestor)).count_ones() as i8;
     let base_ack = |stored: Option<(u8, i8)>| match payload {
         Payload::None | Payload::Data => 0,
@@ -343,8 +348,7 @@ fn emit(
             });
         }
         Target::Readers => {
-            let Node::Cache(c) = node else { unreachable!() };
-            let line = gs.line_mut(c as usize, addr as usize);
+            let Some(line) = line.as_mut() else { unreachable!() };
             let readers = line.readers;
             line.readers = 0;
             for r in 0..cfg.n_caches as u8 {
@@ -361,8 +365,7 @@ fn emit(
             }
         }
         Target::Writer => {
-            let Node::Cache(c) = node else { unreachable!() };
-            let line = gs.line_mut(c as usize, addr as usize);
+            let Some(line) = line.as_mut() else { unreachable!() };
             let writer = line.writer.take();
             let (w, stored_ack) = writer.ok_or(ExecError::WriterUnset { msg })?;
             let ack = match payload {
@@ -445,7 +448,8 @@ mod tests {
     #[test]
     fn load_hit_in_m_is_a_no_op() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.line_mut(0, 0).state = cache_state(&spec, "M")?;
+        let state = cache_state(&spec, "M")?;
+        gs.update_line(0, 0, |l| l.state = state);
         let out = inject(&spec, &cfg, &mut gs, 0, 0, CoreOp::Load).map_err(|e| e.display(&spec))?;
         assert_eq!(out, None);
         Ok(())
@@ -474,8 +478,9 @@ mod tests {
     #[test]
     fn getm_in_s_counts_acks_and_invalidates_sharers() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.dir_mut(0).state = dir_state(&spec, "S")?;
-        gs.dir_mut(0).sharers = 0b110; // caches 1 and 2 share
+        let state = dir_state(&spec, "S")?;
+        gs.update_dir(0, |d| d.state = state);
+        gs.update_dir(0, |d| d.sharers = 0b110); // caches 1 and 2 share
         let msg = Msg {
             msg: mid(&spec, "GetM")?.index() as u8,
             addr: 0,
@@ -504,7 +509,8 @@ mod tests {
     #[test]
     fn stall_reported_in_transient_state() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.dir_mut(0).state = dir_state(&spec, "S_D")?;
+        let state = dir_state(&spec, "S_D")?;
+        gs.update_dir(0, |d| d.state = state);
         let msg = Msg {
             msg: mid(&spec, "GetM")?.index() as u8,
             addr: 0,
@@ -536,9 +542,10 @@ mod tests {
     #[test]
     fn ack_guards_combine_message_and_counter() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.line_mut(0, 0).state = cache_state(&spec, "IM_AD")?;
+        let state = cache_state(&spec, "IM_AD")?;
+        gs.update_line(0, 0, |l| l.state = state);
         // Two early Inv-Acks already arrived.
-        gs.line_mut(0, 0).needed_acks = -2;
+        gs.update_line(0, 0, |l| l.needed_acks = -2);
         let msg = Msg {
             msg: mid(&spec, "Data")?.index() as u8,
             addr: 0,
@@ -558,8 +565,9 @@ mod tests {
     #[test]
     fn last_inv_ack_completes_write() -> TestResult {
         let (spec, cfg, mut gs) = setup();
-        gs.line_mut(0, 0).state = cache_state(&spec, "IM_A")?;
-        gs.line_mut(0, 0).needed_acks = 1;
+        let state = cache_state(&spec, "IM_A")?;
+        gs.update_line(0, 0, |l| l.state = state);
+        gs.update_line(0, 0, |l| l.needed_acks = 1);
         let msg = Msg {
             msg: mid(&spec, "Inv-Ack")?.index() as u8,
             addr: 0,
@@ -579,7 +587,8 @@ mod tests {
         let spec = protocols::msi_nonblocking_cache();
         let cfg = McConfig::general(&spec);
         let mut gs = GlobalState::initial(&spec, &cfg);
-        gs.line_mut(0, 0).state = cache_state(&spec, "IM_AD")?;
+        let state = cache_state(&spec, "IM_AD")?;
+        gs.update_line(0, 0, |l| l.state = state);
         // A Fwd-GetM for cache 2 arrives and is deferred.
         let fwd = Msg {
             msg: mid(&spec, "Fwd-GetM")?.index() as u8,

@@ -13,6 +13,7 @@ use crate::intern::{InternError, StateId};
 use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{SpillArena, SpillConfig, SpillStats};
 use crate::state::GlobalState;
+use crate::symmetry::interned_key;
 use crate::trace::Trace;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -609,8 +610,10 @@ fn run_serial_inner(
                 frontier.append(&mut next_frontier);
                 break 'bfs;
             }
-            let decoded = store.keys.get_into(id, &mut key_buf)
-                && GlobalState::decode_into(&key_buf, cfg, &mut gs);
+            let decoded = store
+                .keys
+                .get(id)
+                .is_some_and(|key| GlobalState::decode_into(key, cfg, &mut gs));
             if !decoded {
                 // Unreachable for states we interned ourselves; treat
                 // as corruption (or a vanished spill segment), keep the
@@ -642,12 +645,10 @@ fn run_serial_inner(
             let mut stop: Option<Stop> = None;
             let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
                 // Symmetry mode interns the canonical *key* only — no
-                // permuted state is materialized on the hot path.
-                match canon.as_mut() {
-                    Some(c) => c.canonical_key_into(sstate, &mut key_buf),
-                    None => sstate.encode_into(&mut key_buf),
-                }
-                let (sid, inserted) = match store.keys.intern(&key_buf) {
+                // permuted state is materialized on the hot path; a plain
+                // run interns the successor's own bytes.
+                let key = interned_key(canon.as_mut(), sstate, &mut key_buf);
+                let (sid, inserted) = match store.keys.intern(key) {
                     Ok(v) => v,
                     Err(why) => {
                         // Out of arena address space, or the allocator
@@ -680,7 +681,7 @@ fn run_serial_inner(
                     // the interned key decodes to).
                     if let Some(detail) = swmr.check(sstate, spec) {
                         let state = if canon.is_some() {
-                            GlobalState::decode(&key_buf, cfg)
+                            GlobalState::decode(key, cfg)
                                 .unwrap_or_else(|| sstate.clone())
                         } else {
                             sstate.clone()

@@ -130,7 +130,8 @@ mod tests {
     use vnet_protocol::protocols;
 
     fn put(gs: &mut GlobalState, spec: &ProtocolSpec, c: usize, addr: usize, state: &str) {
-        gs.line_mut(c, addr).state = spec.cache().state_by_name(state).unwrap().index() as u8;
+        let state = spec.cache().state_by_name(state).unwrap().index() as u8;
+        gs.update_line(c, addr, |l| l.state = state);
     }
 
     #[test]

@@ -49,6 +49,7 @@ use crate::explore::{CheckpointedRun, ExploreStats, Verdict};
 use crate::intern::{InternError, StateArena};
 use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
 use crate::state::GlobalState;
+use crate::symmetry::interned_key;
 use crate::trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -895,11 +896,9 @@ fn expand_one(
     } = out;
     let outcome = expand(spec, cfg, gs, rules, |succ, label| {
         // Symmetry mode derives the canonical *key* without
-        // materializing any permuted state.
-        match canon.as_mut() {
-            Some(c) => c.canonical_key_into(succ, key),
-            None => succ.encode_into(key),
-        }
+        // materializing any permuted state; a plain run keys the
+        // successor by its own bytes.
+        let key = interned_key(canon.as_mut(), succ, key);
         let hash = fx_hash_bytes(key);
         let p = part_of(hash);
         // A state of an earlier level would lose its claim: drop it

@@ -66,11 +66,12 @@
 //! sorted order would reproduce, so recovery is bit-identical to an
 //! undisturbed run.
 //!
-//! Every artifact carries a checksum — FNV-1a, or the word-at-a-time Fx
-//! hash for outboxes — and a torn or damaged file reads as absent and
-//! is regenerated or refused, never trusted. `meta.bin` records the
-//! round-file format ([`SHARD_FORMAT`]); a directory left mid-run by a
-//! binary with another format is refused, never misparsed.
+//! Every artifact carries a checksum — `fnv64` (see
+//! [`crate::checkpoint`]), or the word-at-a-time Fx hash for outboxes —
+//! and a torn or damaged file reads as absent and is regenerated or
+//! refused, never trusted. `meta.bin` records the round-file format
+//! ([`SHARD_FORMAT`]); a directory left mid-run by a binary with another
+//! format is refused, never misparsed.
 //!
 //! ## Determinism
 //!
@@ -93,7 +94,7 @@ use crate::intern::StateArena;
 use crate::rules::{expand, render_rule_ref, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
 use crate::state::GlobalState;
-use crate::symmetry::Canonicalizer;
+use crate::symmetry::{interned_key, Canonicalizer};
 use crate::trace::Trace;
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -223,7 +224,7 @@ fn read_checked(path: &Path) -> Option<Vec<u8>> {
 
 /// [`write_checked`] for outboxes, the bulk of a round's bytes: the
 /// checksum is the word-at-a-time Fx hash, about six times faster than
-/// byte-serial FNV-1a, and still certain to catch any damage confined
+/// byte-serial `fnv64`, and still certain to catch any damage confined
 /// to one 8-byte word (each word enters the hash through a bijection).
 fn write_box(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     write_summed(path, payload, fx_hash_bytes)
@@ -724,14 +725,13 @@ impl Shard {
         // minimal-key finding, and the supervisor's cross-shard minimum is
         // independent of both the shard count and replay history.
         let mut finding: Option<Finding> = None;
-        let mut scratch_key: Vec<u8> = Vec::with_capacity(128);
         let mut gs = GlobalState::initial(spec, cfg);
         if let Some(swmr) = &cfg.swmr {
             for idx in frontier.clone() {
-                if !self.keys.get_into(idx, &mut scratch_key) {
+                let Some(key) = self.keys.get(idx) else {
                     return Err(format!("claimed state {idx} unreadable"));
-                }
-                if !GlobalState::decode_into(&scratch_key, cfg, &mut gs) {
+                };
+                if !GlobalState::decode_into(key, cfg, &mut gs) {
                     return Err(format!("claimed state {idx} failed to decode"));
                 }
                 if let Some(detail) = swmr.check(&gs, spec) {
@@ -761,30 +761,27 @@ impl Shard {
             }
             let mut overflow = None;
             'frontier: for idx in frontier {
-                if !self.keys.get_into(idx, &mut scratch_key) {
+                let Some(key) = self.keys.get(idx) else {
                     return Err(format!("frontier state {idx} unreadable"));
-                }
-                if !GlobalState::decode_into(&scratch_key, cfg, &mut gs) {
+                };
+                if !GlobalState::decode_into(key, cfg, &mut gs) {
                     return Err(format!("frontier state {idx} failed to decode"));
                 }
                 let (canon, keys, sent) = (&mut self.canon, &mut self.keys, &mut self.sent);
                 let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
                     // Key-only canonicalization: no permuted state is ever
                     // materialized on the expansion path.
-                    match canon.as_mut() {
-                        Some(c) => c.canonical_key_into(sstate, &mut key_buf),
-                        None => sstate.encode_into(&mut key_buf),
-                    }
-                    let hash = fx_hash_bytes(&key_buf);
+                    let key = interned_key(canon.as_mut(), sstate, &mut key_buf);
+                    let hash = fx_hash_bytes(key);
                     let to = (hash % n as u64) as u32;
                     // A successor this shard owns and has already visited
                     // would lose its claim next round: drop it here.
-                    if to == w.shard && keys.lookup_hashed(&key_buf, hash).is_some() {
+                    if to == w.shard && keys.lookup_hashed(key, hash).is_some() {
                         return true;
                     }
                     let to = to as usize;
                     let (routed, first) = &mut sent[to];
-                    match routed.intern_hashed(&key_buf, hash) {
+                    match routed.intern_hashed(key, hash) {
                         Ok((_, true)) => first.push(idx),
                         // Only a sibling of the first sender may still
                         // win, on the label tie-break.
@@ -796,8 +793,9 @@ impl Shard {
                         }
                     }
                     let out = &mut outboxes[to];
-                    encode_delta(&prev_keys[to], &key_buf, out);
-                    prev_keys[to].clone_from(&key_buf);
+                    encode_delta(&prev_keys[to], key, out);
+                    prev_keys[to].clear();
+                    prev_keys[to].extend_from_slice(key);
                     put_varint(out, idx as u64);
                     rule_buf.clear();
                     label.encode_into(&mut rule_buf);

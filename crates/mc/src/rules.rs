@@ -140,8 +140,7 @@ pub(crate) fn render_rule_ref(spec: &ProtocolSpec, bytes: &[u8], out: &mut Strin
     }
     let n_msgs = spec.messages().len();
     let msg_at = |at: usize| -> Option<Msg> {
-        let b: [u8; 6] = bytes.get(at..at + 6)?.try_into().ok()?;
-        let m = Msg::decode(b);
+        let m = Msg::decode(bytes.get(at..at + 6)?);
         ((m.msg as usize) < n_msgs).then_some(m)
     };
     let (kind, rest) = match bytes[0] {
@@ -427,7 +426,7 @@ where
     // --- advance ---
     let n_vns = cfg.vns.n_vns();
     for bi in 0..gs.n_global_bufs() {
-        let Some(&m) = gs.queue(bi).first() else { continue };
+        let Some(m) = gs.queue(bi).first() else { continue };
         let vn = bi / 2;
         let fifo = gs.fifo_queue(m.dst.index(cfg.n_caches) * n_vns + vn);
         if gs.is_full(fifo) {
@@ -447,7 +446,7 @@ where
     // --- consume ---
     for fi in 0..gs.n_endpoint_fifos() {
         let q = gs.fifo_queue(fi);
-        let Some(&m) = gs.queue(q).first() else { continue };
+        let Some(m) = gs.queue(q).first() else { continue };
         let entry = match matching_cell(spec, gs, &m) {
             Some(Cell::Entry(entry)) => entry,
             Some(Cell::Stall) => continue,
@@ -661,7 +660,7 @@ mod tests {
             .ok_or("no consume successor")?;
         // The GetM was consumed by the directory, which replied with Data.
         assert_eq!(cons.state.messages_in_flight(), 1);
-        assert!(cons.state.dirs().iter().any(|d| d.owner.is_some()));
+        assert!(cons.state.dirs().any(|d| d.owner.is_some()));
         Ok(())
     }
 

@@ -217,22 +217,25 @@ impl SpillArena {
         None
     }
 
-    /// Copies the blob of `id` into `out`. Returns `false` for ids
-    /// never interned or cold reads that fail (callers treat both as
-    /// corruption, mirroring `StateArena::get`'s empty-slice contract).
-    pub fn get_into(&mut self, id: StateId, out: &mut Vec<u8>) -> bool {
-        out.clear();
+    /// The blob of `id`: borrowed from the hot arena, or read back into
+    /// the arena's cold-read buffer. `None` for ids never interned or
+    /// cold reads that fail (callers treat both as corruption).
+    pub fn get(&mut self, id: StateId) -> Option<&[u8]> {
         if id >= self.base {
             let local = id - self.base;
-            if (local as usize) >= self.hot.len() {
-                return false;
-            }
-            out.extend_from_slice(self.hot.get(local));
-            return true;
+            return ((local as usize) < self.hot.len()).then(|| self.hot.get(local));
         }
-        match self.read_cold(id) {
-            Some(()) => {
-                out.extend_from_slice(&self.cur);
+        self.read_cold(id)?;
+        Some(&self.cur)
+    }
+
+    /// Copies the blob of `id` into `out`; `false` where
+    /// [`SpillArena::get`] gives `None`.
+    pub fn get_into(&mut self, id: StateId, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        match self.get(id) {
+            Some(blob) => {
+                out.extend_from_slice(blob);
                 true
             }
             None => false,

@@ -1,29 +1,34 @@
-//! The global model-checking state and its canonical encoding.
+//! The global model-checking state, stored as its canonical encoding.
 //!
-//! A [`GlobalState`] has one fixed layout per [`McConfig`], set when the
-//! state is built. Every section is a flat slice of `Copy` values:
+//! A [`GlobalState`] *is* the byte string the explorers intern: one
+//! buffer whose shape a [`McConfig`] fixes when the state is built.
 //!
-//! - the cache lines, `n_caches × n_addrs`, row-major by cache;
-//! - the directory lines, one per address;
-//! - the per-cache injection budgets (empty under an explicit script)
-//!   and the bitmask of scripted injections already issued;
-//! - every queue as a length plus a fixed run of message slots: first
-//!   the `2 · n_vns` global buffers (`global_capacity` slots each), then
-//!   the `n_endpoints · n_vns` endpoint FIFOs (`endpoint_capacity` slots
-//!   each). The successor rules never fill a queue past its capacity,
-//!   so the slots always suffice.
+//! - the cache lines, `n_caches × n_addrs`, row-major by cache, 5 bytes
+//!   each: state, needed acks, readers, then the deferred writer and its
+//!   ack count (`0xff, 0` for none);
+//! - the directory lines, one per address, 4 bytes each: state, owner
+//!   (`0xff` for none), sharers, pending;
+//! - the per-cache injection budgets (empty under an explicit script);
+//! - the bitmask of scripted injections already issued, a little-endian
+//!   `u32`;
+//! - every queue as a one-byte separator followed by its messages, 6
+//!   bytes each: first the `2 · n_vns` global buffers (separator `0xfe`),
+//!   then the `n_endpoints · n_vns` endpoint FIFOs (`0xfd`). Message ids
+//!   stay below both separators, so the encoding is self-delimiting.
 //!
-//! Copying a state is therefore a handful of slice copies, and decoding
-//! into a reused state ([`GlobalState::decode_into`]) allocates nothing.
-//! Slots past a queue's length are kept zeroed, so the derived `Eq` and
-//! `Hash` mean "same encoding" for states of one config.
+//! Beside the buffer sits an index of every queue's separator offset.
+//! Reading a queue is a slice of the buffer; pushing or popping a
+//! message splices six bytes and shifts the offsets of the later queues.
+//! So encoding is a borrow ([`GlobalState::as_bytes`]) or one copy,
+//! decoding ([`GlobalState::decode_into`]) is one validating scan plus
+//! one copy, and copying a state copies only its encoded length. The
+//! buffer is allocated once, at the longest encoding the config allows
+//! (every queue full), and never grows. Queue capacities are enforced by
+//! [`GlobalState::push_back`] and checked by decoding.
 //!
-//! The canonical byte encoding does not depend on the layout: it writes
-//! the lines, directories, budgets and injection mask, then each queue's
-//! messages after a one-byte separator (`0xfe` per global buffer, `0xfd`
-//! per endpoint FIFO), never the empty slots. Keys, checkpoints and
-//! witnesses written by the nested representation this layout replaced
-//! read back unchanged.
+//! The bytes are the encoding of the nested representation this layout
+//! replaced, so keys, checkpoints and witnesses are unchanged, and the
+//! derived `Eq` and `Hash` mean "same encoding" for states of one config.
 
 use crate::config::{InjectionBudget, McConfig};
 use vnet_protocol::{ProtocolSpec, StateId};
@@ -91,15 +96,12 @@ pub struct Msg {
     pub ack: i8,
 }
 
-/// The value every unused queue slot holds.
-const EMPTY_SLOT: Msg = Msg {
-    msg: 0,
-    addr: 0,
-    src: Node::Cache(0),
-    dst: Node::Cache(0),
-    requestor: 0,
-    ack: 0,
-};
+/// Bytes per encoded cache line.
+const LINE_LEN: usize = 5;
+/// Bytes per encoded directory line.
+const DIR_LEN: usize = 4;
+/// Bytes per encoded message.
+pub(crate) const MSG_LEN: usize = 6;
 
 /// Separator byte ahead of each global buffer in the encoding.
 const GLOBAL_SEP: u8 = 0xfe;
@@ -107,7 +109,7 @@ const GLOBAL_SEP: u8 = 0xfe;
 /// ids stay below both separators.
 const FIFO_SEP: u8 = 0xfd;
 
-/// The largest queue capacity a state can hold: queue lengths are `u8`.
+/// The largest queue capacity a state can hold.
 pub(crate) const MAX_QUEUE_CAPACITY: usize = u8::MAX as usize;
 
 impl Msg {
@@ -137,7 +139,7 @@ impl Msg {
         }
     }
 
-    pub(crate) fn encode(&self) -> [u8; 6] {
+    pub(crate) fn encode(&self) -> [u8; MSG_LEN] {
         debug_assert!(
             self.msg < FIFO_SEP,
             "message ids must stay below the separators"
@@ -152,7 +154,9 @@ impl Msg {
         ]
     }
 
-    pub(crate) fn decode(b: [u8; 6]) -> Msg {
+    /// Reads the message at the front of `b`, which holds at least
+    /// [`MSG_LEN`] bytes.
+    pub(crate) fn decode(b: &[u8]) -> Msg {
         Msg {
             msg: b[0],
             addr: b[1],
@@ -179,7 +183,7 @@ pub struct CacheLine {
 }
 
 impl CacheLine {
-    fn encode(&self) -> [u8; 5] {
+    fn encode(&self) -> [u8; LINE_LEN] {
         let (w, a) = match self.writer {
             None => (0xff, 0),
             Some((w, a)) => (w, a as u8),
@@ -187,7 +191,7 @@ impl CacheLine {
         [self.state, self.needed_acks as u8, self.readers, w, a]
     }
 
-    fn decode(b: [u8; 5]) -> CacheLine {
+    fn decode(b: &[u8]) -> CacheLine {
         CacheLine {
             state: b[0],
             needed_acks: b[1] as i8,
@@ -214,7 +218,7 @@ pub struct DirLine {
 }
 
 impl DirLine {
-    fn encode(&self) -> [u8; 4] {
+    fn encode(&self) -> [u8; DIR_LEN] {
         [
             self.state,
             self.owner.unwrap_or(0xff),
@@ -223,7 +227,7 @@ impl DirLine {
         ]
     }
 
-    fn decode(b: [u8; 4]) -> DirLine {
+    fn decode(b: &[u8]) -> DirLine {
         DirLine {
             state: b[0],
             owner: if b[1] == 0xff { None } else { Some(b[1]) },
@@ -233,34 +237,45 @@ impl DirLine {
     }
 }
 
-/// The shape a config fixes for every state of a run.
+/// The shape a config fixes for every state of a run, with the byte
+/// offsets of the fixed-size sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Layout {
     n_caches: usize,
     n_addrs: usize,
-    n_budgets: usize,
     /// Global buffers: queues `0..n_global`.
     n_global: usize,
     /// Endpoint FIFOs: queues `n_global..n_global + n_fifos`.
     n_fifos: usize,
     global_cap: usize,
     endpoint_cap: usize,
+    /// Offset of the directory lines (the cache lines start at 0).
+    dirs_at: usize,
+    /// Offset of the budgets.
+    budgets_at: usize,
+    /// Offset of the injection mask; the first separator follows it.
+    mask_at: usize,
 }
 
 impl Layout {
     fn of(cfg: &McConfig) -> Layout {
         let n_vns = cfg.vns.n_vns();
+        let n_budgets = match cfg.budget {
+            InjectionBudget::PerCache(_) => cfg.n_caches,
+            InjectionBudget::Explicit(_) => 0,
+        };
+        let dirs_at = cfg.n_caches * cfg.n_addrs * LINE_LEN;
+        let budgets_at = dirs_at + cfg.n_addrs * DIR_LEN;
         Layout {
             n_caches: cfg.n_caches,
             n_addrs: cfg.n_addrs,
-            n_budgets: match cfg.budget {
-                InjectionBudget::PerCache(_) => cfg.n_caches,
-                InjectionBudget::Explicit(_) => 0,
-            },
             n_global: n_vns * 2,
             n_fifos: cfg.n_endpoints() * n_vns,
             global_cap: cfg.global_capacity.min(MAX_QUEUE_CAPACITY),
             endpoint_cap: cfg.endpoint_capacity.min(MAX_QUEUE_CAPACITY),
+            dirs_at,
+            budgets_at,
+            mask_at: budgets_at + n_budgets,
         }
     }
 
@@ -276,50 +291,144 @@ impl Layout {
         }
     }
 
-    /// Index of queue `q`'s first slot.
-    fn start(&self, q: usize) -> usize {
+    fn sep(&self, q: usize) -> u8 {
         if q < self.n_global {
-            q * self.global_cap
+            GLOBAL_SEP
         } else {
-            self.n_global * self.global_cap + (q - self.n_global) * self.endpoint_cap
+            FIFO_SEP
         }
     }
 
-    fn n_slots(&self) -> usize {
-        self.n_global * self.global_cap + self.n_fifos * self.endpoint_cap
+    /// Length of everything ahead of the first separator.
+    fn header_len(&self) -> usize {
+        self.mask_at + 4
+    }
+
+    /// Length of the encoding with every queue empty.
+    fn empty_len(&self) -> usize {
+        self.header_len() + self.n_queues()
+    }
+
+    /// Length of the encoding with every queue full.
+    fn max_len(&self) -> usize {
+        let slots = self.n_global * self.global_cap + self.n_fifos * self.endpoint_cap;
+        self.empty_len() + slots * MSG_LEN
+    }
+
+    /// Checks that `bytes` encodes a state of this shape and writes each
+    /// queue's separator offset into `seps` (whose last entry becomes the
+    /// length). Returns `false`, with `seps` unspecified, on a wrong
+    /// separator, a truncated message, a queue over its capacity or
+    /// trailing bytes.
+    fn index(&self, bytes: &[u8], seps: &mut [u32]) -> bool {
+        let Some((len, queues)) = seps.split_last_mut() else {
+            return false;
+        };
+        let mut pos = self.header_len();
+        for (q, sep) in queues.iter_mut().enumerate() {
+            if bytes.get(pos) != Some(&self.sep(q)) {
+                return false;
+            }
+            *sep = pos as u32;
+            let end = pos + 1 + self.cap(q) * MSG_LEN;
+            pos += 1;
+            while bytes.get(pos).is_some_and(|&b| b < FIFO_SEP) {
+                pos += MSG_LEN;
+                // A queue longer than its capacity is no reachable state.
+                if pos > end || pos > bytes.len() {
+                    return false;
+                }
+            }
+        }
+        *len = pos as u32;
+        pos == bytes.len()
     }
 }
 
-/// The complete system state, in the fixed layout of the module docs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A read-only view of one queue: its messages, head first, as they sit
+/// in the state's encoding.
+#[derive(Debug, Clone, Copy)]
+pub struct Queue<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Queue<'a> {
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / MSG_LEN
+    }
+
+    /// `true` when the queue holds no message.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The head message.
+    pub fn first(&self) -> Option<Msg> {
+        self.bytes.get(..MSG_LEN).map(Msg::decode)
+    }
+
+    /// The messages, head first.
+    pub fn iter(&self) -> impl Iterator<Item = Msg> + 'a {
+        self.bytes.chunks_exact(MSG_LEN).map(Msg::decode)
+    }
+
+    /// The encoded messages, 6 bytes each, without the separator.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+/// The complete system state: its canonical encoding plus an index of
+/// where each queue starts (module docs).
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct GlobalState {
     layout: Layout,
-    /// `lines[c * n_addrs + a]` — cache `c`'s line for address `a`.
-    lines: Box<[CacheLine]>,
-    /// `dirs[a]` — the home directory line for address `a`.
-    dirs: Box<[DirLine]>,
-    /// Remaining per-cache budget (uniform mode) — empty in explicit mode.
-    budgets: Box<[u8]>,
-    /// Bitmask of already-used explicit injections (explicit mode).
-    used_injections: u32,
-    /// Length of each queue.
-    lens: Box<[u8]>,
-    /// Every queue's slots, queue after queue.
-    slots: Box<[Msg]>,
+    /// The canonical encoding; its capacity is the layout's `max_len`.
+    bytes: Vec<u8>,
+    /// `seps[q]`: offset of queue `q`'s separator; the last entry is
+    /// the encoding's length.
+    seps: Box<[u32]>,
+}
+
+impl Clone for GlobalState {
+    /// Clones at full capacity, so the clone never reallocates either.
+    fn clone(&self) -> Self {
+        let mut bytes = Vec::with_capacity(self.layout.max_len());
+        bytes.extend_from_slice(&self.bytes);
+        GlobalState {
+            layout: self.layout,
+            bytes,
+            seps: self.seps.clone(),
+        }
+    }
 }
 
 impl GlobalState {
-    /// A state of `layout` with every section zeroed.
+    /// A state of `layout` with default lines, zero budgets and empty
+    /// queues.
     fn blank(layout: Layout) -> Self {
-        GlobalState {
+        let mut gs = GlobalState {
             layout,
-            lines: vec![CacheLine::default(); layout.n_caches * layout.n_addrs].into(),
-            dirs: vec![DirLine::default(); layout.n_addrs].into(),
-            budgets: vec![0; layout.n_budgets].into(),
-            used_injections: 0,
-            lens: vec![0; layout.n_queues()].into(),
-            slots: vec![EMPTY_SLOT; layout.n_slots()].into(),
+            bytes: Vec::with_capacity(layout.max_len()),
+            seps: vec![0; layout.n_queues() + 1].into(),
+        };
+        gs.reset();
+        gs
+    }
+
+    /// Overwrites every section with [`GlobalState::blank`]'s contents.
+    fn reset(&mut self) {
+        let l = self.layout;
+        self.bytes.clear();
+        for _ in 0..l.n_caches * l.n_addrs {
+            self.bytes.extend_from_slice(&CacheLine::default().encode());
         }
+        for _ in 0..l.n_addrs {
+            self.bytes.extend_from_slice(&DirLine::default().encode());
+        }
+        self.bytes.resize(l.header_len(), 0);
+        self.clear_queues();
     }
 
     /// The initial state: every controller in its initial state, all
@@ -328,10 +437,15 @@ impl GlobalState {
         let mut gs = GlobalState::blank(Layout::of(cfg));
         let cache_init = spec.cache().initial().index() as u8;
         let dir_init = spec.directory().initial().index() as u8;
-        gs.lines.iter_mut().for_each(|l| l.state = cache_init);
-        gs.dirs.iter_mut().for_each(|d| d.state = dir_init);
+        let l = gs.layout;
+        gs.bytes[..l.dirs_at]
+            .chunks_exact_mut(LINE_LEN)
+            .for_each(|b| b[0] = cache_init);
+        gs.bytes[l.dirs_at..l.budgets_at]
+            .chunks_exact_mut(DIR_LEN)
+            .for_each(|b| b[0] = dir_init);
         if let InjectionBudget::PerCache(b) = cfg.budget {
-            gs.budgets.fill(b);
+            gs.budgets_mut().fill(b);
         }
         gs
     }
@@ -346,55 +460,95 @@ impl GlobalState {
         self.layout.n_addrs
     }
 
+    fn line_at(&self, c: usize, a: usize) -> usize {
+        debug_assert!(c < self.n_caches() && a < self.layout.n_addrs);
+        (c * self.layout.n_addrs + a) * LINE_LEN
+    }
+
+    fn dir_at(&self, a: usize) -> usize {
+        debug_assert!(a < self.layout.n_addrs);
+        self.layout.dirs_at + a * DIR_LEN
+    }
+
     /// Cache `c`'s line for address `a`.
-    pub fn line(&self, c: usize, a: usize) -> &CacheLine {
-        &self.lines[c * self.layout.n_addrs + a]
+    pub fn line(&self, c: usize, a: usize) -> CacheLine {
+        let at = self.line_at(c, a);
+        CacheLine::decode(&self.bytes[at..at + LINE_LEN])
     }
 
-    /// Mutable [`GlobalState::line`].
-    pub fn line_mut(&mut self, c: usize, a: usize) -> &mut CacheLine {
-        &mut self.lines[c * self.layout.n_addrs + a]
+    /// Overwrites cache `c`'s line for address `a`.
+    pub fn set_line(&mut self, c: usize, a: usize, line: CacheLine) {
+        let at = self.line_at(c, a);
+        self.bytes[at..at + LINE_LEN].copy_from_slice(&line.encode());
     }
 
-    /// Cache `c`'s lines, indexed by address.
-    pub fn row(&self, c: usize) -> &[CacheLine] {
-        let n = self.layout.n_addrs;
-        &self.lines[c * n..(c + 1) * n]
+    /// Applies `f` to cache `c`'s line for address `a` and stores the
+    /// result, returning what `f` returns.
+    pub fn update_line<R>(&mut self, c: usize, a: usize, f: impl FnOnce(&mut CacheLine) -> R) -> R {
+        let mut line = self.line(c, a);
+        let r = f(&mut line);
+        self.set_line(c, a, line);
+        r
+    }
+
+    /// Cache `c`'s lines, by address.
+    pub fn row(&self, c: usize) -> impl Iterator<Item = CacheLine> + '_ {
+        let at = self.line_at(c, 0);
+        self.bytes[at..at + self.layout.n_addrs * LINE_LEN]
+            .chunks_exact(LINE_LEN)
+            .map(CacheLine::decode)
     }
 
     /// The home directory line for address `a`.
-    pub fn dir(&self, a: usize) -> &DirLine {
-        &self.dirs[a]
+    pub fn dir(&self, a: usize) -> DirLine {
+        let at = self.dir_at(a);
+        DirLine::decode(&self.bytes[at..at + DIR_LEN])
     }
 
-    /// Mutable [`GlobalState::dir`].
-    pub fn dir_mut(&mut self, a: usize) -> &mut DirLine {
-        &mut self.dirs[a]
+    /// Overwrites the directory line for address `a`.
+    pub fn set_dir(&mut self, a: usize, dir: DirLine) {
+        let at = self.dir_at(a);
+        self.bytes[at..at + DIR_LEN].copy_from_slice(&dir.encode());
     }
 
-    /// Every directory line, indexed by address.
-    pub fn dirs(&self) -> &[DirLine] {
-        &self.dirs
+    /// Applies `f` to the directory line for address `a` and stores the
+    /// result, returning what `f` returns.
+    pub fn update_dir<R>(&mut self, a: usize, f: impl FnOnce(&mut DirLine) -> R) -> R {
+        let mut dir = self.dir(a);
+        let r = f(&mut dir);
+        self.set_dir(a, dir);
+        r
+    }
+
+    /// Every directory line, by address.
+    pub fn dirs(&self) -> impl Iterator<Item = DirLine> + '_ {
+        self.bytes[self.layout.dirs_at..self.layout.budgets_at]
+            .chunks_exact(DIR_LEN)
+            .map(DirLine::decode)
     }
 
     /// Remaining per-cache budgets (uniform mode); empty in explicit mode.
     pub fn budgets(&self) -> &[u8] {
-        &self.budgets
+        &self.bytes[self.layout.budgets_at..self.layout.mask_at]
     }
 
     /// Mutable [`GlobalState::budgets`].
     pub fn budgets_mut(&mut self) -> &mut [u8] {
-        &mut self.budgets
+        &mut self.bytes[self.layout.budgets_at..self.layout.mask_at]
     }
 
     /// Bitmask of already-issued scripted injections (explicit mode).
     pub fn used_injections(&self) -> u32 {
-        self.used_injections
+        let at = self.layout.mask_at;
+        let mut mask = [0; 4];
+        mask.copy_from_slice(&self.bytes[at..at + 4]);
+        u32::from_le_bytes(mask)
     }
 
     /// Overwrites [`GlobalState::used_injections`].
     pub fn set_used_injections(&mut self, mask: u32) {
-        self.used_injections = mask;
+        let at = self.layout.mask_at;
+        self.bytes[at..at + 4].copy_from_slice(&mask.to_le_bytes());
     }
 
     /// Number of global buffers (`2 · n_vns`); they are queues
@@ -419,14 +573,24 @@ impl GlobalState {
     }
 
     /// The messages in queue `q`, head first.
-    pub fn queue(&self, q: usize) -> &[Msg] {
-        let start = self.layout.start(q);
-        &self.slots[start..start + self.lens[q] as usize]
+    pub fn queue(&self, q: usize) -> Queue<'_> {
+        Queue {
+            bytes: &self.bytes[self.seps[q] as usize + 1..self.seps[q + 1] as usize],
+        }
     }
 
-    /// `true` when queue `q` holds as many messages as it has slots.
+    /// `true` when queue `q` holds as many messages as its capacity.
     pub fn is_full(&self, q: usize) -> bool {
-        self.lens[q] as usize >= self.layout.cap(q)
+        let held = (self.seps[q + 1] - self.seps[q] - 1) as usize;
+        held >= self.layout.cap(q) * MSG_LEN
+    }
+
+    /// Moves the separators after queue `q` by `delta` bytes (a
+    /// wrapping add, so a negated delta moves them back).
+    fn shift_after(&mut self, q: usize, delta: u32) {
+        for s in &mut self.seps[q + 1..] {
+            *s = s.wrapping_add(delta);
+        }
     }
 
     /// Appends `m` to queue `q`; returns `false`, writing nothing, when
@@ -435,105 +599,91 @@ impl GlobalState {
         if self.is_full(q) {
             return false;
         }
-        let len = self.lens[q] as usize;
-        self.slots[self.layout.start(q) + len] = m;
-        self.lens[q] += 1;
+        let at = self.seps[q + 1] as usize;
+        let len = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; MSG_LEN]);
+        self.bytes.copy_within(at..len, at + MSG_LEN);
+        self.bytes[at..at + MSG_LEN].copy_from_slice(&m.encode());
+        self.shift_after(q, MSG_LEN as u32);
         true
     }
 
-    /// Removes and returns the head of queue `q`, zeroing the slot the
-    /// queue no longer uses.
-    pub fn pop_front(&mut self, q: usize) -> Option<Msg> {
-        let len = self.lens[q] as usize;
-        let start = self.layout.start(q);
-        let run = self.slots.get_mut(start..start + len)?;
-        let (&head, _) = run.split_first()?;
-        run.copy_within(1.., 0);
-        run[len - 1] = EMPTY_SLOT;
-        self.lens[q] -= 1;
-        Some(head)
+    /// Removes the message of queue `q` that starts at byte `at`.
+    fn remove(&mut self, q: usize, at: usize) -> Msg {
+        let m = Msg::decode(&self.bytes[at..at + MSG_LEN]);
+        self.bytes.copy_within(at + MSG_LEN.., at);
+        self.bytes.truncate(self.bytes.len() - MSG_LEN);
+        self.shift_after(q, (MSG_LEN as u32).wrapping_neg());
+        m
     }
 
-    /// Removes and returns the tail of queue `q`, zeroing its slot.
+    /// Removes and returns the head of queue `q`.
+    pub fn pop_front(&mut self, q: usize) -> Option<Msg> {
+        let head = self.seps[q] as usize + 1;
+        (head < self.seps[q + 1] as usize).then(|| self.remove(q, head))
+    }
+
+    /// Removes and returns the tail of queue `q`.
     pub fn pop_back(&mut self, q: usize) -> Option<Msg> {
-        let len = (self.lens[q] as usize).checked_sub(1)?;
-        let slot = &mut self.slots[self.layout.start(q) + len];
-        let tail = std::mem::replace(slot, EMPTY_SLOT);
-        self.lens[q] -= 1;
-        Some(tail)
+        let tail = (self.seps[q + 1] as usize).checked_sub(MSG_LEN)?;
+        (tail > self.seps[q] as usize).then(|| self.remove(q, tail))
     }
 
     /// Empties every queue.
     pub fn clear_queues(&mut self) {
-        self.lens.fill(0);
-        self.slots.fill(EMPTY_SLOT);
+        let l = self.layout;
+        self.bytes.truncate(l.header_len());
+        for q in 0..l.n_queues() {
+            self.seps[q] = self.bytes.len() as u32;
+            self.bytes.push(l.sep(q));
+        }
+        self.seps[l.n_queues()] = self.bytes.len() as u32;
     }
 
     /// `true` if nothing is in flight and every controller sits in a
     /// stable state — the good kind of "nothing enabled".
     pub fn is_quiescent(&self, spec: &ProtocolSpec) -> bool {
-        if self.lens.iter().any(|&l| l != 0) {
+        if self.messages_in_flight() != 0 {
             return false;
         }
-        let cache_stable = self
-            .lines
-            .iter()
-            .all(|l| !spec.cache().state(StateId(l.state as usize)).is_transient());
-        let dir_stable = self.dirs.iter().all(|l| {
-            !spec
-                .directory()
-                .state(StateId(l.state as usize))
-                .is_transient()
-        });
+        let l = self.layout;
+        let cache_stable = self.bytes[..l.dirs_at]
+            .chunks_exact(LINE_LEN)
+            .all(|b| !spec.cache().state(StateId(b[0] as usize)).is_transient());
+        let dir_stable = self.bytes[l.dirs_at..l.budgets_at]
+            .chunks_exact(DIR_LEN)
+            .all(|b| !spec.directory().state(StateId(b[0] as usize)).is_transient());
         cache_stable && dir_stable
     }
 
-    /// Copies `other` into `self`. States of one config share a layout,
-    /// so this is one slice copy per section and no allocation; a state
-    /// of another shape is cloned instead.
+    /// Copies `other` into `self`: its encoded length and queue index,
+    /// with no allocation for states of one config; a state of another
+    /// shape is cloned instead.
     pub fn copy_from(&mut self, other: &GlobalState) {
         if self.layout != other.layout {
             *self = other.clone();
             return;
         }
-        self.lines.copy_from_slice(&other.lines);
-        self.dirs.copy_from_slice(&other.dirs);
-        self.budgets.copy_from_slice(&other.budgets);
-        self.used_injections = other.used_injections;
-        self.lens.copy_from_slice(&other.lens);
-        self.slots.copy_from_slice(&other.slots);
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&other.bytes);
+        self.seps.copy_from_slice(&other.seps);
+    }
+
+    /// The canonical byte encoding, borrowed: what the explorers intern.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Canonical byte encoding for hashing/deduplication.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        self.encode_into(&mut out);
-        out
+        self.bytes.clone()
     }
 
     /// [`GlobalState::encode`] into a caller-owned buffer (cleared
-    /// first). The explorers reuse one scratch buffer across millions
-    /// of successor checks, so the dedup path allocates nothing.
+    /// first).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        for l in self.lines.iter() {
-            out.extend_from_slice(&l.encode());
-        }
-        for d in self.dirs.iter() {
-            out.extend_from_slice(&d.encode());
-        }
-        out.extend_from_slice(&self.budgets);
-        out.extend_from_slice(&self.used_injections.to_le_bytes());
-        for q in 0..self.layout.n_queues() {
-            out.push(if q < self.layout.n_global {
-                GLOBAL_SEP
-            } else {
-                FIFO_SEP
-            });
-            for m in self.queue(q) {
-                out.extend_from_slice(&m.encode());
-            }
-        }
+        out.extend_from_slice(&self.bytes);
     }
 
     /// Inverse of [`GlobalState::encode`]: reconstructs the state from
@@ -548,61 +698,31 @@ impl GlobalState {
     /// that as corruption.
     pub fn decode(bytes: &[u8], cfg: &McConfig) -> Option<GlobalState> {
         let mut gs = GlobalState::blank(Layout::of(cfg));
-        gs.fill_from(bytes)?;
-        Some(gs)
+        GlobalState::decode_into(bytes, cfg, &mut gs).then_some(gs)
     }
 
-    /// [`GlobalState::decode`] into a reused state: returns `false` on
-    /// the same malformed input `decode` rejects, leaving `out` valid but
-    /// unspecified. Decoding into a state of the same config allocates
-    /// nothing.
+    /// [`GlobalState::decode`] into a reused state: one scan that checks
+    /// the structure and indexes the queues, then one copy. Returns
+    /// `false` on the same malformed input `decode` rejects, leaving
+    /// `out` a valid but unspecified state of `cfg`. Decoding into a
+    /// state of the same config allocates nothing.
     pub fn decode_into(bytes: &[u8], cfg: &McConfig, out: &mut GlobalState) -> bool {
         let layout = Layout::of(cfg);
         if out.layout != layout {
             *out = GlobalState::blank(layout);
         }
-        out.fill_from(bytes).is_some()
-    }
-
-    /// Overwrites every section from `bytes`.
-    fn fill_from(&mut self, bytes: &[u8]) -> Option<()> {
-        let mut r = Reader { bytes, pos: 0 };
-        for l in self.lines.iter_mut() {
-            *l = CacheLine::decode(r.array()?);
+        if !layout.index(bytes, &mut out.seps) {
+            out.reset();
+            return false;
         }
-        for d in self.dirs.iter_mut() {
-            *d = DirLine::decode(r.array()?);
-        }
-        let n_budgets = self.budgets.len();
-        self.budgets.copy_from_slice(r.take(n_budgets)?);
-        self.used_injections = u32::from_le_bytes(r.array()?);
-        let layout = self.layout;
-        for q in 0..layout.n_queues() {
-            let sep = if q < layout.n_global {
-                GLOBAL_SEP
-            } else {
-                FIFO_SEP
-            };
-            if r.array::<1>()? != [sep] {
-                return None;
-            }
-            let start = layout.start(q);
-            let run = &mut self.slots[start..start + layout.cap(q)];
-            let mut len = 0;
-            while r.peek().is_some_and(|b| b < FIFO_SEP) {
-                // A queue longer than its capacity is no reachable state.
-                *run.get_mut(len)? = Msg::decode(r.array()?);
-                len += 1;
-            }
-            run[len..].fill(EMPTY_SLOT);
-            self.lens[q] = len as u8;
-        }
-        (r.pos == bytes.len()).then_some(())
+        out.bytes.clear();
+        out.bytes.extend_from_slice(bytes);
+        true
     }
 
     /// Total number of in-flight messages.
     pub fn messages_in_flight(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        (self.bytes.len() - self.layout.empty_len()) / MSG_LEN
     }
 
     /// Multi-line human dump (used in traces).
@@ -612,7 +732,6 @@ impl GlobalState {
         for c in 0..self.n_caches() {
             let states: Vec<String> = self
                 .row(c)
-                .iter()
                 .enumerate()
                 .map(|(a, l)| {
                     let name = &spec.cache().state(StateId(l.state as usize)).name;
@@ -626,7 +745,7 @@ impl GlobalState {
                 .collect();
             let _ = writeln!(out, "  C{} {}", c + 1, states.join(" "));
         }
-        for (a, d) in self.dirs.iter().enumerate() {
+        for (a, d) in self.dirs().enumerate() {
             let name = &spec.directory().state(StateId(d.state as usize)).name;
             let addr = (b'X' + a as u8) as char;
             let owner = d.owner.map_or("-".to_string(), |o| format!("C{}", o + 1));
@@ -666,28 +785,6 @@ impl GlobalState {
     }
 }
 
-/// A bounds-checked cursor over encoded bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,7 +817,7 @@ mod tests {
         let cfg = McConfig::general(&spec);
         let s0 = GlobalState::initial(&spec, &cfg);
         let mut s1 = s0.clone();
-        s1.line_mut(0, 0).state = 5;
+        s1.update_line(0, 0, |l| l.state = 5);
         assert_ne!(s0.encode(), s1.encode());
         let mut s2 = s0.clone();
         s2.push_back(
@@ -790,10 +887,14 @@ mod tests {
                 assert_eq!(back.encode(), enc);
             };
             round(&s, &cfg);
-            s.line_mut(0, 0).state = 2;
-            s.line_mut(0, 0).writer = Some((1, -1));
-            s.dir_mut(0).owner = Some(0);
-            s.dir_mut(0).pending = -2;
+            s.update_line(0, 0, |l| {
+                l.state = 2;
+                l.writer = Some((1, -1));
+            });
+            s.update_dir(0, |d| {
+                d.owner = Some(0);
+                d.pending = -2;
+            });
             if !s.budgets().is_empty() {
                 s.budgets_mut()[0] = 0;
             }
@@ -891,12 +992,12 @@ mod tests {
             s.pop_back(q).map(|m| m.msg),
             Some(cfg.endpoint_capacity as u8 - 1)
         );
-        assert_eq!(s.queue(q)[0].msg, 1);
+        assert_eq!(s.queue(q).first().map(|m| m.msg), Some(1));
         assert_eq!(s.messages_in_flight(), cfg.endpoint_capacity - 2);
     }
 
-    /// Freed slots are zeroed, so a state that held and released a
-    /// message equals (and hashes like) one that never held it.
+    /// A state that held and released a message equals (and hashes
+    /// like) one that never held it.
     #[test]
     fn released_slots_leave_no_trace_in_equality() {
         let spec = protocols::chi();
@@ -938,9 +1039,10 @@ mod tests {
         assert_eq!(reused, s);
     }
 
-    /// The nested representation the flat layout replaced — a vector
-    /// per cache row and a deque per queue — with its own encoder and
-    /// decoder, kept as the oracle the flat codec must agree with.
+    /// The nested representation the byte-backed state replaced — a
+    /// vector per cache row and a deque per queue — with its own encoder
+    /// and decoder, kept as the oracle the byte-backed state must agree
+    /// with.
     mod nested {
         use super::super::{CacheLine, DirLine, GlobalState, Msg, Node};
         use crate::config::{InjectionBudget, McConfig};
@@ -960,11 +1062,11 @@ mod tests {
             /// The nested view of `gs`, read through its accessors.
             pub fn of(gs: &GlobalState) -> Nested {
                 let queues = |qs: std::ops::Range<usize>| -> Vec<VecDeque<Msg>> {
-                    qs.map(|q| gs.queue(q).iter().copied().collect()).collect()
+                    qs.map(|q| gs.queue(q).iter().collect()).collect()
                 };
                 Nested {
-                    caches: (0..gs.n_caches()).map(|c| gs.row(c).to_vec()).collect(),
-                    dirs: gs.dirs().to_vec(),
+                    caches: (0..gs.n_caches()).map(|c| gs.row(c).collect()).collect(),
+                    dirs: gs.dirs().collect(),
                     budgets: gs.budgets().to_vec(),
                     used_injections: gs.used_injections(),
                     global_bufs: queues(0..gs.n_global_bufs()),
@@ -1197,5 +1299,164 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// Checks one state against the oracle: its bytes are the nested
+    /// encoding of what its accessors read, and the historical decoder
+    /// reads those bytes back as the same nested state.
+    fn agrees_with_oracle(gs: &GlobalState, cfg: &McConfig) -> Result<(), String> {
+        let read = nested::Nested::of(gs);
+        if gs.as_bytes() != read.encode().as_slice() {
+            return Err("bytes differ from the nested encoding of the reads".into());
+        }
+        if nested::Nested::decode(gs.as_bytes(), cfg).as_ref() != Some(&read) {
+            return Err("accessor reads differ from the nested decoding".into());
+        }
+        let n_msgs: usize = (0..gs.n_queues()).map(|q| gs.queue(q).len()).sum();
+        if n_msgs != gs.messages_in_flight() {
+            return Err("queue lengths do not sum to the messages in flight".into());
+        }
+        Ok(())
+    }
+
+    /// Every successor of every state on the seeded walks — each rule
+    /// fired, not only the one the walk takes — is checked against the
+    /// oracle, so every queue splice and line write of the successor
+    /// relation is covered.
+    #[test]
+    fn every_fired_rule_agrees_with_the_nested_oracle() -> Result<(), String> {
+        for (name, spec, cfg) in oracle_shapes() {
+            let mut scratch = Scratch::new(&spec, &cfg);
+            let mut fired = 0usize;
+            for seed in 0..8u64 {
+                let mut cur = GlobalState::initial(&spec, &cfg);
+                for step in 0..6 + (seed as usize % 8) * 4 {
+                    agrees_with_oracle(&cur, &cfg)
+                        .map_err(|e| format!("{name} seed {seed} step {step}: {e}"))?;
+                    let mut bad = None;
+                    expand(&spec, &cfg, &cur, &mut scratch, |succ, label| {
+                        fired += 1;
+                        if let Err(e) = agrees_with_oracle(succ, &cfg) {
+                            bad = Some(format!("after `{}`: {e}", label.render(&spec)));
+                        }
+                        bad.is_none()
+                    });
+                    if let Some(e) = bad {
+                        return Err(format!("{name} seed {seed} step {step}: {e}"));
+                    }
+                    cur = walk(&spec, &cfg, seed, step + 1);
+                }
+            }
+            if fired == 0 {
+                return Err(format!("{name}: no rule fired"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Random pushes and pops on several queues of one state, mirrored
+    /// on a deque per queue: the views, the full flags and the encoding
+    /// stay in step with the model after every operation.
+    #[test]
+    fn queue_splices_match_a_deque_model() {
+        use std::collections::VecDeque;
+        let spec = protocols::chi();
+        let cfg = McConfig::general(&spec);
+        let mut s = GlobalState::initial(&spec, &cfg);
+        let mut model: Vec<VecDeque<Msg>> = vec![VecDeque::new(); s.n_queues()];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..4000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let q = (x >> 8) as usize % s.n_queues();
+            match x % 3 {
+                0 => assert_eq!(s.pop_front(q), model[q].pop_front()),
+                1 => assert_eq!(s.pop_back(q), model[q].pop_back()),
+                _ => {
+                    let m = probe_msg((i % 200) as u8);
+                    let pushed = model[q].len() < cap_of(&cfg, &s, q);
+                    if pushed {
+                        model[q].push_back(m);
+                    }
+                    assert_eq!(s.push_back(q, m), pushed);
+                }
+            }
+            for (p, want) in model.iter().enumerate() {
+                assert!(s.queue(p).iter().eq(want.iter().copied()), "queue {p} after op {i}");
+                assert_eq!(s.is_full(p), want.len() >= cap_of(&cfg, &s, p));
+            }
+            assert_eq!(GlobalState::decode(s.as_bytes(), &cfg).as_ref(), Some(&s));
+        }
+    }
+
+    fn cap_of(cfg: &McConfig, s: &GlobalState, q: usize) -> usize {
+        if q < s.n_global_bufs() {
+            cfg.global_capacity
+        } else {
+            cfg.endpoint_capacity
+        }
+    }
+
+    /// Damage inside a queue fails closed: a message id byte of `0xff`
+    /// (no separator), any separator-or-above id byte in the last queue,
+    /// a truncated final message and one trailing byte of any kind are
+    /// all refused. An id byte equal to a separator elsewhere can
+    /// re-split the queues into another well-formed encoding; there the
+    /// byte-backed decoder reads exactly what the historical one reads.
+    #[test]
+    fn decode_rejects_damage_inside_queues() {
+        let spec = protocols::msi_blocking_cache();
+        let cfg = McConfig::general(&spec);
+        let mut s = GlobalState::initial(&spec, &cfg);
+        let last = s.n_queues() - 1;
+        let queues = [0, 1, s.fifo_queue(0), last];
+        for q in queues {
+            s.push_back(q, probe_msg(1));
+            s.push_back(q, probe_msg(2));
+        }
+        let enc = s.encode();
+        assert_eq!(GlobalState::decode(&enc, &cfg).as_ref(), Some(&s));
+        let same_reading = |bytes: &[u8], what: &str| -> bool {
+            let flat = GlobalState::decode(bytes, &cfg);
+            let oracle = nested::Nested::decode(bytes, &cfg);
+            assert_eq!(
+                flat.as_ref().map(GlobalState::encode),
+                oracle.as_ref().map(nested::Nested::encode),
+                "{what}: the decoders disagree"
+            );
+            let mut reused = s.clone();
+            assert_eq!(GlobalState::decode_into(bytes, &cfg, &mut reused), flat.is_some());
+            // A failed decode leaves a usable state behind.
+            assert_eq!(
+                GlobalState::decode(reused.as_bytes(), &cfg).as_ref(),
+                Some(&reused)
+            );
+            flat.is_some()
+        };
+        let rejected = |bytes: &[u8], what: &str| {
+            assert!(!same_reading(bytes, what), "{what} accepted");
+        };
+        for q in queues {
+            let head = s.seps[q] as usize + 1;
+            for msg in [0, 1] {
+                for bad in [0xfd, 0xfe, 0xff] {
+                    let mut damaged = enc.clone();
+                    damaged[head + msg * MSG_LEN] = bad;
+                    let what = format!("id byte {bad:#x} in message {msg} of queue {q}");
+                    if bad == 0xff || q == last {
+                        rejected(&damaged, &what);
+                    } else {
+                        same_reading(&damaged, &what);
+                    }
+                }
+            }
+        }
+        rejected(&enc[..enc.len() - 1], "a truncated final message");
+        for extra in [0x00, 0x7f, 0xfd, 0xfe, 0xff] {
+            let mut long = enc.clone();
+            long.push(extra);
+            rejected(&long, &format!("trailing byte {extra:#x}"));
+        }
     }
 }

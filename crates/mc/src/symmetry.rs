@@ -23,7 +23,7 @@
 //! explorers enforce both, failing closed instead of panicking.
 
 use crate::config::McConfig;
-use crate::state::{GlobalState, Msg, Node};
+use crate::state::{GlobalState, Msg, Node, MSG_LEN};
 
 /// Applies a cache-index and address-index permutation to a state:
 /// `cache_perm[i]` is the new index of old cache `i`, `addr_perm[a]`
@@ -57,33 +57,33 @@ pub fn permute(
         Node::Cache(c) => Node::Cache(remap_cache(c)),
         Node::Dir(d) => Node::Dir(d),
     };
-    let remap_msg = |m: &Msg| Msg {
+    let remap_msg = |m: Msg| Msg {
         addr: addr_perm[m.addr as usize] as u8,
         src: remap_node(m.src),
         dst: remap_node(m.dst),
         requestor: remap_cache(m.requestor),
-        ..*m
+        ..m
     };
 
     let mut out = gs.clone();
     for (nc, &oc) in cache_inv.iter().enumerate() {
         for (na, &oa) in addr_inv.iter().enumerate() {
-            let mut line = *gs.line(oc, oa);
+            let mut line = gs.line(oc, oa);
             line.readers = remap_mask(line.readers);
             if let Some((w, a)) = line.writer {
                 line.writer = Some((remap_cache(w), a));
             }
-            *out.line_mut(nc, na) = line;
+            out.set_line(nc, na, line);
         }
     }
 
     // Directory lines are indexed by address, so rows move with the
     // address permutation while their cache references are remapped.
     for (na, &oa) in addr_inv.iter().enumerate() {
-        let mut d = *gs.dir(oa);
+        let mut d = gs.dir(oa);
         d.sharers = remap_mask(d.sharers);
         d.owner = d.owner.map(remap_cache);
-        *out.dir_mut(na) = d;
+        out.set_dir(na, d);
     }
 
     for (i, &b) in gs.budgets().iter().enumerate() {
@@ -95,7 +95,7 @@ pub fn permute(
     // endpoint (dir endpoints are fixed points).
     out.clear_queues();
     for bi in 0..gs.n_global_bufs() {
-        for m in gs.queue(bi) {
+        for m in gs.queue(bi).iter() {
             out.push_back(bi, remap_msg(m));
         }
     }
@@ -105,7 +105,7 @@ pub fn permute(
         let old_ep = cache_inv.get(new_ep).copied().unwrap_or(new_ep);
         for vn in 0..n_vns {
             let to = out.fifo_queue(new_ep * n_vns + vn);
-            for m in gs.queue(gs.fifo_queue(old_ep * n_vns + vn)) {
+            for m in gs.queue(gs.fifo_queue(old_ep * n_vns + vn)).iter() {
                 out.push_back(to, remap_msg(m));
             }
         }
@@ -289,10 +289,7 @@ impl Canonicalizer {
         // reader or writer), so its image bytes depend on the whole
         // cache permutation, not just on where the row lands.
         let id_rows = (0..gs.n_caches()).fold(0u32, |acc, c| {
-            let ids = gs
-                .row(c)
-                .iter()
-                .any(|l| l.readers != 0 || l.writer.is_some());
+            let ids = gs.row(c).any(|l| l.readers != 0 || l.writer.is_some());
             acc | (u32::from(ids) << c)
         });
         let mut i = 0;
@@ -392,9 +389,8 @@ fn encode_bounded(
     for nc in 0..n_caches {
         let start = out.len();
         let oc = p.cache_inv[nc];
-        let row = gs.row(oc);
         for na in 0..n_addrs {
-            let l = &row[p.addr_inv[na]];
+            let l = gs.line(oc, p.addr_inv[na]);
             out.push(l.state);
             out.push(l.needed_acks as u8);
             out.push(remap_mask(l.readers));
@@ -428,26 +424,25 @@ fn encode_bounded(
     if lost(out, best, start, &mut below) {
         return Outcome::NotSmaller;
     }
-    let enc_msg = |out: &mut Vec<u8>, m: &Msg| {
-        out.push(m.msg);
-        out.push(p.addr[m.addr as usize] as u8);
-        out.push(match m.src {
-            Node::Cache(i) => p.cache[i as usize] as u8,
-            Node::Dir(i) => 0x80 | i,
-        });
-        out.push(match m.dst {
-            Node::Cache(i) => p.cache[i as usize] as u8,
-            Node::Dir(i) => 0x80 | i,
-        });
-        out.push(p.cache[m.requestor as usize] as u8);
-        out.push(m.ack as u8);
+    // A message's node bytes name a cache below 0x80 and a directory
+    // (a fixed point) from 0x80 up.
+    let node = |b: u8| if b & 0x80 != 0 { b } else { p.cache[b as usize] as u8 };
+    let enc_queue = |out: &mut Vec<u8>, q: usize| {
+        for m in gs.queue(q).as_bytes().chunks_exact(MSG_LEN) {
+            out.extend([
+                m[0],
+                p.addr[m[1] as usize] as u8,
+                node(m[2]),
+                node(m[3]),
+                p.cache[m[4] as usize] as u8,
+                m[5],
+            ]);
+        }
     };
     for bi in 0..gs.n_global_bufs() {
         let start = out.len();
         out.push(0xfe);
-        for m in gs.queue(bi) {
-            enc_msg(out, m);
-        }
+        enc_queue(out, bi);
         if lost(out, best, start, &mut below) {
             return Outcome::NotSmaller;
         }
@@ -458,9 +453,7 @@ fn encode_bounded(
         for vn in 0..n_vns {
             let start = out.len();
             out.push(0xfd);
-            for m in gs.queue(gs.fifo_queue(oe * n_vns + vn)) {
-                enc_msg(out, m);
-            }
+            enc_queue(out, gs.fifo_queue(oe * n_vns + vn));
             if lost(out, best, start, &mut below) {
                 return Outcome::NotSmaller;
             }
@@ -472,6 +465,23 @@ fn encode_bounded(
         Outcome::Smaller
     } else {
         Outcome::NotSmaller
+    }
+}
+
+/// The key a successor is interned under: with a canonicalizer, its
+/// canonical key, written into `buf`; without one, its own bytes,
+/// borrowed with no copy.
+pub(crate) fn interned_key<'a>(
+    canon: Option<&mut Canonicalizer>,
+    gs: &'a GlobalState,
+    buf: &'a mut Vec<u8>,
+) -> &'a [u8] {
+    match canon {
+        Some(c) => {
+            c.canonical_key_into(gs, buf);
+            buf
+        }
+        None => gs.as_bytes(),
     }
 }
 
@@ -523,9 +533,9 @@ mod tests {
     fn permutation_composes_to_identity() {
         let (spec, cfg, mut gs) = setup();
         let m = spec.cache().state_by_name("M").unwrap();
-        gs.line_mut(0, 0).state = m.index() as u8;
-        gs.dir_mut(0).owner = Some(0);
-        gs.dir_mut(0).sharers = 0b011;
+        gs.update_line(0, 0, |l| l.state = m.index() as u8);
+        gs.update_dir(0, |d| d.owner = Some(0));
+        gs.update_dir(0, |d| d.sharers = 0b011);
         let once = permute(&cfg, &gs, &[1, 2, 0], &id(2));
         let back = permute(&cfg, &once, &[2, 0, 1], &id(2));
         assert_eq!(back, gs);
@@ -537,11 +547,11 @@ mod tests {
         let m = spec.cache().state_by_name("M").unwrap();
         // Two states that differ only by which cache holds M.
         let mut a = base.clone();
-        a.line_mut(0, 0).state = m.index() as u8;
-        a.dir_mut(0).owner = Some(0);
+        a.update_line(0, 0, |l| l.state = m.index() as u8);
+        a.update_dir(0, |d| d.owner = Some(0));
         let mut b = base.clone();
-        b.line_mut(2, 0).state = m.index() as u8;
-        b.dir_mut(0).owner = Some(2);
+        b.update_line(2, 0, |l| l.state = m.index() as u8);
+        b.update_dir(0, |d| d.owner = Some(2));
         assert_eq!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
     }
 
@@ -551,9 +561,9 @@ mod tests {
         let m = spec.cache().state_by_name("M").unwrap();
         let s = spec.cache().state_by_name("S").unwrap();
         let mut a = base.clone();
-        a.line_mut(0, 0).state = m.index() as u8;
+        a.update_line(0, 0, |l| l.state = m.index() as u8);
         let mut b = base.clone();
-        b.line_mut(0, 0).state = s.index() as u8;
+        b.update_line(0, 0, |l| l.state = s.index() as u8);
         assert_ne!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
     }
 
@@ -576,6 +586,7 @@ mod tests {
         // The FIFO moved from endpoint 0 to endpoint 2, and the message's
         // identity fields were remapped.
         let moved = p.queue(p.fifo_queue(Node::Cache(2).index(3) * n_vns));
+        let moved: Vec<Msg> = moved.iter().collect();
         assert_eq!(moved.len(), 1);
         assert_eq!(moved[0].src, Node::Cache(2));
         assert_eq!(moved[0].requestor, 2);
@@ -595,9 +606,9 @@ mod tests {
         let (spec, cfg, mut gs) = setup_one_dir();
         let m = spec.cache().state_by_name("M").unwrap();
         let gets = spec.message_by_name("GetS").unwrap();
-        gs.line_mut(1, 0).state = m.index() as u8;
-        gs.dir_mut(0).owner = Some(1);
-        gs.dir_mut(0).pending = 1;
+        gs.update_line(1, 0, |l| l.state = m.index() as u8);
+        gs.update_dir(0, |d| d.owner = Some(1));
+        gs.update_dir(0, |d| d.pending = 1);
         gs.push_back(
             0,
             Msg {
@@ -610,14 +621,15 @@ mod tests {
             },
         );
         let p = permute(&cfg, &gs, &id(3), &[1, 0]);
+        let head = p.queue(0).first().unwrap();
         // Cache columns swapped per row; dir rows swapped; message
         // addresses remapped; dir endpoints untouched.
         assert_eq!(p.line(1, 1).state, m.index() as u8);
         assert_eq!(p.line(1, 0).state, gs.line(1, 1).state);
         assert_eq!(p.dir(1).owner, Some(1));
         assert_eq!(p.dir(1).pending, 1);
-        assert_eq!(p.queue(0)[0].addr, 1);
-        assert_eq!(p.queue(0)[0].dst, Node::Dir(0));
+        assert_eq!(head.addr, 1);
+        assert_eq!(head.dst, Node::Dir(0));
     }
 
     #[test]
@@ -743,15 +755,14 @@ mod tests {
         let n = out.n_caches();
         let mut x = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
         for i in 0..n * out.n_addrs() {
-            let line = out.line_mut(i / gs.n_addrs(), i % gs.n_addrs());
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            match x % 4 {
+            out.update_line(i / gs.n_addrs(), i % gs.n_addrs(), |line| match x % 4 {
                 0 => line.readers = (x >> 8) as u8 & ((1u8 << n) - 1),
                 1 => line.writer = Some((((x >> 8) as usize % n) as u8, 0)),
                 _ => {}
-            }
+            });
         }
         out
     }

@@ -1403,13 +1403,17 @@ mod tests {
         };
         let server = Server::start(opts).expect("server starts");
         let (out, store) = capture();
-        // CHI single-VN is far too big to finish in 40ms (about 0.12 s
-        // in a release build on a 2-vCPU host, longer in a debug build).
-        server.submit_line(
-            r#"{"id":"slow","cmd":"mc","protocol":"CHI","vns":"single"}"#,
-            &out,
-            None,
+        // MOESI-nonblocking under one VN in the symmetric general
+        // scenario is far too big to finish in 40 ms: it runs about
+        // 4.3 s in a release build on a 2-vCPU host before the default
+        // 2 M-state limit stops it, a margin of about 100x that does not
+        // shrink with each explorer speedup the way a small subject's
+        // does.
+        let slow = concat!(
+            r#"{"id":"slow","cmd":"mc","protocol":"MOESI-nonblocking-cache","#,
+            r#""vns":"single","symmetry":true}"#
         );
+        server.submit_line(slow, &out, None);
         wait_for_responses(&store, 1);
         server.drain();
         let v = &lines(&store)[0];

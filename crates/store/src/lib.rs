@@ -29,7 +29,7 @@
 //! 21      4     schema version, u32 LE
 //! 25      4     body length N, u32 LE
 //! 29      N     body (UTF-8, producer-defined)
-//! 29+N    8     checksum, u64 LE = FNV-1a over bytes [0, 29+N)
+//! 29+N    8     checksum, u64 LE = fnv64 over bytes [0, 29+N)
 //! 37+N    8     commit marker b"VNETCMT1"
 //! ```
 //!
@@ -85,9 +85,13 @@ const HEADER_LEN: usize = 4 + 16 + 1 + 4 + 4;
 /// the scanner treat the rest of the log as one giant torn record.
 const MAX_BODY_LEN: usize = 1 << 26; // 64 MiB
 
-/// FNV-1a 64-bit — the workspace's dependency-free checksum hash
-/// (same function as `crates/mc/src/checkpoint.rs`, which keeps its
-/// copy `pub(crate)`).
+/// `fnv64`, the workspace's dependency-free checksum hash (same
+/// function as `crates/mc/src/checkpoint.rs`, which keeps its copy
+/// `pub(crate)`): the FNV-1a loop (offset basis `0xcbf2_9ce4_8422_2325`,
+/// xor each byte, then multiply) with the multiplier `0x1000_0000_01b3`,
+/// which is not the FNV-1a 64-bit prime `0x100_0000_01b3`. Its values
+/// are not FNV-1a's; every record checksum and key is written with this
+/// constant, so changing it is a format change.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -136,7 +140,7 @@ impl RecordKind {
     }
 }
 
-/// A 128-bit content address: two independent FNV-1a streams over the
+/// A 128-bit content address: two independent `fnv64` streams over the
 /// same length-prefixed parts. Collisions would need both 64-bit
 /// hashes to collide simultaneously.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -801,6 +805,17 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Known answers pin the checksum's multiplier, `0x1000_0000_01b3`:
+    /// changing it would change every record checksum and key. The
+    /// standard FNV-1a 64-bit value of "a" is `0xaf63_dc4c_8601_ec8c`.
+    #[test]
+    fn checksum_multiplier_is_pinned_by_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+        assert_ne!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c, "not stock FNV-1a");
     }
 
     #[test]

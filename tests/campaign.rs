@@ -124,24 +124,25 @@ fn thread_isolation_timeout_then_resume_lineage() {
         name: "CHI".into(),
         arg: "CHI".into(),
     }];
-    // The timeout is far below the ~0.25 s the full run takes in a
-    // release build on a 2-vCPU host (longer in a debug build), so the
-    // first attempt *always* times out and the lineage is exercised;
-    // each retry resumes from the flushed checkpoint, expands at least
-    // one of the 20 levels, and the remainder eventually fits in one
-    // slice. The supervisor's
-    // grace window (>= 5 s) covers finishing a BFS level even when the
-    // harness runs every other test and their subprocesses
-    // concurrently, and the retry budget covers a loaded machine.
+    // The timeout does not depend on how fast the explorer is: 1 ms is
+    // far below any attempt (the whole run takes about 0.15 s in a
+    // release build on a 2-vCPU host with 2 threads, a margin of over
+    // 100x), so the first attempt always times out and the lineage is
+    // exercised. Progress does not depend on the timeout either: a
+    // resumed run expands at least one level before it honors the stop
+    // file, so each retry completes at least one of the 20 levels, and
+    // 40 retries cover them all. The supervisor's grace window (>= 5 s)
+    // covers finishing a BFS level even when the harness runs every
+    // other test and their subprocesses concurrently.
     let mut cc = CampaignConfig::new()
         .with_isolation(Isolation::Thread)
         .with_threads(2)
-        .with_timeout(std::time::Duration::from_millis(50))
-        .with_retries(25)
+        .with_timeout(std::time::Duration::from_millis(1))
+        .with_retries(40)
         .with_checkpoint_dir(&ckpts);
     // The default 250 ms doubling backoff is for flaky-environment
-    // recovery; here every retry is expected, so keep the test fast.
-    cc.backoff = std::time::Duration::from_millis(5);
+    // recovery; here every retry is expected, so retry at once.
+    cc.backoff = std::time::Duration::ZERO;
     let single_vn = |spec: &vnet::protocol::ProtocolSpec| {
         vnet::mc::McConfig::figure3(spec)
             .with_vns(vnet::mc::VnMap::single(spec.messages().len()))
