@@ -392,8 +392,17 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that record into the process-wide registry,
+    /// so no test records between another test's snapshots. Every test
+    /// in this crate that touches the registry takes it first.
+    fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
+    }
+
     #[test]
     fn counter_and_gauge_round_trip() {
+        let _registry = registry_guard();
         crate::set_metrics_enabled(true);
         let c = counter("test.metrics.counter");
         let before = c.get();
@@ -449,6 +458,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_json_is_well_shaped() {
+        let _registry = registry_guard();
         crate::set_metrics_enabled(true);
         counter("test.snap.zzz").inc();
         counter("test.snap.aaa").add(2);
@@ -468,6 +478,7 @@ mod tests {
 
     #[test]
     fn histogram_first_registration_wins() {
+        let _registry = registry_guard();
         crate::set_metrics_enabled(true);
         let a = histogram("test.snap.first-wins", &[5, 50]);
         let b = histogram("test.snap.first-wins", &[999]);

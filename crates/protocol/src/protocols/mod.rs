@@ -78,13 +78,20 @@ pub fn extended() -> Vec<ProtocolSpec> {
     BUILTINS.iter().map(|(_, build)| build()).collect()
 }
 
+/// How many built-in protocols there are (Table I plus extensions).
+pub const COUNT: usize = BUILTINS.len();
+
+/// The `vnet list` position of the built-in called `name` (exact,
+/// case-sensitive), below [`COUNT`]; `None` if no built-in has that
+/// name. Lets callers keep per-builtin tables without building specs.
+pub fn index_of(name: &str) -> Option<usize> {
+    BUILTINS.iter().position(|(n, _)| *n == name)
+}
+
 /// The built-in protocol called `name` (exact, case-sensitive), built
 /// alone; `None` if no built-in has that name.
 pub fn by_name(name: &str) -> Option<ProtocolSpec> {
-    BUILTINS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, build)| build())
+    index_of(name).map(|i| (BUILTINS[i].1)())
 }
 
 /// The Table-I experiment number a protocol belongs to, by name.
@@ -132,9 +139,11 @@ mod tests {
         for (p, (name, _)) in ps.iter().zip(BUILTINS.iter()) {
             assert_eq!(p.name(), *name, "table name disagrees with the spec");
             let found = by_name(name).expect("every builtin resolves by name");
+            assert!(index_of(name).is_some_and(|i| i < COUNT && BUILTINS[i].0 == *name));
             assert_eq!(crate::dsl::to_text(&found), crate::dsl::to_text(p));
         }
         assert!(by_name("chi").is_none());
+        assert!(index_of("chi").is_none());
         assert!(by_name("no-such-protocol").is_none());
     }
 }

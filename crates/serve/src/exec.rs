@@ -15,10 +15,16 @@
 //! durable result store. Only `provenance: "exact"` results are ever
 //! stored — a degraded or cancelled result depends on the budget that
 //! cut it, which is not part of the key.
+//!
+//! Admission looks keys up through [`admission_key`]: a built-in's key
+//! is a constant of the binary, derived once per process and command
+//! shape, and an inline spec is resolved once — the [`Resolved`] spec
+//! and config ride to the worker, so [`execute`] does not parse again.
 
 use crate::json::Json;
 use crate::proto::{Command, ProtocolRef, Request, VnChoice};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use vnet_core::{analyze, analyze_budgeted, VnOutcome};
 use vnet_graph::{Budget, Provenance};
 use vnet_mc::McConfig;
@@ -87,8 +93,10 @@ fn body_of(fields: &[(&'static str, Json)]) -> String {
 }
 
 /// Resolves the request's protocol. Built-in lookup is exact; inline
-/// DSL is parsed and validated fail-closed.
+/// DSL is parsed and validated fail-closed. Each call counts in
+/// `serve.spec_resolves_total`.
 pub fn resolve_protocol(proto: &ProtocolRef) -> Result<ProtocolSpec, String> {
+    vnet_obs::counter("serve.spec_resolves_total").inc();
     match proto {
         ProtocolRef::None => Err("request needs a protocol".into()),
         ProtocolRef::Builtin(name) => protocols::by_name(name)
@@ -150,40 +158,131 @@ pub fn mc_store_key(spec: &ProtocolSpec, cfg: &McConfig, parameterized: bool) ->
     Key::derive(&parts)
 }
 
-/// The store key a request would be cached under, or `None` when the
-/// request is not cacheable (sim, ping, batch, checkpointing mc, a
-/// protocol that fails to resolve). Used by admission for inline
-/// cache-hit answers, and kept in exact lockstep with the keys the
-/// runners attach to their results.
-pub fn store_key(req: &Request) -> Option<Key> {
+/// A request's protocol resolved once: the spec and, for `mc`, the
+/// config its mode selects. Admission makes one for an inline spec and
+/// hands it to [`execute`], so the worker neither parses the DSL nor
+/// runs the analyzer for the VN map a second time.
+pub struct Resolved {
+    spec: ProtocolSpec,
+    cfg: Option<McConfig>,
+}
+
+/// A resolution, or the `bad_request` detail the request answers with.
+pub type Resolution = Result<Resolved, String>;
+
+/// Resolves `req`'s protocol and, for an `mc` request, its config.
+fn resolve(req: &Request) -> Resolution {
+    let spec = resolve_protocol(&req.protocol)?;
+    let cfg = match &req.cmd {
+        Command::Mc { vns, symmetry, .. } => Some(mc_config(&spec, *vns, *symmetry)?),
+        _ => None,
+    };
+    Ok(Resolved { spec, cfg })
+}
+
+/// The store key of a request whose protocol is already resolved, or
+/// `None` when its command is not cacheable. A checkpointing run's
+/// response names a server-side checkpoint path; replaying that from
+/// cache would be a lie.
+fn key_of(req: &Request, r: &Resolved) -> Option<Key> {
     match &req.cmd {
-        Command::Analyze => {
-            let spec = resolve_protocol(&req.protocol).ok()?;
-            Some(analyze_store_key(&spec))
-        }
-        // A checkpointing run's response names a server-side
-        // checkpoint path; replaying that from cache would be a lie.
-        Command::Mc { checkpoint: false, vns, symmetry, parameterized, .. } => {
-            let spec = resolve_protocol(&req.protocol).ok()?;
-            let cfg = mc_config(&spec, *vns, *symmetry).ok()?;
-            Some(mc_store_key(&spec, &cfg, *parameterized))
+        Command::Analyze => Some(analyze_store_key(&r.spec)),
+        Command::Mc { checkpoint: false, parameterized, .. } => {
+            Some(mc_store_key(&r.spec, r.cfg.as_ref()?, *parameterized))
         }
         _ => None,
     }
 }
 
+/// The store key a request would be cached under, or `None` when the
+/// request is not cacheable (sim, ping, batch, checkpointing mc, a
+/// protocol that fails to resolve). The one derivation of a key: the
+/// admission memo is filled from it, and the runners attach the same
+/// key to their results.
+pub fn store_key(req: &Request) -> Option<Key> {
+    shape_of(&req.cmd)?;
+    key_of(req, &resolve(req).ok()?)
+}
+
+/// Cacheable command shapes: `analyze`, then `mc` × `vns` × `symmetry`
+/// × `parameterized`.
+const SHAPES: usize = 1 + 3 * 2 * 2;
+
+/// The memo column of a cacheable command, `None` for the rest.
+fn shape_of(cmd: &Command) -> Option<usize> {
+    match cmd {
+        Command::Analyze => Some(0),
+        Command::Mc { checkpoint: false, vns, symmetry, parameterized, .. } => {
+            let vns = match vns {
+                VnChoice::Minimal => 0,
+                VnChoice::Single => 1,
+                VnChoice::Unique => 2,
+            };
+            Some(1 + vns * 4 + usize::from(*symmetry) * 2 + usize::from(*parameterized))
+        }
+        _ => None,
+    }
+}
+
+/// Store keys of the built-ins, one slot per built-in and cacheable
+/// shape, each filled by [`store_key`] on its first lookup. A built-in
+/// spec and the config built from it are pure functions of the binary,
+/// so a slot never goes stale.
+static BUILTIN_KEYS: [[OnceLock<Option<Key>>; SHAPES]; protocols::COUNT] =
+    [const { [const { OnceLock::new() }; SHAPES] }; protocols::COUNT];
+
+/// Bucket edges (microseconds) of `serve.key_derive_us`: a memoized
+/// built-in key reads in a few µs, an inline spec's parse and render
+/// take hundreds, an `mc` key that runs the analyzer a few ms.
+const KEY_DERIVE_US_BOUNDS: &[u64] = &[2, 4, 8, 16, 64, 256, 1_024, 4_096, 16_384];
+
+/// Admission's key derivation: the key `req` is looked up under and,
+/// for an inline spec, the resolution made on the way, for the worker
+/// to reuse. A built-in's key is read from the per-process memo; an
+/// unknown built-in name or a non-cacheable command derives nothing.
+/// The derivation of a cacheable command is timed in
+/// `serve.key_derive_us`.
+pub fn admission_key(req: &Request) -> (Option<Key>, Option<Resolution>) {
+    let Some(shape) = shape_of(&req.cmd) else {
+        return (None, None);
+    };
+    let started = vnet_obs::metrics_enabled().then(std::time::Instant::now);
+    let derived = match &req.protocol {
+        ProtocolRef::Builtin(name) => {
+            let key = protocols::index_of(name)
+                .and_then(|i| *BUILTIN_KEYS[i][shape].get_or_init(|| store_key(req)));
+            (key, None)
+        }
+        ProtocolRef::Inline(_) => {
+            let resolved = resolve(req);
+            let key = resolved.as_ref().ok().and_then(|r| key_of(req, r));
+            (key, Some(resolved))
+        }
+        ProtocolRef::None => (None, None),
+    };
+    if let Some(started) = started {
+        vnet_obs::histogram("serve.key_derive_us", KEY_DERIVE_US_BOUNDS)
+            .record(started.elapsed().as_micros() as u64);
+    }
+    derived
+}
+
 /// Executes `req` under `budget`. `Err` means the request could not run
 /// at all (client error); `Ok` carries the result and its provenance.
+/// `resolved` is admission's resolution of the protocol, if it made one;
+/// otherwise the runner resolves it here.
 /// `ckpt_path` is where an `mc` request with `checkpoint: true` flushes.
 /// `on_level` observes BFS level boundaries of inline `mc` runs
 /// (`(level, states so far)` — the server turns it into streaming
 /// progress events).
 pub fn execute(
     req: &Request,
+    resolved: Option<Resolution>,
     budget: &Budget,
     ckpt_path: Option<&Path>,
     on_level: &mut dyn FnMut(usize, usize),
 ) -> Result<ExecResult, ExecError> {
+    let resolved = move || resolved.unwrap_or_else(|| resolve(req));
     match &req.cmd {
         Command::Ping => Ok(ExecResult::new(vec![], Provenance::Exact)),
         // Answered inline by the server; queued ones are no-ops.
@@ -194,7 +293,7 @@ pub fn execute(
             Err(ExecError::new("bad_request", "batch cannot nest inside batch"))
         }
         Command::Panic => panic!("injected test fault (cmd=panic)"),
-        Command::Analyze => run_analyze(req, budget),
+        Command::Analyze => run_analyze(resolved()?, budget),
         Command::Mc {
             vns,
             checkpoint,
@@ -209,10 +308,17 @@ pub fn execute(
                 symmetry: *symmetry,
                 parameterized: *parameterized,
             };
+            // `resolve` configures every `mc` request; a resolution
+            // without a config is configured here.
+            let Resolved { spec, cfg } = resolved()?;
+            let cfg = match cfg {
+                Some(cfg) => cfg,
+                None => mc_config(&spec, *vns, *symmetry)?,
+            };
             if *process {
-                run_mc_process(req, budget, mode, ckpt_path)
+                run_mc_process(req, &spec, &cfg, budget, mode, ckpt_path)
             } else {
-                run_mc(req, budget, mode, ckpt_path, on_level)
+                run_mc(&spec, &cfg, budget, mode, ckpt_path, on_level)
             }
         }
         Command::Sim {
@@ -220,12 +326,14 @@ pub fn execute(
             seed,
             max_cycles,
             faults,
-        } => run_sim(req, budget, *ops, *seed, *max_cycles, faults.as_deref()),
+        } => {
+            run_sim(resolved()?.spec, budget, *ops, *seed, *max_cycles, faults.as_deref())
+        }
     }
 }
 
-fn run_analyze(req: &Request, budget: &Budget) -> Result<ExecResult, ExecError> {
-    let spec = resolve_protocol(&req.protocol)?;
+fn run_analyze(resolved: Resolved, budget: &Budget) -> Result<ExecResult, ExecError> {
+    let spec = resolved.spec;
     let report = analyze_budgeted(&spec, budget);
     let provenance = report.outcome().provenance().clone();
     let mut fields = vec![("protocol", Json::str(spec.name()))];
@@ -283,7 +391,8 @@ struct McMode {
 }
 
 fn run_mc(
-    req: &Request,
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
     budget: &Budget,
     mode: McMode,
     ckpt_path: Option<&Path>,
@@ -293,19 +402,15 @@ fn run_mc(
         checkpoint::CheckpointPolicy, explore_budgeted_with, explore_checkpointed,
         CheckpointedRun, Verdict,
     };
-    let spec = resolve_protocol(&req.protocol)?;
-    let cfg =
-        mc_config(&spec, mode.vns, mode.symmetry).map_err(|e| ExecError::new("bad_request", e))?;
-
     let mut ckpt_field: Option<PathBuf> = None;
     let run = match (mode.checkpoint, ckpt_path) {
         (true, Some(path)) => {
             ckpt_field = Some(path.to_path_buf());
             let policy = CheckpointPolicy::new(path.to_path_buf());
-            explore_checkpointed(&spec, &cfg, budget, &policy, on_level)
+            explore_checkpointed(spec, cfg, budget, &policy, on_level)
                 .map_err(|e| format!("checkpoint error: {e}"))?
         }
-        _ => CheckpointedRun::Finished(explore_budgeted_with(&spec, &cfg, budget, on_level)),
+        _ => CheckpointedRun::Finished(explore_budgeted_with(spec, cfg, budget, on_level)),
     };
 
     let verdict = match run {
@@ -345,7 +450,7 @@ fn run_mc(
     fields.push(("levels", Json::num(stats.levels as u64)));
     fields.push(("complete", Json::Bool(stats.complete)));
     if mode.parameterized {
-        fields.extend(param_fields(&spec, &cfg));
+        fields.extend(param_fields(spec, cfg));
     }
     let mut result = ExecResult::new(fields, stats.provenance);
     match ckpt_field {
@@ -356,7 +461,7 @@ fn run_mc(
         }
         None => {
             result = result
-                .with_store(mc_store_key(&spec, &cfg, mode.parameterized), RecordKind::Mc);
+                .with_store(mc_store_key(spec, cfg, mode.parameterized), RecordKind::Mc);
         }
     }
     Ok(result)
@@ -473,6 +578,8 @@ fn backoff_sleep(budget: &Budget, dur: std::time::Duration) -> Option<vnet_graph
 ///   `error{worker_overrun}`.
 fn run_mc_process(
     req: &Request,
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
     budget: &Budget,
     mode: McMode,
     ckpt_path: Option<&Path>,
@@ -484,9 +591,6 @@ fn run_mc_process(
     // The child re-resolves the protocol: built-ins by name, inline
     // DSL via a scratch file (validated here first, so a client error
     // never burns a process spawn).
-    let spec = resolve_protocol(&req.protocol)?;
-    let cfg =
-        mc_config(&spec, mode.vns, mode.symmetry).map_err(|e| ExecError::new("bad_request", e))?;
     let mut scratch: Option<PathBuf> = None;
     let arg = match &req.protocol {
         ProtocolRef::Builtin(name) => name.clone(),
@@ -666,7 +770,7 @@ fn run_mc_process(
             // Computed in the daemon, not the child: the flow verdict
             // is a pure function of spec + config, so the child's
             // machine line stays unchanged across versions.
-            fields.extend(param_fields(&spec, &cfg));
+            fields.extend(param_fields(spec, cfg));
         }
         let mut result = ExecResult::new(fields, provenance);
         if mode.checkpoint {
@@ -678,7 +782,7 @@ fn run_mc_process(
             // result and an inline result of the same request are the
             // same record.
             result = result
-                .with_store(mc_store_key(&spec, &cfg, mode.parameterized), RecordKind::Mc);
+                .with_store(mc_store_key(spec, cfg, mode.parameterized), RecordKind::Mc);
         }
         return cleanup(Ok(result));
     }
@@ -730,7 +834,7 @@ pub fn mc_result_body(
 }
 
 fn run_sim(
-    req: &Request,
+    spec: ProtocolSpec,
     budget: &Budget,
     ops: usize,
     seed: u64,
@@ -739,7 +843,6 @@ fn run_sim(
 ) -> Result<ExecResult, ExecError> {
     use vnet_mc::VnMap;
     use vnet_sim::{FaultPlan, SimConfig, Simulator, Topology, Workload};
-    let spec = resolve_protocol(&req.protocol)?;
     let plan = match faults {
         Some(text) => FaultPlan::parse(text).map_err(|e| ExecError::from(e.to_string()))?,
         None => FaultPlan::none(),
@@ -786,7 +889,7 @@ mod tests {
     }
 
     fn run(r: &Request, budget: &Budget) -> Result<ExecResult, ExecError> {
-        execute(r, budget, None, &mut |_, _| {})
+        execute(r, None, budget, None, &mut |_, _| {})
     }
 
     fn mc_cmd(vns: VnChoice, process: bool) -> Command {
@@ -977,7 +1080,7 @@ mod tests {
         let mut levels = Vec::new();
         let r = req(mc_cmd(VnChoice::Unique, false), "MSI-nonblocking-cache");
         let mut hook = |level: usize, states: usize| levels.push((level, states));
-        let out = execute(&r, &Budget::unlimited(), None, &mut hook).unwrap();
+        let out = execute(&r, None, &Budget::unlimited(), None, &mut hook).unwrap();
         assert!(out.provenance.is_exact());
         assert!(!levels.is_empty(), "inline mc must report level boundaries");
         assert!(

@@ -139,6 +139,8 @@ impl Default for ServeOpts {
 /// One admitted unit of work.
 struct Job {
     req: Request,
+    /// Admission's resolution of an inline spec, reused by the worker.
+    resolved: Option<exec::Resolution>,
     cancel: CancelToken,
     out: LineOut,
     admitted: Instant,
@@ -170,6 +172,16 @@ const REQUEST_WALL_MS_BOUNDS: &[u64] = &[1, 5, 25, 100, 500, 2_000, 10_000, 60_0
 /// a warm-store answer is lock + map lookup + body clone + one line
 /// write, so the interesting range is tens of µs to a few ms.
 const CACHE_HIT_US_BOUNDS: &[u64] = &[16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144];
+
+/// Records the milliseconds from `admitted` to `picked` in
+/// `serve.queue_wait_ms`. `picked` is `None` when metrics are off, so
+/// the disabled path reads no clock.
+fn record_queue_wait(admitted: Instant, picked: Option<Instant>) {
+    if let Some(picked) = picked {
+        let ms = picked.saturating_duration_since(admitted).as_millis() as u64;
+        vnet_obs::histogram("serve.queue_wait_ms", REQUEST_WALL_MS_BOUNDS).record(ms);
+    }
+}
 
 /// Bumps one serve counter and its mirror in the process metrics
 /// registry. The daemon's own `Counters` stay authoritative for drain
@@ -371,7 +383,8 @@ impl Server {
         // A warm store answers repeat analyze/mc requests inline: no
         // queue slot, no worker, no re-exploration — one map lookup and
         // one line write, with `provenance: "cached"` saying so.
-        if let Some(line) = cache_lookup(sh, &req) {
+        let mut resolved = None;
+        if let Some(line) = cache_lookup(sh, &req, &mut resolved) {
             bump(&sh.counters.completed, "serve.completed_total");
             write_line(out, &line);
             return;
@@ -384,6 +397,7 @@ impl Server {
         }
         let job = Job {
             req,
+            resolved,
             cancel,
             out: out.clone(),
             admitted: Instant::now(),
@@ -611,16 +625,25 @@ fn oversized(req: &Request, opts: &ServeOpts) -> Option<String> {
 }
 
 /// Inline cache lookup against the durable result store. Returns the
-/// complete response line on a hit. Both the admission path and batch
-/// items go through here, so hit semantics are identical everywhere.
-fn cache_lookup(sh: &Shared, req: &Request) -> Option<String> {
+/// complete response line on a hit. On a miss, `resolved` receives the
+/// resolution of an inline spec made while deriving its key, for the
+/// worker to reuse. Both the admission path and batch items go through here, so
+/// hit semantics are identical everywhere.
+fn cache_lookup(
+    sh: &Shared,
+    req: &Request,
+    resolved: &mut Option<exec::Resolution>,
+) -> Option<String> {
     use crate::json::Json;
     let store = sh.store.as_ref()?;
-    // The hit wall covers key derivation, which resolves the protocol;
-    // an unresolvable request is not cacheable and falls through to the
-    // worker for its real error.
+    // The hit wall covers key derivation: a table read for a built-in,
+    // a parse and render for an inline spec. A request that does not
+    // resolve has no key and falls through to the worker, which answers
+    // with the resolution error admission carried along.
     let started = Instant::now();
-    let key = exec::store_key(req)?;
+    let (key, resolution) = exec::admission_key(req);
+    *resolved = resolution;
+    let key = key?;
     let body = {
         let g = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         g.get(&key).map(|r| r.body.clone())
@@ -831,8 +854,12 @@ fn worker_loop(sh: &Shared) {
     }
 }
 
-fn handle(sh: &Shared, job: Job) {
+fn handle(sh: &Shared, mut job: Job) {
     let started = Instant::now();
+    // A batch records the wait of each of its items instead.
+    if !matches!(job.req.cmd, Command::Batch { .. }) {
+        record_queue_wait(job.admitted, vnet_obs::metrics_enabled().then_some(started));
+    }
     // Cancelled while queued (client hung up, or drain raced us).
     if let Some(reason) = job.cancel.reason() {
         bump(&sh.counters.cancelled, "serve.cancelled_total");
@@ -878,8 +905,9 @@ fn handle(sh: &Shared, job: Job) {
     }
 
     let mut on_level = progress_hook(&job.req, &job.out);
+    let resolved = job.resolved.take();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        exec::execute(&job.req, &budget, ckpt_path.as_deref(), &mut *on_level)
+        exec::execute(&job.req, resolved, &budget, ckpt_path.as_deref(), &mut *on_level)
     }));
     drop(on_level);
     sh.deregister(job.seq);
@@ -902,6 +930,7 @@ fn run_batch(sh: &Shared, job: &Job, items: &[String], started: Instant) {
     let (mut ok, mut errs, mut rejected, mut cancelled, mut panicked) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     for (idx, item) in items.iter().enumerate() {
+        record_queue_wait(job.admitted, vnet_obs::metrics_enabled().then(Instant::now));
         let req = match proto::parse_request(item) {
             Ok(r) => r,
             Err(detail) => {
@@ -935,7 +964,8 @@ fn run_batch(sh: &Shared, job: &Job, items: &[String], started: Instant) {
             );
             continue;
         }
-        if let Some(line) = cache_lookup(sh, &req) {
+        let mut resolved = None;
+        if let Some(line) = cache_lookup(sh, &req, &mut resolved) {
             bump(&sh.counters.completed, "serve.completed_total");
             ok += 1;
             write_line(&job.out, &line);
@@ -968,7 +998,7 @@ fn run_batch(sh: &Shared, job: &Job, items: &[String], started: Instant) {
         };
         let mut on_level = progress_hook(&req, &job.out);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            exec::execute(&req, &budget, ckpt_path.as_deref(), &mut *on_level)
+            exec::execute(&req, resolved, &budget, ckpt_path.as_deref(), &mut *on_level)
         }));
         drop(on_level);
         let wall_ms = item_started.elapsed().as_millis() as u64;

@@ -312,3 +312,170 @@ fn progress_events_stream_ahead_of_the_mc_verdict() {
     );
     shutdown(child);
 }
+
+/// Every cacheable command shape as a request line body: `analyze`, then
+/// `mc` × `vns` × `symmetry` × `parameterized`.
+fn cacheable_shapes() -> Vec<String> {
+    let mut shapes = vec![r#""cmd":"analyze""#.to_string()];
+    for vns in ["minimal", "single", "unique"] {
+        for symmetry in [false, true] {
+            for parameterized in [false, true] {
+                shapes.push(format!(
+                    r#""cmd":"mc","vns":"{vns}","symmetry":{symmetry},"parameterized":{parameterized}"#
+                ));
+            }
+        }
+    }
+    shapes
+}
+
+/// A request line for `shape` on the inline spec `text`.
+fn inline_line(id: &str, shape: &str, text: &str) -> String {
+    let spec = json::Json::str(text).render();
+    format!(r#"{{"id":"{id}",{shape},"spec":{spec}}}"#)
+}
+
+/// The per-process memo of built-in store keys must hand out exactly
+/// the key a fresh derivation computes, for every Table I built-in and
+/// every cacheable command shape, on every read and from any thread.
+/// Distinct shapes must never share a slot.
+#[test]
+fn memoized_builtin_keys_equal_a_fresh_derivation() {
+    use vnet::serve::exec::{admission_key, store_key};
+    let requests: Vec<vnet::serve::Request> = vnet::protocol::protocols::all()
+        .iter()
+        .flat_map(|spec| {
+            cacheable_shapes().into_iter().map(move |shape| {
+                let line = format!(r#"{{{shape},"protocol":"{}"}}"#, spec.name());
+                vnet::serve::parse_request(&line).expect("a well-formed request")
+            })
+        })
+        .collect();
+    assert_eq!(requests.len(), 9 * 13);
+    let read_all = || -> Vec<_> {
+        requests
+            .iter()
+            .map(|req| {
+                let (first, resolved) = admission_key(req);
+                assert!(resolved.is_none(), "a built-in is never resolved at admission");
+                let (second, _) = admission_key(req);
+                assert_eq!(first, second, "two reads of one slot disagree");
+                first
+            })
+            .collect()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(read_all);
+        let b = s.spawn(read_all);
+        (a.join().expect("reader thread"), b.join().expect("reader thread"))
+    });
+    let fresh: Vec<_> = requests.iter().map(store_key).collect();
+    assert_eq!(a, fresh, "memoized keys differ from a fresh derivation");
+    assert_eq!(b, fresh, "memoized keys differ from a fresh derivation");
+    // Every shape of every built-in is cacheable, so the comparison
+    // above is over keys, not over `None`s. (Keys may repeat across
+    // shapes: a Class 2 protocol's minimal map is its unique map.)
+    assert!(fresh.iter().all(Option::is_some), "a built-in request has no key");
+}
+
+/// A file and a built-in share one store entry: an inline request
+/// carrying a built-in's own DSL export hits the record stored under
+/// the built-in's name, for `analyze` and for `mc`.
+#[test]
+fn inline_export_of_a_builtin_hits_the_builtin_record() {
+    let dir = tmp_dir("inline-hit");
+    let (child, addr) = spawn_serve(&["--store-dir", dir.to_str().expect("utf-8 path")]);
+    let (mut w, mut r) = connect(&addr);
+    let name = "MSI-nonblocking-cache";
+    let text = vnet::protocol::dsl::to_text(
+        &vnet::protocol::protocols::by_name(name).expect("a built-in"),
+    );
+    for (i, shape) in [r#""cmd":"analyze""#, r#""cmd":"mc","vns":"unique""#]
+        .iter()
+        .enumerate()
+    {
+        let by_name = format!(r#"{{"id":"n{i}",{shape},"protocol":"{name}"}}"#);
+        let first = roundtrip(&mut w, &mut r, &by_name);
+        assert_eq!(provenance(&first), Some("exact"), "{first:?}");
+        let inline = roundtrip(&mut w, &mut r, &inline_line(&format!("s{i}"), shape, &text));
+        assert_eq!(provenance(&inline), Some("cached"), "{inline:?}");
+        let strip = |v: &json::Json| match v {
+            json::Json::Obj(m) => m
+                .iter()
+                .filter(|(k, _)| !matches!(k.as_str(), "id" | "provenance" | "wall_ms"))
+                .map(|(k, v)| (k.clone(), v.render()))
+                .collect::<Vec<_>>(),
+            other => panic!("a response is an object: {other:?}"),
+        };
+        assert_eq!(strip(&first), strip(&inline), "cached fields differ");
+    }
+    shutdown(child);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Admission resolves an inline spec to derive its key, and the worker
+/// reuses that resolution: k cold inline `analyze` requests resolve k
+/// times, not 2k, one by one and as a batch. An unparseable spec still
+/// answers with its positioned `bad spec` error, resolved once.
+#[test]
+fn cold_inline_requests_resolve_their_spec_once() {
+    let dir = tmp_dir("resolve-once");
+    let (child, addr) = spawn_serve(&["--store-dir", dir.to_str().expect("utf-8 path")]);
+    let (mut w, mut r) = connect(&addr);
+    let resolves = |w: &mut _, r: &mut _| {
+        let m = roundtrip(w, r, r#"{"id":"m","cmd":"metrics"}"#);
+        m.get("registry")
+            .and_then(|r| r.get("counters"))
+            .and_then(|c| c.get("serve.spec_resolves_total"))
+            .and_then(json::Json::as_u64)
+            .unwrap_or(0)
+    };
+    let texts: Vec<String> = vnet::protocol::protocols::all()
+        .iter()
+        .map(vnet::protocol::dsl::to_text)
+        .collect();
+    let analyze = r#""cmd":"analyze""#;
+
+    // One request per line.
+    let before = resolves(&mut w, &mut r);
+    for (i, text) in texts[..3].iter().enumerate() {
+        let v = roundtrip(&mut w, &mut r, &inline_line(&format!("a{i}"), analyze, text));
+        assert_eq!(provenance(&v), Some("exact"), "a cold request is computed: {v:?}");
+    }
+    assert_eq!(resolves(&mut w, &mut r) - before, 3, "single requests resolved twice");
+
+    // The same through a batch.
+    let before = resolves(&mut w, &mut r);
+    let items: Vec<String> = texts[3..6]
+        .iter()
+        .enumerate()
+        .map(|(i, text)| inline_line(&format!("b{i}"), analyze, text))
+        .collect();
+    writeln!(w, r#"{{"id":"b","cmd":"batch","items":[{}]}}"#, items.join(","))
+        .expect("sending the batch");
+    w.flush().expect("flushing the batch");
+    for _ in 0..=items.len() {
+        let mut line = String::new();
+        assert!(r.read_line(&mut line).expect("reading") > 0, "hung up mid-batch");
+        let v = json::parse(line.trim()).expect("structured line");
+        assert_eq!(v.get("status").and_then(json::Json::as_str), Some("ok"), "{v:?}");
+    }
+    assert_eq!(resolves(&mut w, &mut r) - before, 3, "batch items resolved twice");
+
+    // A spec that does not parse: the same error text the parser gives,
+    // from one resolution.
+    let bad = "protocol Broken\nthis is not a table";
+    let want = match vnet::protocol::dsl::parse(bad) {
+        Err(e) => format!("bad spec: {e}"),
+        Ok(_) => panic!("the broken spec parsed"),
+    };
+    let before = resolves(&mut w, &mut r);
+    let v = roundtrip(&mut w, &mut r, &inline_line("bad", analyze, bad));
+    assert_eq!(v.get("status").and_then(json::Json::as_str), Some("error"), "{v:?}");
+    assert_eq!(v.get("reason").and_then(json::Json::as_str), Some("bad_request"));
+    assert_eq!(v.get("detail").and_then(json::Json::as_str), Some(want.as_str()));
+    assert_eq!(resolves(&mut w, &mut r) - before, 1, "a bad spec resolved twice");
+
+    shutdown(child);
+    let _ = std::fs::remove_dir_all(dir);
+}
