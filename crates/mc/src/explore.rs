@@ -1,23 +1,19 @@
-//! Breadth-first exploration with deadlock detection, bounded-run
-//! reporting, and crash-tolerant checkpoint/resume.
+//! The model checker's verdicts and its serial entry points.
 //!
-//! State storage is interned (see [`crate::intern`]): each canonical
-//! encoding lives once in a bump arena under a dense `u32` id, and the
-//! visited/parent structure is three flat `Vec`s indexed by id. Memory
-//! accounting against the [`Budget`] is exact — computed from the
-//! capacities of the owned structures, not estimated per entry.
+//! [`explore`] and its variants run the one BFS kernel
+//! (`crate::kernel`) with one partition and one worker: successors
+//! are claimed in first-reach order as they are generated, budgets are
+//! metered per claim, and a checkpoint is one section in claim order.
+//! The threaded entry points ([`crate::parallel`]) run the same kernel
+//! with 64 partitions. The counterexample and fallback helpers here
+//! are shared by every explorer, the process-sharded one included.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, ShardEncoder};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
 use crate::config::McConfig;
-use crate::intern::{InternError, StateId};
-use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
-use crate::spill::{SpillArena, SpillConfig, SpillStats};
-use crate::state::GlobalState;
-use crate::symmetry::interned_key;
+use crate::parallel::ParallelOpts;
 use crate::trace::Trace;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use vnet_graph::{BitSet, Budget, BudgetMeter, DegradeReason, Provenance};
+use vnet_graph::{Budget, DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
 
 /// Exploration statistics.
@@ -46,7 +42,7 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
-    fn bounded(states: usize, levels: usize, peak_bytes: u64, spill_bytes: u64) -> Self {
+    pub(crate) fn bounded(states: usize, levels: usize, peak_bytes: u64, spill_bytes: u64) -> Self {
         // Truncation by a *counterexample*: the search stopped early
         // because the verdict is already decided, which is exact.
         ExploreStats {
@@ -136,6 +132,92 @@ impl Verdict {
     }
 }
 
+/// What a counterexample is. Declaration order breaks a tie between
+/// findings at one position: a deadlock or model error of one state is
+/// detected before the first successor of the next state is claimed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum FindingKind {
+    /// A controller received an undefined message.
+    Bug,
+    /// No rule is enabled and work is in flight.
+    Deadlock,
+    /// SWMR is violated.
+    Invariant,
+}
+
+/// The verdict for a counterexample whose witness is `trace`, found at
+/// BFS depth `depth`. A model error appends its failing `rule` to the
+/// trace. Under symmetry the recorded rule and detail name canonical
+/// indices, so both are re-derived from the concrete terminal that the
+/// de-canonicalized trace reaches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn counterexample(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    kind: FindingKind,
+    rule: String,
+    detail: String,
+    mut trace: Trace,
+    depth: usize,
+    stats: ExploreStats,
+) -> Verdict {
+    match kind {
+        FindingKind::Deadlock => Verdict::Deadlock {
+            trace,
+            depth,
+            stats,
+        },
+        FindingKind::Bug => {
+            let concrete = match cfg.symmetry {
+                true => crate::trace::concrete_bug(spec, cfg, &trace.last),
+                false => None,
+            };
+            let (rule, detail) = concrete.unwrap_or((rule, detail));
+            trace.steps.push(rule);
+            Verdict::ModelError {
+                trace,
+                detail,
+                stats,
+            }
+        }
+        FindingKind::Invariant => {
+            let detail = match (cfg.symmetry, &cfg.swmr) {
+                (true, Some(swmr)) => swmr.check(&trace.last, spec).unwrap_or(detail),
+                _ => detail,
+            };
+            Verdict::InvariantViolation {
+                trace,
+                detail,
+                stats,
+            }
+        }
+    }
+}
+
+/// The verdict of a run made without a checkpoint policy. Such a run
+/// does no file IO and has no stop file, so neither fallback arm is
+/// reachable; each fails soft with a degraded bounded verdict rather
+/// than a panic.
+pub(crate) fn settle(run: Result<CheckpointedRun, CheckpointError>) -> Verdict {
+    let (states, levels, what) = match run {
+        Ok(CheckpointedRun::Finished(v)) => return v,
+        Ok(CheckpointedRun::Interrupted { states, level, .. }) => {
+            (states, level, "run interrupted".to_string())
+        }
+        Err(e) => (0, 0, format!("checkpoint error: {e}")),
+    };
+    Verdict::NoDeadlock(ExploreStats {
+        states,
+        levels,
+        complete: false,
+        provenance: Provenance::Degraded {
+            reason: DegradeReason::Bound { what },
+        },
+        peak_bytes: 0,
+        spill_bytes: 0,
+    })
+}
+
 /// Explores the reachable state space of `spec` under `cfg`.
 ///
 /// See the crate docs for an end-to-end example.
@@ -166,37 +248,7 @@ pub fn explore_budgeted_with(
     budget: &Budget,
     on_level: impl FnMut(usize, usize),
 ) -> Verdict {
-    match run_serial(spec, cfg, budget, None, None, on_level) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        // Without a checkpoint policy there is no file IO and no stop
-        // file, so these arms are unreachable; fail soft, never panic.
-        Ok(CheckpointedRun::Interrupted { states, level, .. }) => {
-            Verdict::NoDeadlock(ExploreStats {
-                states,
-                levels: level,
-                complete: false,
-                provenance: Provenance::Degraded {
-                    reason: DegradeReason::Bound {
-                        what: "run interrupted".into(),
-                    },
-                },
-                peak_bytes: 0,
-                spill_bytes: 0,
-            })
-        }
-        Err(e) => Verdict::NoDeadlock(ExploreStats {
-            states: 0,
-            levels: 0,
-            complete: false,
-            provenance: Provenance::Degraded {
-                reason: DegradeReason::Bound {
-                    what: format!("checkpoint error: {e}"),
-                },
-            },
-            peak_bytes: 0,
-            spill_bytes: 0,
-        }),
-    }
+    settle(serial(spec, cfg, budget, None, None, on_level))
 }
 
 /// The outcome of a checkpoint-enabled run.
@@ -226,6 +278,14 @@ pub enum CheckpointedRun {
 /// run can be continued with [`resume`]. Checkpoint IO failures are
 /// returned, never ignored — a run that cannot persist its progress
 /// should not pretend it can.
+///
+/// Budget granularity: without a policy, exhaustion stops the search at
+/// the very next claim. With a policy, the current level is finished
+/// first — a flushable snapshot must sit at a level boundary — so the
+/// overrun is bounded by one BFS level and the checkpoint is always
+/// consistent. A cancellation stops at the next state either way and
+/// flushes the unexpanded rest of the level with the states already
+/// claimed from it.
 pub fn explore_checkpointed(
     spec: &ProtocolSpec,
     cfg: &McConfig,
@@ -233,7 +293,7 @@ pub fn explore_checkpointed(
     policy: &CheckpointPolicy,
     on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
-    run_serial(spec, cfg, budget, None, Some(policy), on_level)
+    serial(spec, cfg, budget, None, Some(policy), on_level)
 }
 
 /// Continues a run from the checkpoint at `path`, after verifying its
@@ -250,186 +310,11 @@ pub fn resume(
     on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
     let ckpt = Checkpoint::load(path, spec, cfg)?;
-    run_serial(spec, cfg, budget, Some(ckpt), policy, on_level)
+    serial(spec, cfg, budget, Some(ckpt), policy, on_level)
 }
 
-/// The interned visited/parent structure: the key arena plus three flat
-/// vectors indexed by [`StateId`] (ids are dense in claim order).
-struct Store {
-    /// Canonical state encodings, one copy each — hot in a bump arena,
-    /// cold on disk once a spill config's threshold is crossed.
-    keys: SpillArena,
-    /// Rule labels, shared across states: compact rule references,
-    /// rendered only for a flush or a witness.
-    labels: RuleTable,
-    /// `parents[id]` — the id the state was first reached from (the
-    /// initial state points at itself).
-    parents: Vec<StateId>,
-    /// `label_ids[id]` — the rule label taken from the parent (the
-    /// initial state's is the empty label).
-    label_ids: Vec<u32>,
-    /// `levels[id]` — the BFS level at which the state was claimed.
-    levels: Vec<u32>,
-}
-
-impl Store {
-    fn new(spill: Option<SpillConfig>) -> Self {
-        let mut labels = RuleTable::new();
-        // Label id 0 is the empty (initial-state) label. A fresh table
-        // cannot refuse one empty key.
-        let _ = labels.intern_ref(&[]);
-        Store {
-            keys: SpillArena::new(spill),
-            labels,
-            parents: Vec::new(),
-            label_ids: Vec::new(),
-            levels: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.parents.len()
-    }
-
-    fn push_link(&mut self, parent: StateId, label_id: u32, level: u32) {
-        self.parents.push(parent);
-        self.label_ids.push(label_id);
-        self.levels.push(level);
-    }
-
-    /// Exact heap bytes owned by the store, from capacities.
-    fn heap_bytes(&self) -> u64 {
-        self.keys.heap_bytes()
-            + self.labels.heap_bytes()
-            + ((self.parents.capacity() + self.label_ids.capacity() + self.levels.capacity())
-                * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-/// Exact bytes of the whole explorer footprint: store plus both
-/// id frontiers.
-fn footprint(store: &Store, frontier: &VecDeque<StateId>, next: &VecDeque<StateId>) -> u64 {
-    store.heap_bytes()
-        + ((frontier.capacity() + next.capacity()) * std::mem::size_of::<u32>()) as u64
-}
-
-/// Delta-charges the meter so its current-bytes figure tracks `now`
-/// exactly. Returns `false` once the memory budget is exhausted.
-fn account(meter: &mut BudgetMeter, accounted: &mut u64, now: u64) -> bool {
-    let ok = if now > *accounted {
-        meter.charge_bytes(now - *accounted)
-    } else {
-        meter.release_bytes(*accounted - now);
-        true
-    };
-    *accounted = now;
-    ok
-}
-
-/// Rebuilds the id-interned visited structure from a loaded
-/// checkpoint. Entries are interned in file order, so entry `i` gets id
-/// `i` and the checkpoint's parent and frontier indices are ids as they
-/// stand. Returns the frontier.
-fn seed_store(store: &mut Store, ckpt: &Checkpoint) -> Result<VecDeque<StateId>, CheckpointError> {
-    for (i, e) in ckpt.entries.iter().enumerate() {
-        match store.keys.intern(&e.key) {
-            Ok((id, true)) if id as usize == i => {}
-            Ok(_) => {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: format!("visited entry {i} duplicates an earlier key"),
-                });
-            }
-            Err(why) => {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: format!("checkpoint exceeds the intern arena: {why}"),
-                });
-            }
-        }
-        let lid = store
-            .labels
-            .intern_text(&e.label)
-            .map_err(|why| CheckpointError::Corrupt {
-                offset: 0,
-                detail: format!("checkpoint exceeds the label table: {why}"),
-            })?;
-        store.push_link(e.parent, lid, e.level);
-        // Spill while seeding, not after: a resumed run's peak must
-        // match what a fresh run reaching this point would carry, and a
-        // fresh run would have spilled on the way. A refused spill
-        // (IO error) keeps everything in RAM — the budget decides.
-        if i % 4096 == 4095 {
-            let _ = store.keys.maybe_spill(store.heap_bytes());
-        }
-    }
-    Ok(ckpt.frontier.iter().copied().collect())
-}
-
-/// Snapshots the explorer at a level boundary and writes it out: the
-/// store streams into one section in id (claim) order, so parents and
-/// frontier entries are written as the ids they already are.
-fn flush(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    store: &mut Store,
-    frontier: &VecDeque<StateId>,
-    level: usize,
-    claims: u64,
-    path: &Path,
-) -> Result<(), CheckpointError> {
-    // Flush duration feeds the `explore.checkpoint_flush_us` histogram;
-    // the clock is only read while metrics are on.
-    let clock = vnet_obs::metrics_enabled().then(std::time::Instant::now);
-    let labels = store
-        .labels
-        .texts(spec)
-        .map_err(|id| CheckpointError::Corrupt {
-            offset: 0,
-            detail: format!("rule label {id} is damaged"),
-        })?;
-    let mut enc = ShardEncoder::new();
-    let mut key: Vec<u8> = Vec::with_capacity(128);
-    for i in 0..store.len() {
-        // A false here means a spilled segment became unreadable under
-        // the run; surfacing it beats flushing a checkpoint with holes.
-        if !store.keys.get_into(i as StateId, &mut key) {
-            return Err(CheckpointError::Corrupt {
-                offset: 0,
-                detail: format!("visited state {i} unreadable at flush"),
-            });
-        }
-        let label = labels
-            .get(store.label_ids[i] as usize)
-            .map_or("", String::as_str);
-        enc.push(&key, 0, store.parents[i], label, store.levels[i]);
-    }
-    let res = crate::checkpoint::write(
-        path,
-        crate::checkpoint::fingerprint(spec, cfg),
-        level,
-        claims,
-        &[enc.finish()],
-        frontier.iter().map(|&id| (0, id)),
-    );
-    if let Some(clock) = clock {
-        vnet_obs::counter("explore.checkpoint_flushes_total").inc();
-        vnet_obs::histogram("explore.checkpoint_flush_us", vnet_obs::DURATION_US_BOUNDS)
-            .record(clock.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    }
-    res
-}
-
-/// The BFS core shared by the fresh, checkpointed, and resumed entry
-/// points. `start` seeds the visited store/frontier/level from a loaded
-/// checkpoint; `policy` enables flushing.
-///
-/// Budget granularity: without a policy, exhaustion stops the search at
-/// the very next claim (the historical behaviour). With a policy, the
-/// current level is finished first — a flushable snapshot must sit at a
-/// level boundary — so the overrun is bounded by one BFS level and the
-/// checkpoint is always consistent.
-fn run_serial(
+/// The kernel with one partition and one worker.
+fn serial(
     spec: &ProtocolSpec,
     cfg: &McConfig,
     budget: &Budget,
@@ -437,510 +322,9 @@ fn run_serial(
     policy: Option<&CheckpointPolicy>,
     on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
-    // The observability shim around the BFS core. Counting at this
-    // single choke point (rather than per-claim inside the hot loop)
-    // keeps `explore.states_total` exactly equal to the verdict's
-    // `ExploreStats.states` on every exit path — complete, degraded,
-    // cancelled, or interrupted — at zero per-state cost.
-    let mut span = vnet_obs::span("explore.serial");
-    let result = run_serial_inner(spec, cfg, budget, start, policy, on_level);
-    match &result {
-        Ok(CheckpointedRun::Finished(v)) => {
-            let stats = v.stats();
-            span.set_bytes(stats.peak_bytes as i64);
-            if vnet_obs::metrics_enabled() {
-                vnet_obs::counter("explore.runs_total").inc();
-                vnet_obs::counter("explore.states_total").add(stats.states as u64);
-            }
-        }
-        Ok(CheckpointedRun::Interrupted { states, .. }) => {
-            if vnet_obs::metrics_enabled() {
-                vnet_obs::counter("explore.runs_total").inc();
-                vnet_obs::counter("explore.states_total").add(*states as u64);
-            }
-        }
-        Err(_) => {}
-    }
-    result
-}
-
-/// The uninstrumented BFS core; see [`run_serial`].
-fn run_serial_inner(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    budget: &Budget,
-    start: Option<Checkpoint>,
-    policy: Option<&CheckpointPolicy>,
-    mut on_level: impl FnMut(usize, usize),
-) -> Result<CheckpointedRun, CheckpointError> {
-    if let Err(detail) = cfg.validate_for_run() {
-        return Err(CheckpointError::Config { detail });
-    }
-    // The symmetry group + scratch, built once and reused for every
-    // successor; `None` outside symmetry mode.
-    let mut canon = cfg
-        .symmetry
-        .then(|| crate::symmetry::Canonicalizer::new(cfg));
-
-    let mut store = Store::new(cfg.spill.clone());
-    let mut frontier: VecDeque<StateId>;
-    let mut level: usize;
-    // Claimed-state work counter; cumulative across resumes (unlike the
-    // meter's wall clock, which is per-process).
-    let mut claims: u64;
-
-    match start {
-        Some(ckpt) => {
-            frontier = seed_store(&mut store, &ckpt)?;
-            level = ckpt.level;
-            claims = ckpt.nodes_spent;
-        }
-        None => {
-            let initial = GlobalState::initial(spec, cfg);
-            // The initial state is a fixed point of every permutation
-            // (all caches identical, no messages), so its canonical key
-            // equals its plain encoding; computing it through the
-            // canonicalizer keeps that an invariant, not an assumption.
-            let init_key = match canon.as_mut() {
-                Some(c) => c.canonicalize(cfg, &initial).1,
-                None => initial.encode(),
-            };
-            // Invariant check on the initial state (vacuous for sane
-            // specs, but uniform).
-            if let Some(swmr) = &cfg.swmr {
-                if let Some(detail) = swmr.check(&initial, spec) {
-                    return Ok(CheckpointedRun::Finished(Verdict::InvariantViolation {
-                        trace: Trace {
-                            steps: Vec::new(),
-                            last: initial,
-                        },
-                        detail,
-                        stats: ExploreStats::bounded(1, 0, 0, 0),
-                    }));
-                }
-            }
-            let (init_id, _) = match store.keys.intern(&init_key) {
-                Ok(v) => v,
-                // A single state cannot overflow the arena; fail soft.
-                Err(why) => {
-                    return Err(CheckpointError::Corrupt {
-                        offset: 0,
-                        detail: format!("intern arena rejected the initial state: {why}"),
-                    });
-                }
-            };
-            store.push_link(init_id, 0, 0);
-            frontier = VecDeque::from([init_id]);
-            level = 0;
-            claims = 0;
-        }
-    }
-
-    let mut meter = budget.start_from(claims);
-    // Per-level wall clock for the states/sec histograms; only read
-    // while metrics are on so the disabled path never touches a clock.
-    let mut level_clock = vnet_obs::metrics_enabled().then(std::time::Instant::now);
-    // Spill counters already pushed to the metrics registry, so level
-    // boundaries emit deltas of the monotonic totals.
-    let mut spill_seen = SpillStats::default();
-    let mut complete = true;
-    let mut truncated: Option<DegradeReason> = None;
-    let mut since_flush = 0usize;
-    let mut accounted = 0u64;
-    // Run-lifetime scratch: the decoded frontier state, successor
-    // state, key encoding, rule reference.
-    let mut gs = GlobalState::initial(spec, cfg);
-    let mut expand_scratch = Scratch::new(spec, cfg);
-    let mut key_buf: Vec<u8> = Vec::with_capacity(128);
-    let mut rule_buf: Vec<u8> = Vec::with_capacity(32);
-
-    // Charge the starting footprint exactly. For a fresh run that is
-    // the initial state; for a resumed run the rebuilt store — the same
-    // capacity-based figure a fresh run reaching this point would
-    // carry, so fresh and resumed runs meter identically.
-    {
-        let now = footprint(&store, &frontier, &VecDeque::new());
-        if !account(&mut meter, &mut accounted, now) {
-            complete = false;
-            truncated = meter.exhaustion().cloned();
-        }
-    }
-
-    'bfs: while !frontier.is_empty() && truncated.is_none() {
-        // Level-boundary housekeeping: cooperative interrupt, then the
-        // periodic / deadline-imminent flush.
-        if let Some(pol) = policy {
-            if pol.stop_file.as_ref().is_some_and(|p| p.exists()) {
-                flush(spec, cfg, &mut store, &frontier, level, claims, &pol.path)?;
-                let states = store.len();
-                return Ok(CheckpointedRun::Interrupted {
-                    checkpoint: pol.path.clone(),
-                    states,
-                    level,
-                });
-            }
-            if since_flush > pol.every_states || meter.deadline_imminent(pol.deadline_window) {
-                flush(spec, cfg, &mut store, &frontier, level, claims, &pol.path)?;
-                since_flush = 0;
-            }
-        }
-        if let Some(max) = cfg.max_depth {
-            if level >= max {
-                complete = false;
-                truncated = Some(DegradeReason::Bound {
-                    what: format!("depth limit of {max} reached"),
-                });
-                break;
-            }
-        }
-        let mut next_frontier: VecDeque<StateId> = VecDeque::new();
-        while let Some(id) = frontier.pop_front() {
-            // Cancellation (drain, client gone, admission deadline) must
-            // not wait for the level to finish — a late level can take
-            // minutes. Stop at the next state boundary and flush a
-            // mid-level checkpoint: the unexpanded remainder plus the
-            // states already promoted to the next level. Resume counts
-            // the promoted states' depth from `level`, so level stats
-            // after a cancelled resume are approximate; the verdict and
-            // traces are not affected (parents record exact depths).
-            // Budget truncations (node/deadline/memory) keep the
-            // level-end snapshot so kill-resume equivalence stays exact.
-            if matches!(&truncated, Some(DegradeReason::Cancelled { .. })) {
-                frontier.push_front(id);
-                frontier.append(&mut next_frontier);
-                break 'bfs;
-            }
-            let decoded = store
-                .keys
-                .get(id)
-                .is_some_and(|key| GlobalState::decode_into(key, cfg, &mut gs));
-            if !decoded {
-                // Unreachable for states we interned ourselves; treat
-                // as corruption (or a vanished spill segment), keep the
-                // run resumable, never panic.
-                complete = false;
-                truncated = Some(DegradeReason::Bound {
-                    what: "interned state failed to decode".into(),
-                });
-                frontier.push_front(id);
-                frontier.append(&mut next_frontier);
-                break 'bfs;
-            }
-            // Early stops requested from inside the expansion callback
-            // (which cannot `break 'bfs` or `return` across the closure
-            // boundary itself).
-            enum Stop {
-                /// Arena exhaustion — of address space or of the
-                /// allocator itself: degrade + requeue.
-                Overflow(InternError),
-                /// SWMR violated by a fresh successor.
-                Invariant {
-                    sid: StateId,
-                    state: GlobalState,
-                    detail: String,
-                },
-                /// Budget/bound trip on a policy-less run.
-                Budget,
-            }
-            let mut stop: Option<Stop> = None;
-            let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
-                // Symmetry mode interns the canonical *key* only — no
-                // permuted state is materialized on the hot path; a plain
-                // run interns the successor's own bytes.
-                let key = interned_key(canon.as_mut(), sstate, &mut key_buf);
-                let (sid, inserted) = match store.keys.intern(key) {
-                    Ok(v) => v,
-                    Err(why) => {
-                        // Out of arena address space, or the allocator
-                        // refused to grow it. Degrade like any other
-                        // resource exhaustion.
-                        stop = Some(Stop::Overflow(why));
-                        return false;
-                    }
-                };
-                if !inserted {
-                    return true;
-                }
-                rule_buf.clear();
-                label.encode_into(&mut rule_buf);
-                let lid = match store.labels.intern_ref(&rule_buf) {
-                    Ok(lid) => lid,
-                    Err(why) => {
-                        // The key stays interned without a link; the
-                        // store's length (its links) leaves it out, so a
-                        // resumed run claims it afresh.
-                        stop = Some(Stop::Overflow(why));
-                        return false;
-                    }
-                };
-                store.push_link(id, lid, (level + 1) as u32);
-                if let Some(swmr) = &cfg.swmr {
-                    // SWMR is permutation-invariant, so the concrete
-                    // successor is checked directly; the recorded
-                    // witness is the canonical representative (what
-                    // the interned key decodes to).
-                    if let Some(detail) = swmr.check(sstate, spec) {
-                        let state = if canon.is_some() {
-                            GlobalState::decode(key, cfg)
-                                .unwrap_or_else(|| sstate.clone())
-                        } else {
-                            sstate.clone()
-                        };
-                        stop = Some(Stop::Invariant { sid, state, detail });
-                        return false;
-                    }
-                }
-                claims += 1;
-                since_flush += 1;
-                next_frontier.push_back(sid);
-                if truncated.is_none() {
-                    let mut now = footprint(&store, &frontier, &next_frontier);
-                    // Spill *before* the meter sees the new figure: the
-                    // budget's memory exhaustion latches, so cold bytes
-                    // must leave RAM first. A refused or failed spill
-                    // falls through to honest accounting.
-                    if matches!(store.keys.maybe_spill(now), Ok(true)) {
-                        now = footprint(&store, &frontier, &next_frontier);
-                    }
-                    if !account(&mut meter, &mut accounted, now) {
-                        complete = false;
-                        truncated = meter.exhaustion().cloned();
-                        if policy.is_none() {
-                            stop = Some(Stop::Budget);
-                            return false;
-                        }
-                    }
-                }
-                if truncated.is_none() && !meter.tick() {
-                    complete = false;
-                    truncated = meter.exhaustion().cloned();
-                    if policy.is_none() {
-                        stop = Some(Stop::Budget);
-                        return false;
-                    }
-                }
-                if truncated.is_none() && store.len() >= cfg.max_states {
-                    complete = false;
-                    truncated = Some(DegradeReason::Bound {
-                        what: format!("state limit of {} reached", cfg.max_states),
-                    });
-                    if policy.is_none() {
-                        stop = Some(Stop::Budget);
-                        return false;
-                    }
-                }
-                true
-            });
-            match outcome {
-                ExpandOutcome::Bug { rule, detail } => {
-                    let mut trace = rebuild_trace(spec, cfg, &mut store, id, gs.clone());
-                    // The recorded rule/detail name canonical indices
-                    // under symmetry; re-derive them from the concrete
-                    // terminal the de-canonicalized trace reaches.
-                    let (rule, detail) = if cfg.symmetry {
-                        crate::trace::concrete_bug(spec, cfg, &trace.last)
-                            .unwrap_or((rule, detail))
-                    } else {
-                        (rule, detail)
-                    };
-                    trace.steps.push(rule);
-                    let stats = ExploreStats::bounded(
-                        store.len(),
-                        level,
-                        meter.peak_bytes(),
-                        store.keys.spill_stats().spilled_bytes,
-                    );
-                    return Ok(CheckpointedRun::Finished(Verdict::ModelError {
-                        trace,
-                        detail,
-                        stats,
-                    }));
-                }
-                ExpandOutcome::Done(0) => {
-                    if !gs.is_quiescent(spec) {
-                        let stats = ExploreStats::bounded(
-                            store.len(),
-                            level,
-                            meter.peak_bytes(),
-                            store.keys.spill_stats().spilled_bytes,
-                        );
-                        let trace = rebuild_trace(spec, cfg, &mut store, id, gs.clone());
-                        return Ok(CheckpointedRun::Finished(Verdict::Deadlock {
-                            depth: level,
-                            trace,
-                            stats,
-                        }));
-                    }
-                }
-                ExpandOutcome::Done(_) => {}
-                ExpandOutcome::Stopped => match stop {
-                    Some(Stop::Overflow(why)) => {
-                        complete = false;
-                        truncated = Some(match why {
-                            InternError::AllocFailed => DegradeReason::MemoryPressure {
-                                what: "state intern arena".into(),
-                            },
-                            InternError::AddressSpace => DegradeReason::Bound {
-                                what: "intern arena address space exhausted".into(),
-                            },
-                        });
-                        frontier.push_front(id);
-                        frontier.append(&mut next_frontier);
-                        break 'bfs;
-                    }
-                    Some(Stop::Invariant { sid, state, detail }) => {
-                        let stats = ExploreStats::bounded(
-                            store.len(),
-                            level,
-                            meter.peak_bytes(),
-                            store.keys.spill_stats().spilled_bytes,
-                        );
-                        let trace = rebuild_trace(spec, cfg, &mut store, sid, state);
-                        // Keep the violation text consistent with the
-                        // concrete terminal the trace replays to.
-                        let detail = if cfg.symmetry {
-                            cfg.swmr
-                                .as_ref()
-                                .and_then(|s| s.check(&trace.last, spec))
-                                .unwrap_or(detail)
-                        } else {
-                            detail
-                        };
-                        return Ok(CheckpointedRun::Finished(Verdict::InvariantViolation {
-                            trace,
-                            detail,
-                            stats,
-                        }));
-                    }
-                    // Budget trip without a policy stops at the state
-                    // boundary, exactly like the historical explorer.
-                    Some(Stop::Budget) | None => break 'bfs,
-                },
-            }
-        }
-        level += 1;
-        on_level(level, store.len());
-        if let Some(clock) = level_clock.as_mut() {
-            vnet_obs::histogram("explore.level_wall_us", vnet_obs::DURATION_US_BOUNDS)
-                .record(clock.elapsed().as_micros().min(u64::MAX as u128) as u64);
-            vnet_obs::histogram("explore.level_states", vnet_obs::SMALL_COUNT_BOUNDS)
-                .record(next_frontier.len() as u64);
-            vnet_obs::gauge("explore.intern_load_pct").set(store.keys.load_factor_pct() as i64);
-            vnet_obs::gauge("explore.peak_bytes").set(meter.peak_bytes() as i64);
-            emit_spill_metrics(store.keys.spill_stats(), &mut spill_seen);
-            if let Some(c) = canon.as_mut() {
-                c.flush_metrics();
-            }
-            *clock = std::time::Instant::now();
-        }
-        frontier = next_frontier;
-        // The old frontier was dropped and the new one took its place;
-        // re-sync the exact accounting (peak tracking is unaffected).
-        let mut now = footprint(&store, &frontier, &VecDeque::new());
-        if matches!(store.keys.maybe_spill(now), Ok(true)) {
-            now = footprint(&store, &frontier, &VecDeque::new());
-        }
-        let _ = account(&mut meter, &mut accounted, now);
-        if truncated.is_some() {
-            // Bounded run, level finished: snapshot then stop.
-            break;
-        }
-    }
-
-    // A truncated run is resumable — flush a final checkpoint so the
-    // remaining work survives. A complete verdict needs no snapshot.
-    if let Some(pol) = policy {
-        if truncated.is_some() {
-            flush(spec, cfg, &mut store, &frontier, level, claims, &pol.path)?;
-        }
-    }
-
-    if level_clock.is_some() {
-        emit_spill_metrics(store.keys.spill_stats(), &mut spill_seen);
-    }
-    Ok(CheckpointedRun::Finished(Verdict::NoDeadlock(ExploreStats {
-        states: store.len(),
-        levels: level,
-        complete,
-        provenance: match truncated {
-            None => Provenance::Exact,
-            Some(reason) => Provenance::Degraded { reason },
-        },
-        peak_bytes: meter.peak_bytes(),
-        spill_bytes: store.keys.spill_stats().spilled_bytes,
-    })))
-}
-
-/// Pushes the delta between the arena's monotonic spill totals and the
-/// last-emitted snapshot into the metrics registry. No-op until the
-/// first spill so unspilled runs register no spill series at all.
-fn emit_spill_metrics(now: SpillStats, seen: &mut SpillStats) {
-    if now.spills == 0 {
-        return;
-    }
-    vnet_obs::counter("explore.spill_bytes").add(now.spilled_bytes.saturating_sub(seen.spilled_bytes));
-    vnet_obs::counter("explore.spill_reads_total").add(now.reads.saturating_sub(seen.reads));
-    vnet_obs::gauge("explore.compress_ratio").set(now.compress_ratio_pct() as i64);
-    *seen = now;
-}
-
-/// Walks the parent links from `id` back to the initial state. The
-/// visited bitset guards against parent cycles — impossible for links
-/// built by this explorer, but a checkpoint that passed checksum
-/// validation with a crafted payload must terminate too, not spin.
-///
-/// Under symmetry reduction the stored labels reference *canonical*
-/// (permuted) indices and are not a concrete execution; the trace is
-/// instead de-canonicalized from the chain of canonical state keys, so
-/// the returned steps replay from the concrete initial state to the
-/// returned terminal (see [`crate::trace::decanonicalize_chain`]).
-fn rebuild_trace(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    store: &mut Store,
-    id: StateId,
-    last: GlobalState,
-) -> Trace {
-    let mut ids = Vec::new();
-    let mut seen = BitSet::with_capacity(store.len());
-    let mut cur = id;
-    while (cur as usize) < store.len() && seen.insert(cur as usize) {
-        ids.push(cur);
-        if store.labels.is_root(store.label_ids[cur as usize]) {
-            break; // the root carries the empty label
-        }
-        cur = store.parents[cur as usize];
-    }
-    ids.reverse();
-    if cfg.symmetry {
-        let mut chain = Vec::with_capacity(ids.len());
-        let mut buf = Vec::with_capacity(160);
-        for &sid in &ids {
-            if !store.keys.get_into(sid, &mut buf) {
-                return crate::trace::decanonicalize_failed(
-                    &format!("interned state {sid} unreadable"),
-                    last,
-                );
-            }
-            chain.push(buf.clone());
-        }
-        return match crate::trace::decanonicalize_chain(spec, cfg, &chain) {
-            Ok(t) => t,
-            Err(why) => crate::trace::decanonicalize_failed(&why, last),
-        };
-    }
-    let steps = ids
-        .iter()
-        .map(|&sid| {
-            let mut label = String::new();
-            store
-                .labels
-                .render_into(spec, store.label_ids[sid as usize], &mut label);
-            label
-        })
-        .filter(|l| !l.is_empty())
-        .collect();
-    Trace { steps, last }
+    let mut opts = ParallelOpts::new().with_threads(1).with_budget(budget.clone());
+    opts.policy = policy.cloned();
+    crate::kernel::run(spec, cfg, 1, &opts, start, on_level)
 }
 
 // Test-only panics below (unwrap/expect on known-good fixtures,
@@ -1104,7 +488,9 @@ mod tests {
         let mut cfg = McConfig::figure3(&spec);
         cfg.symmetry = true; // bypasses with_symmetry's validation
         let budget = vnet_graph::Budget::unlimited();
-        match run_serial(&spec, &cfg, &budget, None, None, |_, _| {}) {
+        // The config is refused before anything is written to the path.
+        let policy = CheckpointPolicy::new(std::env::temp_dir().join("vnet-never-written.ckpt"));
+        match explore_checkpointed(&spec, &cfg, &budget, &policy, |_, _| {}) {
             Err(CheckpointError::Config { detail }) => {
                 assert!(detail.contains("per-cache budget"), "{detail}");
             }

@@ -61,6 +61,20 @@ impl std::fmt::Display for InternError {
     }
 }
 
+impl InternError {
+    /// How an explorer degrades when its arena cannot grow.
+    pub(crate) fn degrade(self) -> vnet_graph::DegradeReason {
+        match self {
+            InternError::AllocFailed => vnet_graph::DegradeReason::MemoryPressure {
+                what: "state intern arena".into(),
+            },
+            InternError::AddressSpace => vnet_graph::DegradeReason::Bound {
+                what: "intern arena address space exhausted".into(),
+            },
+        }
+    }
+}
+
 /// An append-only interning arena for state encodings.
 #[derive(Debug, Clone)]
 pub struct StateArena {

@@ -50,6 +50,7 @@ pub mod explore;
 pub mod flows;
 pub mod intern;
 pub mod invariant;
+mod kernel;
 pub mod murphi;
 pub mod parallel;
 pub mod procshard;

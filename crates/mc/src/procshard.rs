@@ -89,14 +89,12 @@ use crate::checkpoint::{
 };
 use crate::codec::{decode_delta, encode_delta, put_varint, read_varint};
 use crate::config::McConfig;
-use crate::explore::{CheckpointedRun, ExploreStats, Verdict};
+use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
 use crate::intern::StateArena;
 use crate::rules::{expand, render_rule_ref, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
 use crate::state::GlobalState;
 use crate::symmetry::{interned_key, Canonicalizer};
-use crate::trace::Trace;
-use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -1424,73 +1422,8 @@ fn load_sections(dir: &Path, n: u32, upto: u32) -> Result<Vec<Section>, Checkpoi
     Ok(out)
 }
 
-/// Walks parent references across shards from `start`, collecting rule
-/// labels root-ward. Bounded by a visited set: a damaged section must
-/// terminate the walk, not spin it.
-fn walk_trace(
-    sections: &[Section],
-    start: (u32, u32),
-) -> Result<Vec<String>, CheckpointError> {
-    let mut steps = Vec::new();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    let (mut s, mut i) = start;
-    loop {
-        if !seen.insert((s, i)) {
-            break;
-        }
-        let (labels, entries) = sections
-            .get(s as usize)
-            .ok_or_else(|| corrupt(format!("trace walk reached missing shard {s}")))?;
-        let e = entries
-            .get(i as usize)
-            .ok_or_else(|| corrupt(format!("trace walk reached missing entry {s}/{i}")))?;
-        let label = labels
-            .get(e.label as usize)
-            .ok_or_else(|| corrupt(format!("trace walk hit missing label in shard {s}")))?;
-        if label.is_empty() {
-            break;
-        }
-        steps.push(label.clone());
-        (s, i) = (e.parent_shard, e.parent_idx);
-    }
-    steps.reverse();
-    Ok(steps)
-}
-
-/// Walks parent references across shards from `start`, collecting the
-/// *state keys* root-ward (root inclusive). Under symmetry these are
-/// canonical-representative keys and feed the de-canonicalizer.
-fn walk_chain(
-    sections: &[Section],
-    start: (u32, u32),
-) -> Result<Vec<Vec<u8>>, CheckpointError> {
-    let mut chain = Vec::new();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    let (mut s, mut i) = start;
-    loop {
-        if !seen.insert((s, i)) {
-            break;
-        }
-        let (labels, entries) = sections
-            .get(s as usize)
-            .ok_or_else(|| corrupt(format!("trace walk reached missing shard {s}")))?;
-        let e = entries
-            .get(i as usize)
-            .ok_or_else(|| corrupt(format!("trace walk reached missing entry {s}/{i}")))?;
-        chain.push(e.key.clone());
-        let label = labels
-            .get(e.label as usize)
-            .ok_or_else(|| corrupt(format!("trace walk hit missing label in shard {s}")))?;
-        if label.is_empty() {
-            break;
-        }
-        (s, i) = (e.parent_shard, e.parent_idx);
-    }
-    chain.reverse();
-    Ok(chain)
-}
-
-/// Builds the terminal verdict for the round's minimal finding.
+/// Builds the terminal verdict for the round's minimal finding, its
+/// witness walked over the parent references across shards.
 fn build_finding_verdict(
     sections: &[Section],
     spec: &ProtocolSpec,
@@ -1505,59 +1438,30 @@ fn build_finding_verdict(
         .ok_or_else(|| corrupt("finding entry out of range"))?;
     let last = GlobalState::decode(&entry.key, cfg)
         .ok_or_else(|| corrupt("finding state failed to decode"))?;
-    let depth = entry.level as usize;
-    // Under symmetry the stored parent chain links canonical
-    // representatives; replay it into a concrete execution so the
-    // trace's labels are enabled step by step from the real initial
-    // state.
-    let (mut steps, last) = if cfg.symmetry {
-        let chain = walk_chain(sections, (shard, f.idx))?;
-        match crate::trace::decanonicalize_chain(spec, cfg, &chain) {
-            Ok(t) => (t.steps, t.last),
-            Err(why) => {
-                let t = crate::trace::decanonicalize_failed(&why, last);
-                (t.steps, t.last)
-            }
-        }
-    } else {
-        (walk_trace(sections, (shard, f.idx))?, last)
-    };
-    Ok(match f.kind {
-        FIND_DEADLOCK => Verdict::Deadlock {
-            trace: Trace { steps, last },
-            depth,
-            stats,
-        },
-        FIND_MODEL_ERROR => {
-            let (rule, detail) = if cfg.symmetry {
-                crate::trace::concrete_bug(spec, cfg, &last)
-                    .unwrap_or_else(|| (f.rule.clone(), f.detail.clone()))
-            } else {
-                (f.rule.clone(), f.detail.clone())
-            };
-            steps.push(rule);
-            Verdict::ModelError {
-                trace: Trace { steps, last },
-                detail,
-                stats,
-            }
-        }
-        _ => {
-            let detail = if cfg.symmetry {
-                cfg.swmr
-                    .as_ref()
-                    .and_then(|sw| sw.check(&last, spec))
-                    .unwrap_or_else(|| f.detail.clone())
-            } else {
-                f.detail.clone()
-            };
-            Verdict::InvariantViolation {
-                trace: Trace { steps, last },
-                detail,
-                stats,
-            }
-        }
+    let trace = crate::trace::witness(spec, cfg, (shard, f.idx), last, |(s, i), key, label| {
+        let (labels, entries) = sections
+            .get(s as usize)
+            .ok_or_else(|| format!("trace walk reached missing shard {s}"))?;
+        let e = entries
+            .get(i as usize)
+            .ok_or_else(|| format!("trace walk reached missing entry {s}/{i}"))?;
+        let text = labels
+            .get(e.label as usize)
+            .ok_or_else(|| format!("trace walk hit missing label in shard {s}"))?;
+        key.extend_from_slice(&e.key);
+        label.push_str(text);
+        Ok((!text.is_empty()).then_some((e.parent_shard, e.parent_idx)))
     })
+    .map_err(corrupt)?;
+    let kind = match f.kind {
+        FIND_DEADLOCK => FindingKind::Deadlock,
+        FIND_MODEL_ERROR => FindingKind::Bug,
+        _ => FindingKind::Invariant,
+    };
+    let (rule, detail, depth) = (f.rule.clone(), f.detail.clone(), entry.level as usize);
+    Ok(counterexample(
+        spec, cfg, kind, rule, detail, trace, depth, stats,
+    ))
 }
 
 /// Merges the shard segments into one checkpoint at the last

@@ -229,6 +229,12 @@ impl SpillArena {
         Some(&self.cur)
     }
 
+    /// The hot tier as a read-only arena for concurrent readers, while
+    /// it still holds every blob (nothing has spilled).
+    pub(crate) fn resident(&self) -> Option<&StateArena> {
+        (self.base == 0).then_some(&self.hot)
+    }
+
     /// Copies the blob of `id` into `out`; `false` where
     /// [`SpillArena::get`] gives `None`.
     pub fn get_into(&mut self, id: StateId, out: &mut Vec<u8>) -> bool {

@@ -144,6 +144,43 @@ pub(crate) fn decanonicalize_chain(
     Ok(Trace { steps, last: cur })
 }
 
+/// The witness ending at `start`, walked root-ward over parent links.
+/// This is the one walk every explorer uses. `step(state, key, label)`
+/// writes the state's key and its rule label, then returns its parent,
+/// or `None` at the root; an `Err` names a broken link. A state seen
+/// twice ends the walk, so a crafted parent cycle terminates.
+///
+/// Outside symmetry mode the labels already form a concrete execution
+/// ending in `last`. Under symmetry they name canonical (permuted)
+/// indices, so the trace is de-canonicalized from the chain of keys
+/// (see [`decanonicalize_chain`]).
+pub(crate) fn witness<R: Copy + Eq + std::hash::Hash>(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    start: R,
+    last: GlobalState,
+    mut step: impl FnMut(R, &mut Vec<u8>, &mut String) -> Result<Option<R>, String>,
+) -> Result<Trace, String> {
+    let (mut steps, mut chain) = (Vec::new(), Vec::new());
+    let mut seen = std::collections::HashSet::new();
+    let mut cur = start;
+    while seen.insert(cur) {
+        let (mut key, mut label) = (Vec::new(), String::new());
+        let parent = step(cur, &mut key, &mut label)?;
+        chain.push(key);
+        let Some(parent) = parent else { break };
+        steps.push(label);
+        cur = parent;
+    }
+    steps.reverse();
+    chain.reverse();
+    if !cfg.symmetry {
+        return Ok(Trace { steps, last });
+    }
+    Ok(decanonicalize_chain(spec, cfg, &chain)
+        .unwrap_or_else(|why| decanonicalize_failed(&why, last)))
+}
+
 /// A loud, replay-failing trace for the (provably unreachable) case
 /// where de-canonicalization could not reconstruct a concrete
 /// execution: the sentinel step is never an enabled rule label, so a

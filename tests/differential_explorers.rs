@@ -9,7 +9,7 @@
 //! Figure-3 configuration; one full Figure-3 deadlock run validates
 //! witness replay end to end.
 
-use vnet::mc::{explore, explore_parallel, InjectionBudget, McConfig, Verdict, VnMap};
+use vnet::mc::{explore, explore_parallel, InjectionBudget, McConfig, Swmr, Verdict, VnMap};
 use vnet::protocol::protocols;
 
 fn kind(v: &Verdict) -> &'static str {
@@ -59,7 +59,7 @@ fn complete_small_spaces_agree_for_every_table1_protocol() {
             "{}: small space should be fully explored",
             spec.name()
         );
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let parallel = explore_parallel(&spec, &cfg, threads);
             assert_agree(spec.name(), threads, &serial, &parallel);
         }
@@ -73,7 +73,7 @@ fn bounded_figure3_sweeps_agree_for_every_table1_protocol() {
             .with_vns(VnMap::one_per_message(spec.messages().len()))
             .with_limits(usize::MAX, Some(10));
         let serial = explore(&spec, &cfg);
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let parallel = explore_parallel(&spec, &cfg, threads);
             assert_agree(spec.name(), threads, &serial, &parallel);
         }
@@ -123,7 +123,7 @@ fn symmetry_preserves_verdicts_and_reduces_states_for_every_table1_protocol() {
         // runs stop mid-level, so their state counts are explorer-
         // specific (see procshard.rs "Determinism"); only complete
         // clean runs compare state-for-state.
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let par = explore_parallel(&spec, &sym_cfg, threads);
             if matches!(sym, Verdict::NoDeadlock(_)) {
                 assert_agree(spec.name(), threads, &sym, &par);
@@ -263,7 +263,7 @@ fn parallel_figure3_witness_replays_to_its_terminal_state() {
         .expect("serial witness must replay");
     assert_eq!(serial_end, serial_trace.last);
 
-    for threads in [2, 4] {
+    for threads in [1, 2, 4] {
         let Verdict::Deadlock { trace, depth, .. } = explore_parallel(&spec, &cfg, threads)
         else {
             panic!("figure3 MSI-blocking must deadlock with {threads} threads");
@@ -284,5 +284,34 @@ fn parallel_figure3_witness_replays_to_its_terminal_state() {
         // so it reports the very same witness.
         assert_eq!(trace.steps, serial_trace.steps, "{threads} threads: witness diverged");
         assert_eq!(trace.last, serial_trace.last, "{threads} threads: terminal diverged");
+    }
+}
+
+/// An initial state that breaks SWMR is a counterexample with an empty
+/// witness under every explorer: the kernel checks it once, before any
+/// worker runs, whatever the thread count.
+#[test]
+fn initial_swmr_violation_is_found_by_every_explorer() {
+    let spec = protocols::msi_blocking_cache();
+    // Counting the idle state `I` as writable makes every cache a writer
+    // before anything happens.
+    let swmr = Swmr::new(&spec, &["I"], &[]).expect("MSI defines I");
+    let cfg = McConfig::figure3(&spec).with_swmr(swmr);
+    let Verdict::InvariantViolation { trace, detail, .. } = explore(&spec, &cfg) else {
+        panic!("the serial explorer must reject the initial state");
+    };
+    assert!(trace.is_empty(), "serial witness must be empty");
+    for threads in [1, 2, 4] {
+        let Verdict::InvariantViolation {
+            trace: t,
+            detail: d,
+            ..
+        } = explore_parallel(&spec, &cfg, threads)
+        else {
+            panic!("{threads} threads must reject the initial state");
+        };
+        assert!(t.is_empty(), "{threads} threads: witness must be empty");
+        assert_eq!(t.last, trace.last, "{threads} threads: terminal diverged");
+        assert_eq!(d, detail, "{threads} threads: detail diverged");
     }
 }

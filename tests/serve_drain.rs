@@ -15,6 +15,10 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use vnet::serve::json;
 
+#[path = "support/daemon.rs"]
+mod daemon;
+use daemon::DaemonGuard;
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("vnet-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -23,7 +27,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 struct Daemon {
-    child: Child,
+    child: DaemonGuard,
     addr: String,
 }
 
@@ -37,7 +41,7 @@ fn spawn_serve(extra: &[&str]) -> Daemon {
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawning vnet serve");
+    let mut child = DaemonGuard::new(cmd.spawn().expect("spawning vnet serve"));
     let stdout = child.stdout.take().expect("child stdout is piped");
     let mut reader = BufReader::new(stdout);
     let mut banner = String::new();
@@ -69,7 +73,7 @@ fn sigterm(child: &Child) {
     assert!(ok, "kill -TERM failed");
 }
 
-fn wait_exit(mut child: Child, secs: u64) -> i32 {
+fn wait_exit(mut child: DaemonGuard, secs: u64) -> i32 {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
         if let Some(st) = child.try_wait().expect("try_wait") {

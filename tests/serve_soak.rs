@@ -7,38 +7,44 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use vnet::serve::json;
+
+#[path = "support/daemon.rs"]
+mod daemon;
+use daemon::DaemonGuard;
 
 const CLIENTS: usize = 6;
 const REQUESTS_PER_CLIENT: usize = 90; // 540 lockstep requests overall
 const RSS_CEILING_KB: u64 = 1_500_000; // 1.5 GiB — far above a healthy daemon
 
-fn spawn_serve() -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_vnet"))
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--workers",
-            "4",
-            "--queue",
-            "16",
-            "--deadline",
-            "2s",
-            "--mem-budget",
-            "33554432", // 32 MiB accounted per request
-            "--max-request-bytes",
-            "8192",
-            "--drain-grace",
-            "1s",
-            "--enable-test-faults",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawning vnet serve");
+fn spawn_serve() -> (DaemonGuard, String) {
+    let mut child = DaemonGuard::new(
+        Command::new(env!("CARGO_BIN_EXE_vnet"))
+            .args([
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--workers",
+                "4",
+                "--queue",
+                "16",
+                "--deadline",
+                "2s",
+                "--mem-budget",
+                "33554432", // 32 MiB accounted per request
+                "--max-request-bytes",
+                "8192",
+                "--drain-grace",
+                "1s",
+                "--enable-test-faults",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawning vnet serve"),
+    );
     let stdout = child.stdout.take().expect("child stdout is piped");
     let mut banner = String::new();
     BufReader::new(stdout)
@@ -301,7 +307,7 @@ fn soak_500_mixed_requests_without_a_crash() {
     assert_eq!(code, 0, "post-soak drain must exit 0");
 }
 
-fn wait_exit(mut child: Child, secs: u64) -> i32 {
+fn wait_exit(mut child: DaemonGuard, secs: u64) -> i32 {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
         if let Some(st) = child.try_wait().expect("try_wait") {

@@ -6,9 +6,13 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use vnet::serve::json;
+
+#[path = "support/daemon.rs"]
+mod daemon;
+use daemon::DaemonGuard;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("vnet-servestore-{tag}-{}", std::process::id()));
@@ -17,14 +21,16 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn spawn_serve(extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_vnet"))
-        .args(["serve", "--listen", "127.0.0.1:0", "--drain-grace", "1s"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawning vnet serve");
+fn spawn_serve(extra: &[&str]) -> (DaemonGuard, String) {
+    let mut child = DaemonGuard::new(
+        Command::new(env!("CARGO_BIN_EXE_vnet"))
+            .args(["serve", "--listen", "127.0.0.1:0", "--drain-grace", "1s"])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawning vnet serve"),
+    );
     let stdout = child.stdout.take().expect("child stdout is piped");
     let mut banner = String::new();
     BufReader::new(stdout)
@@ -59,7 +65,7 @@ fn roundtrip(w: &mut impl Write, r: &mut BufReader<TcpStream>, line: &str) -> js
     json::parse(resp.trim()).unwrap_or_else(|e| panic!("unparseable response {resp:?}: {e}"))
 }
 
-fn shutdown(child: Child) {
+fn shutdown(child: DaemonGuard) {
     let ok = Command::new("kill")
         .arg("-TERM")
         .arg(child.id().to_string())
@@ -71,7 +77,7 @@ fn shutdown(child: Child) {
     assert_eq!(code, 0, "drain must exit 0");
 }
 
-fn wait_exit(mut child: Child, secs: u64) -> i32 {
+fn wait_exit(mut child: DaemonGuard, secs: u64) -> i32 {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
         if let Some(st) = child.try_wait().expect("try_wait") {
