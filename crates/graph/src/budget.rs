@@ -137,6 +137,63 @@ impl Budget {
         self.deadline.is_none() && self.node_limit.is_none() && self.mem_limit.is_none()
     }
 
+    /// Parses `--budget` clauses: `500ms` / `2s` deadlines and
+    /// `nodes=N` work limits, comma-separated.
+    pub fn parse_clauses(text: &str) -> Result<Budget, String> {
+        let mut budget = Budget::unlimited();
+        for clause in text.split(',').map(str::trim).filter(|c| !c.is_empty()) {
+            // Zero limits are rejected fail-closed: a zero budget is
+            // always a typo, and silently treating it as "unlimited" (or
+            // as "instantly exhausted") would invert the intent either
+            // way.
+            if let Some(n) = clause.strip_prefix("nodes=") {
+                let n: u64 = n
+                    .parse()
+                    .map_err(|_| format!("bad node limit `{clause}`"))?;
+                if n == 0 {
+                    return Err(format!("node limit must be positive in `{clause}`"));
+                }
+                budget = budget.with_node_limit(n);
+                continue;
+            }
+            let (digits, unit): (&str, fn(u64) -> Duration) = match clause.strip_suffix("ms") {
+                Some(ms) => (ms, Duration::from_millis),
+                None => match clause.strip_suffix('s') {
+                    Some(s) => (s, Duration::from_secs),
+                    None => {
+                        return Err(format!(
+                            "bad budget clause `{clause}` (want `500ms`, `2s`, or `nodes=100000`)"
+                        ))
+                    }
+                },
+            };
+            let n: u64 = digits
+                .parse()
+                .map_err(|_| format!("bad deadline `{clause}`"))?;
+            if n == 0 {
+                return Err(format!("deadline must be positive in `{clause}`"));
+            }
+            budget = budget.with_deadline(unit(n));
+        }
+        Ok(budget)
+    }
+
+    /// The deadline and node limit as clauses [`Budget::parse_clauses`]
+    /// reads back, or `None` when neither is set. The deadline is
+    /// rendered in whole milliseconds, at least 1: a deadline that has
+    /// almost run out stays a deadline. The memory limit and the cancel
+    /// token are not clauses.
+    pub fn to_clauses(&self) -> Option<String> {
+        let mut clauses = Vec::new();
+        if let Some(d) = self.deadline {
+            clauses.push(format!("{}ms", d.as_millis().max(1)));
+        }
+        if let Some(n) = self.node_limit {
+            clauses.push(format!("nodes={n}"));
+        }
+        (!clauses.is_empty()).then(|| clauses.join(","))
+    }
+
     /// Starts metering against this budget.
     pub fn start(&self) -> BudgetMeter {
         self.start_from(0)
@@ -573,5 +630,42 @@ mod tests {
         };
         assert!(d.annotation().contains("degraded"));
         assert!(d.to_string().contains("state limit"));
+    }
+
+    #[test]
+    fn clauses_round_trip_through_the_parser() -> Result<(), String> {
+        let parsed = Budget::parse_clauses(" 2s, nodes=50000 ,")?;
+        assert_eq!(parsed.deadline, Some(Duration::from_secs(2)));
+        assert_eq!(parsed.node_limit, Some(50_000));
+        let rendered = parsed.to_clauses();
+        assert_eq!(rendered.as_deref(), Some("2000ms,nodes=50000"));
+        let again = Budget::parse_clauses(rendered.as_deref().unwrap_or_default())?;
+        assert_eq!(
+            (again.deadline, again.node_limit),
+            (parsed.deadline, parsed.node_limit)
+        );
+
+        // A nearly spent deadline renders as 1 ms, never as a zero the
+        // parser refuses; memory and cancellation are not clauses.
+        let tiny = Budget::unlimited()
+            .with_deadline(Duration::from_micros(300))
+            .with_mem_limit(1 << 20);
+        assert_eq!(tiny.to_clauses().as_deref(), Some("1ms"));
+        assert!(Budget::parse_clauses("1ms").is_ok());
+        assert_eq!(Budget::unlimited().with_mem_limit(7).to_clauses(), None);
+        assert!(Budget::parse_clauses("")?.is_unlimited());
+
+        for (bad, why) in [
+            ("nodes=0", "node limit must be positive"),
+            ("0ms", "deadline must be positive"),
+            ("0s", "deadline must be positive"),
+            ("nodes=x", "bad node limit"),
+            ("xs", "bad deadline"),
+            ("5m", "bad budget clause"),
+        ] {
+            let err = Budget::parse_clauses(bad).err().unwrap_or_default();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+        Ok(())
     }
 }

@@ -35,11 +35,12 @@ use vnet_graph::Budget;
 use vnet_protocol::{dsl, protocols, ProtocolSpec};
 
 use crate::checkpoint::CheckpointPolicy;
-use crate::config::{McConfig, VnMap};
+use crate::config::McConfig;
 use crate::explore::{CheckpointedRun, Verdict};
 use crate::parallel::{
-    explore_parallel_supervised, resume_parallel, PanicInjection, ParallelOpts,
+    explore_parallel_supervised, resume_parallel, worker_count, PanicInjection, ParallelOpts,
 };
+use crate::request::McRequest;
 
 /// How each protocol run is isolated from the campaign supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,11 +127,11 @@ pub struct CampaignConfig {
     /// `--shard-procs <n>` with a `<checkpoint_dir>/<protocol>.shards`
     /// working directory, so retries resume shard-by-shard.
     pub shard_procs: Option<u32>,
-    /// Check the general scenario under cache × address symmetry
-    /// reduction instead of the Figure-3 script. Thread-isolated runs
-    /// take it through [`table1_sym_config`]; process-isolated
-    /// children get `--general --symmetry`.
-    pub symmetry: bool,
+    /// What each run checks: the Table I cell (the Figure-3 scenario
+    /// under the analyzer's minimal VN map) by default. Thread-isolated
+    /// runs build their config from it ([`CampaignConfig::config_of`]);
+    /// process-isolated children get it as flags.
+    pub request: McRequest,
 }
 
 impl CampaignConfig {
@@ -151,7 +152,7 @@ impl CampaignConfig {
             mem_budget: None,
             spill_dir: None,
             shard_procs: None,
-            symmetry: false,
+            request: McRequest::default(),
         }
     }
 
@@ -223,8 +224,15 @@ impl CampaignConfig {
 
     /// Sweeps the general scenario under symmetry reduction.
     pub fn with_symmetry(mut self) -> Self {
-        self.symmetry = true;
+        self.request = self.request.with_symmetry();
         self
+    }
+
+    /// The config a run of `spec` checks under [`CampaignConfig::request`].
+    /// It is not validated here: every explorer validates its config
+    /// fail-closed before it touches a state.
+    pub fn config_of(&self, spec: &ProtocolSpec) -> McConfig {
+        self.request.build(spec).0
     }
 }
 
@@ -370,35 +378,15 @@ fn json_escape(s: &str) -> String {
 /// scenario under the analyzer's minimal VN mapping (one VN per message
 /// for Class 2 protocols, which no ordered mapping can save).
 pub fn table1_config(spec: &ProtocolSpec) -> McConfig {
-    use vnet_core::{analyze, VnOutcome};
-    let n = spec.messages().len();
-    let vns = match analyze(spec).outcome() {
-        VnOutcome::Assigned { assignment, .. } => VnMap::from_assignment(assignment, n),
-        VnOutcome::Class2(_) => VnMap::one_per_message(n),
-    };
-    McConfig::figure3(spec).with_vns(vns)
+    CampaignConfig::new().config_of(spec)
 }
 
-/// The symmetry-reduced Table I configuration: the general scenario
-/// (uniform per-cache budget, unordered ICN — the preconditions
-/// symmetry reduction is sound under) with the same VN resolution as
-/// [`table1_config`]. This is what `vnet campaign --symmetry` sweeps,
-/// and what its process-isolated children re-derive from
-/// `--general --symmetry`.
+/// The symmetry-reduced Table I configuration, what `vnet campaign
+/// --symmetry` sweeps: the general scenario (uniform per-cache budget,
+/// unordered ICN — the preconditions symmetry reduction is sound
+/// under) with the same VN resolution as [`table1_config`].
 pub fn table1_sym_config(spec: &ProtocolSpec) -> McConfig {
-    use vnet_core::{analyze, VnOutcome};
-    let n = spec.messages().len();
-    let vns = match analyze(spec).outcome() {
-        VnOutcome::Assigned { assignment, .. } => VnMap::from_assignment(assignment, n),
-        VnOutcome::Class2(_) => VnMap::one_per_message(n),
-    };
-    // The flag is set directly rather than through `with_symmetry()`:
-    // the general scenario always satisfies the symmetry preconditions,
-    // and the explorers re-validate fail-closed at run time anyway, so
-    // this path stays free of panic sites.
-    let mut cfg = McConfig::general(spec).with_vns(vns);
-    cfg.symmetry = true;
-    cfg
+    CampaignConfig::new().with_symmetry().config_of(spec)
 }
 
 /// Loads a campaign entry: a built-in protocol name or a `.vnp` path.
@@ -810,10 +798,10 @@ fn attempt_process(
         Err(e) => return Attempt::Crashed(format!("cannot find own executable: {e}")),
     };
     let mut cmd = Command::new(exe);
-    cmd.arg("mc").arg(&entry.arg).arg("--machine");
-    if cc.symmetry {
-        cmd.arg("--general").arg("--symmetry");
-    }
+    cmd.arg("mc")
+        .arg(&entry.arg)
+        .arg("--machine")
+        .args(cc.request.to_args());
     // Explorer selection, one per child: process shards when fanned
     // out, the serial out-of-core explorer when spilling, otherwise
     // the thread-parallel explorer.
@@ -830,20 +818,16 @@ fn attempt_process(
     } else if let Some(d) = &cc.spill_dir {
         cmd.arg("--spill-dir").arg(d.join(&entry.name));
     } else {
-        cmd.arg("--parallel").arg(cc.threads.to_string());
+        // The child refuses `--parallel 0`, so the auto default is
+        // resolved here, by the kernel's own rule.
+        cmd.arg("--parallel")
+            .arg(worker_count(cc.threads).to_string());
     }
     if let Some(b) = cc.mem_budget {
         cmd.arg("--mem-budget").arg(b.to_string());
     }
-    let mut budget_clauses = Vec::new();
-    if let Some(d) = cc.budget.deadline {
-        budget_clauses.push(format!("{}ms", d.as_millis()));
-    }
-    if let Some(n) = cc.budget.node_limit {
-        budget_clauses.push(format!("nodes={n}"));
-    }
-    if !budget_clauses.is_empty() {
-        cmd.arg("--budget").arg(budget_clauses.join(","));
+    if let Some(clauses) = cc.budget.to_clauses() {
+        cmd.arg("--budget").arg(clauses);
     }
     // A resumed child flushes onward checkpoints to the file it
     // resumed from; a fresh one writes the attempt's generation path.
@@ -941,6 +925,7 @@ mod tests {
     /// are bounded no-deadlocks, which is fine — the campaign machinery
     /// is what is under test.
     fn small_cfg(spec: &ProtocolSpec) -> McConfig {
+        use crate::config::VnMap;
         McConfig::figure3(spec)
             .with_vns(VnMap::one_per_message(spec.messages().len()))
             .with_limits(2_000, Some(6))

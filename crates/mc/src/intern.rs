@@ -266,14 +266,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn intern_dedupes_and_round_trips() {
+    fn intern_dedupes_and_round_trips() -> Result<(), InternError> {
         let mut a = StateArena::new();
-        let (x, fresh) = a.intern(b"alpha").unwrap();
+        let (x, fresh) = a.intern(b"alpha")?;
         assert!(fresh);
-        let (y, fresh2) = a.intern(b"beta").unwrap();
+        let (y, fresh2) = a.intern(b"beta")?;
         assert!(fresh2);
         assert_ne!(x, y);
-        let (x2, fresh3) = a.intern(b"alpha").unwrap();
+        let (x2, fresh3) = a.intern(b"alpha")?;
         assert!(!fresh3);
         assert_eq!(x, x2);
         assert_eq!(a.get(x), b"alpha");
@@ -281,13 +281,14 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.lookup(b"alpha"), Some(x));
         assert_eq!(a.lookup(b"gamma"), None);
+        Ok(())
     }
 
     #[test]
-    fn ids_are_dense_in_insertion_order() {
+    fn ids_are_dense_in_insertion_order() -> Result<(), InternError> {
         let mut a = StateArena::new();
         for i in 0..1000u32 {
-            let (id, fresh) = a.intern(&i.to_le_bytes()).unwrap();
+            let (id, fresh) = a.intern(&i.to_le_bytes())?;
             assert!(fresh);
             assert_eq!(id, i);
         }
@@ -295,16 +296,17 @@ mod tests {
             assert_eq!(a.lookup(&i.to_le_bytes()), Some(i));
             assert_eq!(a.get(i), i.to_le_bytes());
         }
+        Ok(())
     }
 
     #[test]
-    fn survives_table_growth() {
+    fn survives_table_growth() -> Result<(), InternError> {
         let mut a = StateArena::new();
         // Far past several resize boundaries, with variable-length keys.
         for i in 0..10_000u32 {
             let key = vec![(i & 0xff) as u8; 3 + (i as usize % 29)];
             let full: Vec<u8> = key.iter().chain(i.to_le_bytes().iter()).copied().collect();
-            a.intern(&full).unwrap();
+            a.intern(&full)?;
         }
         assert_eq!(a.len(), 10_000);
         let probe: Vec<u8> = [77u8; 3 + (77 % 29)]
@@ -313,24 +315,26 @@ mod tests {
             .copied()
             .collect();
         assert!(a.lookup(&probe).is_some());
+        Ok(())
     }
 
     #[test]
-    fn empty_key_and_out_of_range_ids_are_safe() {
+    fn empty_key_and_out_of_range_ids_are_safe() -> Result<(), InternError> {
         let mut a = StateArena::new();
-        let (e, fresh) = a.intern(b"").unwrap();
+        let (e, fresh) = a.intern(b"")?;
         assert!(fresh);
         assert_eq!(a.get(e), b"");
         assert_eq!(a.get(999), b"");
         assert_eq!(a.lookup(b""), Some(e));
+        Ok(())
     }
 
     #[test]
-    fn heap_bytes_tracks_growth() {
+    fn heap_bytes_tracks_growth() -> Result<(), InternError> {
         let mut a = StateArena::new();
         let before = a.heap_bytes();
         for i in 0..500u32 {
-            a.intern(&i.to_le_bytes()).unwrap();
+            a.intern(&i.to_le_bytes())?;
         }
         assert!(a.heap_bytes() > before);
         // Exactness: recomputable from capacities alone.
@@ -338,10 +342,11 @@ mod tests {
             + (a.offsets.capacity() * 4) as u64
             + (a.table.capacity() * 4) as u64;
         assert_eq!(a.heap_bytes(), expect);
+        Ok(())
     }
 
     #[test]
-    fn tagged_slots_agree_with_a_hashmap_oracle() {
+    fn tagged_slots_agree_with_a_hashmap_oracle() -> Result<(), InternError> {
         use std::collections::HashMap;
         // 400k variable-length keys take the table to 2^20 slots, where
         // a slot keeps only 12 tag bits; every intern and lookup must
@@ -358,7 +363,7 @@ mod tests {
             let k = key(i);
             let expect = oracle.get(&k).copied();
             assert_eq!(a.lookup(&k), expect, "lookup before intern of key {i}");
-            let (id, fresh) = a.intern(&k).unwrap();
+            let (id, fresh) = a.intern(&k)?;
             match expect {
                 Some(old) => assert_eq!((id, fresh), (old, false), "key {i}"),
                 None => {
@@ -369,11 +374,7 @@ mod tests {
             // Re-intern an earlier key now and then: a repeat, not a claim.
             if i % 7 == 3 {
                 let back = key(i / 2);
-                assert_eq!(
-                    a.intern(&back).unwrap(),
-                    (oracle[&back], false),
-                    "repeat {i}"
-                );
+                assert_eq!(a.intern(&back)?, (oracle[&back], false), "repeat {i}");
             }
         }
         assert_eq!(a.len(), oracle.len());
@@ -400,6 +401,7 @@ mod tests {
         a.clear();
         assert_eq!((a.len(), a.heap_bytes()), (0, expect));
         assert_eq!(a.lookup(&key(5)), None);
-        assert_eq!(a.intern(&key(5)).unwrap(), (0, true));
+        assert_eq!(a.intern(&key(5))?, (0, true));
+        Ok(())
     }
 }

@@ -429,10 +429,7 @@ fn run_inner(
     if let Err(detail) = cfg.validate_for_run() {
         return Err(CheckpointError::Config { detail });
     }
-    let threads = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        n => n,
-    };
+    let threads = crate::parallel::worker_count(opts.threads);
     // Fault injection needs the multi-worker body's isolated, retryable
     // expand step, even for one worker.
     let inline = threads == 1 && opts.inject.is_none();

@@ -54,6 +54,7 @@ mod kernel;
 pub mod murphi;
 pub mod parallel;
 pub mod procshard;
+pub mod request;
 pub mod rules;
 pub mod spill;
 pub mod state;
@@ -80,6 +81,7 @@ pub use parallel::{
     explore_parallel, explore_parallel_supervised, resume_parallel, PanicInjection, ParallelOpts,
 };
 pub use procshard::{explore_procshard, run_worker, ProcOpts, WorkerOpts};
+pub use request::{McRequest, VnChoice};
 pub use spill::{SpillArena, SpillConfig, SpillStats};
 pub use state::{GlobalState, Msg, Node};
 pub use trace::Trace;

@@ -90,6 +90,15 @@ impl ParallelOpts {
     }
 }
 
+/// The worker count a `threads` setting runs with: 0 picks the
+/// available parallelism (4 when the host does not say).
+pub(crate) fn worker_count(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+}
+
 /// Parallel variant of [`crate::explore()`]. `threads = 0` picks the
 /// available parallelism. Workers are panic-isolated with the default
 /// restart budget; see [`explore_parallel_supervised`] for the full

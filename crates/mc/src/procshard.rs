@@ -91,6 +91,7 @@ use crate::codec::{decode_delta, encode_delta, put_varint, read_varint};
 use crate::config::McConfig;
 use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
 use crate::intern::StateArena;
+use crate::request::McRequest;
 use crate::rules::{expand, render_rule_ref, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
 use crate::state::GlobalState;
@@ -113,13 +114,10 @@ pub struct ProcOpts {
     /// The protocol argument workers re-load (`vnet` built-in name or
     /// `.vnp` path) — it must resolve to the supervisor's `spec`.
     pub spec_arg: String,
-    /// The VN-selection flag to forward (`--unique-vns`/`--single-vn`),
-    /// so workers derive the supervisor's exact `McConfig`.
-    pub vn_flag: Option<String>,
-    /// Extra configuration flags to forward verbatim (`--general`,
-    /// `--symmetry`), so workers derive the supervisor's exact
-    /// `McConfig` and the shard-directory fingerprints match.
-    pub cfg_flags: Vec<String>,
+    /// The request the supervisor's `cfg` was built from, forwarded
+    /// as flags so every worker builds the same `McConfig` and the
+    /// shard-directory fingerprints match.
+    pub request: McRequest,
     /// Budget enforced at round boundaries (deadline and node limit).
     pub budget: Budget,
     /// Per-shard, per-round respawn budget before the run degrades
@@ -145,8 +143,7 @@ impl ProcOpts {
             shards,
             dir: dir.into(),
             spec_arg: spec_arg.into(),
-            vn_flag: None,
-            cfg_flags: Vec::new(),
+            request: McRequest::default(),
             budget: Budget::unlimited(),
             max_restarts: 2,
             policy: None,
@@ -1338,13 +1335,8 @@ fn spawn_worker(opts: &ProcOpts, shard: u32, crash_round: Option<u32>) -> std::i
         .arg("--of")
         .arg(opts.shards.to_string())
         .arg("--spec")
-        .arg(&opts.spec_arg);
-    if let Some(f) = &opts.vn_flag {
-        cmd.arg(f);
-    }
-    for f in &opts.cfg_flags {
-        cmd.arg(f);
-    }
+        .arg(&opts.spec_arg)
+        .args(opts.request.to_args());
     if let Some(b) = opts.mem_budget {
         cmd.arg("--mem-budget").arg(b.to_string());
     }

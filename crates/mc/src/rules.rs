@@ -723,16 +723,17 @@ mod tests {
     }
 
     #[test]
-    fn rule_table_round_trips_references_and_literal_labels() {
+    fn rule_table_round_trips_references_and_literal_labels() -> TestResult {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
         let mut t = RuleTable::new();
-        let empty = t.intern_text("").unwrap();
-        let a = t.intern_text("C1 sends GetM(X)").unwrap();
-        let b = t.intern_text("Dir1 handles GetS(X)").unwrap();
-        assert_eq!(t.intern_text("C1 sends GetM(X)").unwrap(), a);
+        let text_id = |t: &mut RuleTable, label| t.intern_text(label).map_err(|e| e.to_string());
+        let empty = text_id(&mut t, "")?;
+        let a = text_id(&mut t, "C1 sends GetM(X)")?;
+        let b = text_id(&mut t, "Dir1 handles GetS(X)")?;
+        assert_eq!(text_id(&mut t, "C1 sends GetM(X)")?, a);
         assert_eq!(
-            t.intern_ref(&[]).unwrap(),
+            t.intern_ref(&[]).map_err(|e| e.to_string())?,
             empty,
             "the empty label is the root's"
         );
@@ -749,7 +750,7 @@ mod tests {
                 false
             },
         );
-        let r = t.intern_ref(&reference).unwrap();
+        let r = t.intern_ref(&reference).map_err(|e| e.to_string())?;
         assert!(t.is_root(empty) && !t.is_root(a) && !t.is_root(r));
         let mut out = String::from("stale");
         for (id, text) in [
@@ -766,7 +767,8 @@ mod tests {
             "unknown ids fail closed"
         );
         assert_eq!(
-            t.texts(&spec).unwrap(),
+            t.texts(&spec)
+                .map_err(|id| format!("id {id} does not render"))?,
             vec![
                 "".to_string(),
                 "C1 sends GetM(X)".into(),
@@ -774,6 +776,7 @@ mod tests {
                 rendered
             ]
         );
+        Ok(())
     }
 
     #[test]

@@ -530,21 +530,22 @@ mod tests {
     }
 
     #[test]
-    fn permutation_composes_to_identity() {
+    fn permutation_composes_to_identity() -> Result<(), String> {
         let (spec, cfg, mut gs) = setup();
-        let m = spec.cache().state_by_name("M").unwrap();
+        let m = spec.cache().state_by_name("M").ok_or("no M state")?;
         gs.update_line(0, 0, |l| l.state = m.index() as u8);
         gs.update_dir(0, |d| d.owner = Some(0));
         gs.update_dir(0, |d| d.sharers = 0b011);
         let once = permute(&cfg, &gs, &[1, 2, 0], &id(2));
         let back = permute(&cfg, &once, &[2, 0, 1], &id(2));
         assert_eq!(back, gs);
+        Ok(())
     }
 
     #[test]
-    fn symmetric_states_share_a_canonical_form() {
+    fn symmetric_states_share_a_canonical_form() -> Result<(), String> {
         let (spec, cfg, base) = setup();
-        let m = spec.cache().state_by_name("M").unwrap();
+        let m = spec.cache().state_by_name("M").ok_or("no M state")?;
         // Two states that differ only by which cache holds M.
         let mut a = base.clone();
         a.update_line(0, 0, |l| l.state = m.index() as u8);
@@ -553,24 +554,26 @@ mod tests {
         b.update_line(2, 0, |l| l.state = m.index() as u8);
         b.update_dir(0, |d| d.owner = Some(2));
         assert_eq!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
+        Ok(())
     }
 
     #[test]
-    fn asymmetric_states_stay_distinct() {
+    fn asymmetric_states_stay_distinct() -> Result<(), String> {
         let (spec, cfg, base) = setup();
-        let m = spec.cache().state_by_name("M").unwrap();
-        let s = spec.cache().state_by_name("S").unwrap();
+        let m = spec.cache().state_by_name("M").ok_or("no M state")?;
+        let s = spec.cache().state_by_name("S").ok_or("no S state")?;
         let mut a = base.clone();
         a.update_line(0, 0, |l| l.state = m.index() as u8);
         let mut b = base.clone();
         b.update_line(0, 0, |l| l.state = s.index() as u8);
         assert_ne!(canonicalize(&cfg, &a).1, canonicalize(&cfg, &b).1);
+        Ok(())
     }
 
     #[test]
-    fn messages_are_remapped_with_their_endpoints() {
+    fn messages_are_remapped_with_their_endpoints() -> Result<(), String> {
         let (spec, cfg, mut gs) = setup();
-        let gets = spec.message_by_name("GetS").unwrap();
+        let gets = spec.message_by_name("GetS").ok_or("no GetS message")?;
         let n_vns = cfg.vns.n_vns();
         let msg = Msg {
             msg: gets.index() as u8,
@@ -591,6 +594,7 @@ mod tests {
         assert_eq!(moved[0].src, Node::Cache(2));
         assert_eq!(moved[0].requestor, 2);
         assert!(p.queue(p.fifo_queue(0)).is_empty());
+        Ok(())
     }
 
     #[test]
@@ -602,10 +606,10 @@ mod tests {
     }
 
     #[test]
-    fn address_permutation_moves_dir_rows_and_cache_columns() {
+    fn address_permutation_moves_dir_rows_and_cache_columns() -> Result<(), String> {
         let (spec, cfg, mut gs) = setup_one_dir();
-        let m = spec.cache().state_by_name("M").unwrap();
-        let gets = spec.message_by_name("GetS").unwrap();
+        let m = spec.cache().state_by_name("M").ok_or("no M state")?;
+        let gets = spec.message_by_name("GetS").ok_or("no GetS message")?;
         gs.update_line(1, 0, |l| l.state = m.index() as u8);
         gs.update_dir(0, |d| d.owner = Some(1));
         gs.update_dir(0, |d| d.pending = 1);
@@ -621,7 +625,7 @@ mod tests {
             },
         );
         let p = permute(&cfg, &gs, &id(3), &[1, 0]);
-        let head = p.queue(0).first().unwrap();
+        let head = p.queue(0).first().ok_or("the moved queue is empty")?;
         // Cache columns swapped per row; dir rows swapped; message
         // addresses remapped; dir endpoints untouched.
         assert_eq!(p.line(1, 1).state, m.index() as u8);
@@ -630,6 +634,7 @@ mod tests {
         assert_eq!(p.dir(1).pending, 1);
         assert_eq!(head.addr, 1);
         assert_eq!(head.dst, Node::Dir(0));
+        Ok(())
     }
 
     #[test]

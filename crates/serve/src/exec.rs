@@ -22,12 +22,12 @@
 //! and config ride to the worker, so [`execute`] does not parse again.
 
 use crate::json::Json;
-use crate::proto::{Command, ProtocolRef, Request, VnChoice};
+use crate::proto::{Command, ProtocolRef, Request};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use vnet_core::{analyze, analyze_budgeted, VnOutcome};
+use vnet_core::{analyze_budgeted, VnOutcome};
 use vnet_graph::{Budget, Provenance};
-use vnet_mc::McConfig;
+use vnet_mc::{McConfig, McRequest, VnChoice};
 use vnet_protocol::{dsl, protocols, ProtocolSpec};
 use vnet_store::{Key, RecordKind};
 
@@ -109,30 +109,6 @@ pub fn resolve_protocol(proto: &ProtocolRef) -> Result<ProtocolSpec, String> {
     }
 }
 
-/// The model-checking configuration an `mc` request resolves to: the
-/// Figure-3 scenario under the requested VN mapping, or — with
-/// `symmetry: true` — the general scenario under cache × address
-/// symmetry reduction (the Figure-3 injection script names specific
-/// caches and would break the symmetry). Shared by the runner and the
-/// cache-key derivation so they can never disagree.
-pub fn mc_config(spec: &ProtocolSpec, vns: VnChoice, symmetry: bool) -> Result<McConfig, String> {
-    use vnet_mc::VnMap;
-    let n_msgs = spec.messages().len();
-    let vn_map = match vns {
-        VnChoice::Single => VnMap::single(n_msgs),
-        VnChoice::Unique => VnMap::one_per_message(n_msgs),
-        VnChoice::Minimal => match analyze(spec).outcome() {
-            VnOutcome::Assigned { assignment, .. } => VnMap::from_assignment(assignment, n_msgs),
-            VnOutcome::Class2(_) => VnMap::one_per_message(n_msgs),
-        },
-    };
-    if symmetry {
-        McConfig::general(spec).with_vns(vn_map).with_symmetry()
-    } else {
-        Ok(McConfig::figure3(spec).with_vns(vn_map))
-    }
-}
-
 /// Content address of an `analyze` result: the normalized DSL export
 /// of the spec, nothing else (the analyzer has no other inputs).
 pub fn analyze_store_key(spec: &ProtocolSpec) -> Key {
@@ -159,7 +135,7 @@ pub fn mc_store_key(spec: &ProtocolSpec, cfg: &McConfig, parameterized: bool) ->
 }
 
 /// A request's protocol resolved once: the spec and, for `mc`, the
-/// config its mode selects. Admission makes one for an inline spec and
+/// config its [`McRequest`] selects. Admission makes one for an inline spec and
 /// hands it to [`execute`], so the worker neither parses the DSL nor
 /// runs the analyzer for the VN map a second time.
 pub struct Resolved {
@@ -174,7 +150,7 @@ pub type Resolution = Result<Resolved, String>;
 fn resolve(req: &Request) -> Resolution {
     let spec = resolve_protocol(&req.protocol)?;
     let cfg = match &req.cmd {
-        Command::Mc { vns, symmetry, .. } => Some(mc_config(&spec, *vns, *symmetry)?),
+        Command::Mc { request, .. } => Some(request.config(&spec)?.0),
         _ => None,
     };
     Ok(Resolved { spec, cfg })
@@ -208,17 +184,19 @@ pub fn store_key(req: &Request) -> Option<Key> {
 /// × `parameterized`.
 const SHAPES: usize = 1 + 3 * 2 * 2;
 
-/// The memo column of a cacheable command, `None` for the rest.
+/// The memo column of a cacheable command, `None` for the rest. A
+/// request's `vns` and `symmetry` are all of its [`McRequest`] the
+/// JSON protocol can set.
 fn shape_of(cmd: &Command) -> Option<usize> {
     match cmd {
         Command::Analyze => Some(0),
-        Command::Mc { checkpoint: false, vns, symmetry, parameterized, .. } => {
-            let vns = match vns {
+        Command::Mc { checkpoint: false, request, parameterized, .. } => {
+            let vns = match request.vns {
                 VnChoice::Minimal => 0,
                 VnChoice::Single => 1,
                 VnChoice::Unique => 2,
             };
-            Some(1 + vns * 4 + usize::from(*symmetry) * 2 + usize::from(*parameterized))
+            Some(1 + vns * 4 + usize::from(request.symmetry) * 2 + usize::from(*parameterized))
         }
         _ => None,
     }
@@ -295,30 +273,24 @@ pub fn execute(
         Command::Panic => panic!("injected test fault (cmd=panic)"),
         Command::Analyze => run_analyze(resolved()?, budget),
         Command::Mc {
-            vns,
+            request,
             checkpoint,
             process,
-            symmetry,
             parameterized,
             ..
         } => {
-            let mode = McMode {
-                vns: *vns,
-                checkpoint: *checkpoint,
-                symmetry: *symmetry,
-                parameterized: *parameterized,
-            };
             // `resolve` configures every `mc` request; a resolution
             // without a config is configured here.
             let Resolved { spec, cfg } = resolved()?;
             let cfg = match cfg {
                 Some(cfg) => cfg,
-                None => mc_config(&spec, *vns, *symmetry)?,
+                None => request.config(&spec)?.0,
             };
+            let ckpt_path = ckpt_path.filter(|_| *checkpoint);
             if *process {
-                run_mc_process(req, &spec, &cfg, budget, mode, ckpt_path)
+                run_mc_process(req, request, &spec, &cfg, budget, *parameterized, ckpt_path)
             } else {
-                run_mc(&spec, &cfg, budget, mode, ckpt_path, on_level)
+                run_mc(&spec, &cfg, budget, *parameterized, ckpt_path, on_level)
             }
         }
         Command::Sim {
@@ -380,21 +352,13 @@ fn param_fields(spec: &ProtocolSpec, cfg: &McConfig) -> Vec<(&'static str, Json)
     ]
 }
 
-/// The mode knobs of one `mc` request, bundled so the runner
-/// signatures stay readable as the flag set grows.
-#[derive(Clone, Copy)]
-struct McMode {
-    vns: VnChoice,
-    checkpoint: bool,
-    symmetry: bool,
-    parameterized: bool,
-}
-
+/// Runs an `mc` request inline; it checkpoints to `ckpt_path` when
+/// one is given.
 fn run_mc(
     spec: &ProtocolSpec,
     cfg: &McConfig,
     budget: &Budget,
-    mode: McMode,
+    parameterized: bool,
     ckpt_path: Option<&Path>,
     on_level: &mut dyn FnMut(usize, usize),
 ) -> Result<ExecResult, ExecError> {
@@ -402,15 +366,13 @@ fn run_mc(
         checkpoint::CheckpointPolicy, explore_budgeted_with, explore_checkpointed,
         CheckpointedRun, Verdict,
     };
-    let mut ckpt_field: Option<PathBuf> = None;
-    let run = match (mode.checkpoint, ckpt_path) {
-        (true, Some(path)) => {
-            ckpt_field = Some(path.to_path_buf());
+    let run = match ckpt_path {
+        Some(path) => {
             let policy = CheckpointPolicy::new(path.to_path_buf());
             explore_checkpointed(spec, cfg, budget, &policy, on_level)
                 .map_err(|e| format!("checkpoint error: {e}"))?
         }
-        _ => CheckpointedRun::Finished(explore_budgeted_with(spec, cfg, budget, on_level)),
+        None => CheckpointedRun::Finished(explore_budgeted_with(spec, cfg, budget, on_level)),
     };
 
     let verdict = match run {
@@ -449,22 +411,42 @@ fn run_mc(
     fields.push(("states", Json::num(stats.states as u64)));
     fields.push(("levels", Json::num(stats.levels as u64)));
     fields.push(("complete", Json::Bool(stats.complete)));
-    if mode.parameterized {
+    Ok(mc_result(
+        spec,
+        cfg,
+        fields,
+        stats.provenance,
+        parameterized,
+        ckpt_path,
+    ))
+}
+
+/// An `mc` response from its verdict fields, whichever runner produced
+/// them. A parameterized one gains the flow verdict, computed here and
+/// not in a child: it is a pure function of spec + config, so the
+/// child's machine line stays unchanged across versions. A
+/// checkpointing one names its server-side path and is never cached
+/// (the path is not content); any other is stored under the request's
+/// key.
+fn mc_result(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    mut fields: Vec<(&'static str, Json)>,
+    provenance: Provenance,
+    parameterized: bool,
+    ckpt_path: Option<&Path>,
+) -> ExecResult {
+    if parameterized {
         fields.extend(param_fields(spec, cfg));
     }
-    let mut result = ExecResult::new(fields, stats.provenance);
-    match ckpt_field {
-        Some(p) => {
-            // A checkpointing response names a server-side path —
-            // never cached (the path is not content).
-            result.fields.push(("checkpoint", Json::str(p.display().to_string())));
-        }
-        None => {
-            result = result
-                .with_store(mc_store_key(spec, cfg, mode.parameterized), RecordKind::Mc);
-        }
+    let mut result = ExecResult::new(fields, provenance);
+    match ckpt_path {
+        Some(p) => result
+            .fields
+            .push(("checkpoint", Json::str(p.display().to_string()))),
+        None => result = result.with_store(mc_store_key(spec, cfg, parameterized), RecordKind::Mc),
     }
-    Ok(result)
+    result
 }
 
 /// Serial numbers for inline-spec scratch files: process id plus a
@@ -578,10 +560,11 @@ fn backoff_sleep(budget: &Budget, dur: std::time::Duration) -> Option<vnet_graph
 ///   `error{worker_overrun}`.
 fn run_mc_process(
     req: &Request,
+    request: &McRequest,
     spec: &ProtocolSpec,
     cfg: &McConfig,
     budget: &Budget,
-    mode: McMode,
+    parameterized: bool,
     ckpt_path: Option<&Path>,
 ) -> Result<ExecResult, ExecError> {
     use std::process::{Command as Proc, Stdio};
@@ -632,36 +615,18 @@ fn run_mc_process(
     let mut restarts: u32 = 0;
     loop {
         let mut cmd = Proc::new(&exe);
-        cmd.arg("mc").arg(&arg).arg("--machine");
-        match mode.vns {
-            VnChoice::Single => {
-                cmd.arg("--single-vn");
-            }
-            VnChoice::Unique => {
-                cmd.arg("--unique-vns");
-            }
-            VnChoice::Minimal => {}
-        }
-        if mode.symmetry {
-            cmd.arg("--general").arg("--symmetry");
-        }
-        let mut clauses = Vec::new();
-        if let Some(d) = budget.deadline {
-            clauses.push(format!("{}ms", d.as_millis().max(1)));
-        }
-        if let Some(n) = budget.node_limit {
-            clauses.push(format!("nodes={n}"));
-        }
-        if !clauses.is_empty() {
-            cmd.arg("--budget").arg(clauses.join(","));
+        cmd.arg("mc")
+            .arg(&arg)
+            .arg("--machine")
+            .args(request.to_args());
+        if let Some(clauses) = budget.to_clauses() {
+            cmd.arg("--budget").arg(clauses);
         }
         if let Some(b) = budget.mem_limit {
             cmd.arg("--mem-budget").arg(b.to_string());
         }
-        if mode.checkpoint {
-            if let Some(p) = ckpt_path {
-                cmd.arg("--checkpoint").arg(p);
-            }
+        if let Some(p) = ckpt_path {
+            cmd.arg("--checkpoint").arg(p);
         }
         cmd.stdin(Stdio::null())
             .stdout(Stdio::piped())
@@ -764,27 +729,16 @@ fn run_mc_process(
                 },
             }
         };
-        let mut fields =
+        let fields =
             mc_result_fields(spec.name(), &m.kind, m.depth, m.states, m.levels, m.complete);
-        if mode.parameterized {
-            // Computed in the daemon, not the child: the flow verdict
-            // is a pure function of spec + config, so the child's
-            // machine line stays unchanged across versions.
-            fields.extend(param_fields(spec, cfg));
-        }
-        let mut result = ExecResult::new(fields, provenance);
-        if mode.checkpoint {
-            if let Some(p) = ckpt_path {
-                result.fields.push(("checkpoint", Json::str(p.display().to_string())));
-            }
-        } else {
-            // Same key derivation as the inline path: a process-run
-            // result and an inline result of the same request are the
-            // same record.
-            result = result
-                .with_store(mc_store_key(spec, cfg, mode.parameterized), RecordKind::Mc);
-        }
-        return cleanup(Ok(result));
+        return cleanup(Ok(mc_result(
+            spec,
+            cfg,
+            fields,
+            provenance,
+            parameterized,
+            ckpt_path,
+        )));
     }
 }
 
@@ -894,33 +848,45 @@ mod tests {
 
     fn mc_cmd(vns: VnChoice, process: bool) -> Command {
         Command::Mc {
-            vns,
+            request: McRequest {
+                vns,
+                ..McRequest::default()
+            },
             checkpoint: false,
             process,
             progress: false,
-            symmetry: false,
             parameterized: false,
         }
     }
 
     fn mc_sym_cmd(vns: VnChoice) -> Command {
         Command::Mc {
-            vns,
+            request: McRequest {
+                vns,
+                ..McRequest::default()
+            }
+            .with_symmetry(),
             checkpoint: false,
             process: false,
             progress: false,
-            symmetry: true,
             parameterized: false,
         }
     }
 
     fn mc_param_cmd(vns: VnChoice, symmetry: bool) -> Command {
-        Command::Mc {
+        let request = McRequest {
             vns,
+            ..McRequest::default()
+        };
+        Command::Mc {
+            request: if symmetry {
+                request.with_symmetry()
+            } else {
+                request
+            },
             checkpoint: false,
             process: false,
             progress: false,
-            symmetry,
             parameterized: true,
         }
     }

@@ -15,6 +15,7 @@
 
 use crate::json::Json;
 use vnet_graph::{Budget, CancelReason};
+pub use vnet_mc::{McRequest, VnChoice};
 
 /// What a request asks the daemon to run.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +26,12 @@ pub enum Command {
     Analyze,
     /// Bounded model check (`vnet mc`).
     Mc {
-        /// VN selection: `minimal` (default), `single`, or `unique`.
-        vns: VnChoice,
+        /// What decides the config: `vns` (`minimal` by default,
+        /// `single` or `unique`) and `symmetry: true`, which explores
+        /// the general scenario under cache × address symmetry
+        /// reduction instead of the Figure-3 script — a distinct state
+        /// space, so a distinct store key.
+        request: McRequest,
         /// Whether to checkpoint (and flush on drain).
         checkpoint: bool,
         /// Run in a dedicated worker *process* instead of on the
@@ -38,10 +43,6 @@ pub enum Command {
         /// bytes) while the explorer runs. Inline dispatch only;
         /// progress lines carry no `status` and are not responses.
         progress: bool,
-        /// Explore the general scenario under cache × address symmetry
-        /// reduction instead of the Figure-3 script (`symmetry: true`
-        /// in the request). Distinct state space, distinct store key.
-        symmetry: bool,
         /// Additionally run the flow-abstraction checker
         /// (`parameterized: true` in the request): the response gains
         /// `parameterized`/`param_verdict`/`param_provenance` fields,
@@ -88,17 +89,6 @@ pub enum Command {
         /// One rendered JSON object per item, in request order.
         items: Vec<String>,
     },
-}
-
-/// VN-mapping selection for `mc` requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VnChoice {
-    /// The analyzer's minimal mapping (one VN per message for Class 2).
-    Minimal,
-    /// Everything on one VN.
-    Single,
-    /// One VN per message name.
-    Unique,
 }
 
 /// A parsed, validated request.
@@ -180,14 +170,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         },
         "analyze" => Command::Analyze,
         "mc" => Command::Mc {
-            vns: match v.get("vns").and_then(Json::as_str) {
-                None | Some("minimal") => VnChoice::Minimal,
-                Some("single") => VnChoice::Single,
-                Some("unique") => VnChoice::Unique,
-                Some(other) => {
-                    return Err(format!(
-                        "unknown vns `{other}` (want minimal, single, or unique)"
-                    ))
+            request: {
+                let vns = match v.get("vns").and_then(Json::as_str) {
+                    None | Some("minimal") => VnChoice::Minimal,
+                    Some("single") => VnChoice::Single,
+                    Some("unique") => VnChoice::Unique,
+                    Some(other) => {
+                        return Err(format!(
+                            "unknown vns `{other}` (want minimal, single, or unique)"
+                        ))
+                    }
+                };
+                let request = McRequest {
+                    vns,
+                    ..McRequest::default()
+                };
+                if v.get("symmetry").and_then(Json::as_bool).unwrap_or(false) {
+                    request.with_symmetry()
+                } else {
+                    request
                 }
             },
             checkpoint: v.get("checkpoint").and_then(Json::as_bool).unwrap_or(false),
@@ -201,7 +202,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
             },
             progress: v.get("progress").and_then(Json::as_bool).unwrap_or(false),
-            symmetry: v.get("symmetry").and_then(Json::as_bool).unwrap_or(false),
             parameterized: v
                 .get("parameterized")
                 .and_then(Json::as_bool)

@@ -420,82 +420,19 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             let spec = load(args.get(1).ok_or("mc needs a protocol")?)?;
             use std::path::PathBuf;
             use vnet::mc::{
-                campaign, checkpoint::CheckpointPolicy, explore_budgeted,
-                explore_checkpointed, explore_parallel_supervised, explore_procshard, resume,
-                resume_parallel, CheckpointedRun, McConfig, ParallelOpts, ProcOpts, SpillConfig,
-                Verdict,
+                campaign, checkpoint::CheckpointPolicy, explore_budgeted, explore_checkpointed,
+                explore_parallel_supervised, explore_procshard, resume, resume_parallel,
+                CheckpointedRun, McRequest, ParallelOpts, ProcOpts, SpillConfig, Verdict,
             };
-            let (vns, class2) = resolve_vn_map(&spec, args);
+            let request = McRequest::from_args(args)?;
+            let (mut cfg, class2) = request.config(&spec)?;
             if class2 {
                 println!("Class 2 protocol: checking with one VN per message");
             }
             let mut budget = budget_flag(args)?;
-            // --general swaps the directed Figure-3 injection script
-            // for the free-running general scenario (uniform per-cache
-            // budget, unordered ICN); --symmetry then folds each
-            // explored state to its canonical representative under
-            // cache × address permutations. Symmetry without --general
-            // is rejected fail-closed by with_symmetry: the Figure-3
-            // script names specific caches and breaks the symmetry.
-            let general = args.iter().any(|a| a == "--general");
-            let symmetry = args.iter().any(|a| a == "--symmetry");
-            let mut cfg = if general {
-                McConfig::general(&spec).with_vns(vns)
-            } else {
-                McConfig::figure3(&spec).with_vns(vns)
-            };
-            // --caches/--addrs/--dirs resize the general scenario (the
-            // directed Figure-3 script is written for the stock 3/2/2
-            // dimensions, so they require --general); validate() holds
-            // the codec limits fail-closed before anything runs.
-            let dim = |name: &str| -> Result<Option<usize>, String> {
-                flag_value(args, name)?
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .map_err(|_| format!("bad value for {name}: `{v}`"))
-                    })
-                    .transpose()
-            };
-            let (caches, addrs, dirs, per_cache) = (
-                dim("--caches")?,
-                dim("--addrs")?,
-                dim("--dirs")?,
-                dim("--per-cache")?,
-            );
-            if (caches.is_some() || addrs.is_some() || dirs.is_some() || per_cache.is_some())
-                && !general
-            {
-                return Err(
-                    "--caches/--addrs/--dirs/--per-cache resize the general scenario; \
-                     add --general"
-                        .into(),
-                );
-            }
-            if let Some(n) = caches {
-                cfg.n_caches = n;
-            }
-            if let Some(n) = addrs {
-                cfg.n_addrs = n;
-            }
-            if let Some(n) = dirs {
-                cfg.n_dirs = n;
-            }
-            if let Some(n) = per_cache {
-                let n = u8::try_from(n).map_err(|_| "--per-cache must fit in a byte".to_string())?;
-                cfg = cfg.with_budget(vnet::mc::InjectionBudget::PerCache(n));
-            }
-            cfg.validate()?;
-            if symmetry {
-                cfg = cfg.with_symmetry()?;
-            }
 
             let machine = args.iter().any(|a| a == "--machine");
-            let threads = flag_value(args, "--parallel")?
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| format!("bad value for --parallel: `{v}`"))
-                })
-                .transpose()?;
+            let threads: Option<usize> = opt_flag(args, "--parallel")?;
             // Fail closed on an explicit zero: silently promoting it to
             // "auto" would hide a typo in a script that meant a real
             // thread count.
@@ -523,22 +460,12 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             // it shed cold visited keys to disk instead of degrading;
             // --shard-procs/--shard-dir hand the run to per-shard
             // worker processes that survive individual SIGKILLs.
-            let mem_budget: Option<u64> = flag_value(args, "--mem-budget")?
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("bad value for --mem-budget: `{v}`"))
-                })
-                .transpose()?;
+            let mem_budget: Option<u64> = opt_flag(args, "--mem-budget")?;
             if mem_budget == Some(0) {
                 return Err("--mem-budget must be positive".into());
             }
             let spill_dir = flag_value(args, "--spill-dir")?.map(PathBuf::from);
-            let shard_procs: Option<u32> = flag_value(args, "--shard-procs")?
-                .map(|v| {
-                    v.parse::<u32>()
-                        .map_err(|_| format!("bad value for --shard-procs: `{v}`"))
-                })
-                .transpose()?;
+            let shard_procs: Option<u32> = opt_flag(args, "--shard-procs")?;
             if shard_procs == Some(0) {
                 return Err("--shard-procs needs a positive process count".into());
             }
@@ -602,28 +529,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
 
             let run = if let (Some(n), Some(dir)) = (shard_procs, shard_dir) {
                 let mut opts = ProcOpts::new(n, dir, args[1].clone());
-                if args.iter().any(|a| a == "--unique-vns") {
-                    opts.vn_flag = Some("--unique-vns".into());
-                } else if args.iter().any(|a| a == "--single-vn") {
-                    opts.vn_flag = Some("--single-vn".into());
-                }
-                if general {
-                    opts.cfg_flags.push("--general".into());
-                }
-                if symmetry {
-                    opts.cfg_flags.push("--symmetry".into());
-                }
-                for (flag, v) in [
-                    ("--caches", caches),
-                    ("--addrs", addrs),
-                    ("--dirs", dirs),
-                    ("--per-cache", per_cache),
-                ] {
-                    if let Some(n) = v {
-                        opts.cfg_flags.push(flag.into());
-                        opts.cfg_flags.push(n.to_string());
-                    }
-                }
+                opts.request = request;
                 opts.budget = budget;
                 opts.mem_budget = mem_budget;
                 opts.policy = policy;
@@ -774,10 +680,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             if let Some(i) = inject_flag(args)? {
                 cc = cc.with_injection(i);
             }
-            if let Some(b) = flag_value(args, "--mem-budget")? {
-                let b: u64 = b
-                    .parse()
-                    .map_err(|_| format!("bad value for --mem-budget: `{b}`"))?;
+            if let Some(b) = opt_flag(args, "--mem-budget")? {
                 if b == 0 {
                     return Err("--mem-budget must be positive".into());
                 }
@@ -792,10 +695,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 }
                 cc = cc.with_spill_dir(d);
             }
-            if let Some(n) = flag_value(args, "--shard-procs")? {
-                let n: u32 = n
-                    .parse()
-                    .map_err(|_| format!("bad value for --shard-procs: `{n}`"))?;
+            if let Some(n) = opt_flag(args, "--shard-procs")? {
                 if n == 0 {
                     return Err("--shard-procs needs a positive process count".into());
                 }
@@ -815,12 +715,8 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             }
             // Every row of the sweep — thread-isolated runs, process
             // children, and the store write-through below — derives
-            // its config from this one function.
-            let cfg_of = if cc.symmetry {
-                campaign::table1_sym_config
-            } else {
-                campaign::table1_config
-            };
+            // its config from the campaign's one request.
+            let cfg_of = |spec: &ProtocolSpec| cc.config_of(spec);
             println!(
                 "campaign: {} protocol(s) from {dir}, {:?} isolation",
                 entries.len(),
@@ -1033,12 +929,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             opts.checkpoint_dir =
                 flag_value(args, "--checkpoint-dir")?.map(std::path::PathBuf::from);
             opts.store_dir = flag_value(args, "--store-dir")?.map(std::path::PathBuf::from);
-            opts.store_max_bytes = flag_value(args, "--store-max-bytes")?
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("bad value for --store-max-bytes: `{v}`"))
-                })
-                .transpose()?;
+            opts.store_max_bytes = opt_flag(args, "--store-max-bytes")?;
             if opts.store_max_bytes == Some(0) {
                 return Err("--store-max-bytes must be positive".into());
             }
@@ -1147,12 +1038,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                     }
                 }
                 "gc" => {
-                    let max_bytes = flag_value(args, "--max-bytes")?
-                        .map(|v| {
-                            v.parse::<u64>()
-                                .map_err(|_| format!("bad value for --max-bytes: `{v}`"))
-                        })
-                        .transpose()?;
+                    let max_bytes: Option<u64> = opt_flag(args, "--max-bytes")?;
                     if max_bytes == Some(0) {
                         return Err("--max-bytes must be positive".into());
                     }
@@ -1209,61 +1095,24 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         // Spawned by the supervisor, never typed by hand; errors land
         // on a nonzero exit that the supervisor treats as a casualty.
         "__shard-worker" => {
-            use vnet::mc::{run_worker, McConfig, WorkerOpts};
+            use vnet::mc::{run_worker, McRequest, WorkerOpts};
             let need = |name: &str| -> Result<String, String> {
                 flag_value(args, name)?.ok_or_else(|| format!("__shard-worker needs {name}"))
             };
             let spec = load(&need("--spec")?)?;
             // Stdout is the doorbell pipe: no Class-2 note here.
-            let (vns, _) = resolve_vn_map(&spec, args);
-            // Mirror the supervisor's config derivation exactly, or
-            // the shard-directory fingerprint check fails closed.
-            let mut cfg = if args.iter().any(|a| a == "--general") {
-                McConfig::general(&spec).with_vns(vns)
-            } else {
-                McConfig::figure3(&spec).with_vns(vns)
-            };
-            for (flag, field) in [
-                ("--caches", &mut cfg.n_caches),
-                ("--addrs", &mut cfg.n_addrs),
-                ("--dirs", &mut cfg.n_dirs),
-            ] {
-                if let Some(v) = flag_value(args, flag)? {
-                    *field = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad value for {flag}: `{v}`"))?;
-                }
-            }
-            if let Some(v) = flag_value(args, "--per-cache")? {
-                let n = v
-                    .parse::<u8>()
-                    .map_err(|_| format!("bad value for --per-cache: `{v}`"))?;
-                cfg = cfg.with_budget(vnet::mc::InjectionBudget::PerCache(n));
-            }
-            if args.iter().any(|a| a == "--symmetry") {
-                cfg = cfg.with_symmetry().map_err(|e| format!("shard worker: {e}"))?;
-            }
+            let (cfg, _) = McRequest::from_args(args)
+                .and_then(|r| r.config(&spec))
+                .map_err(|e| format!("shard worker: {e}"))?;
             let parse_u32 = |name: &str| -> Result<u32, String> {
-                need(name)?
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad value for {name}"))
+                opt_flag(args, name)?.ok_or_else(|| format!("__shard-worker needs {name}"))
             };
             let w = WorkerOpts {
                 dir: PathBuf::from(need("--dir")?),
                 shard: parse_u32("--shard")?,
                 of: parse_u32("--of")?,
-                mem_budget: flag_value(args, "--mem-budget")?
-                    .map(|v| {
-                        v.parse::<u64>()
-                            .map_err(|_| "bad value for --mem-budget".to_string())
-                    })
-                    .transpose()?,
-                crash_round: flag_value(args, "--crash-round")?
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .map_err(|_| "bad value for --crash-round".to_string())
-                    })
-                    .transpose()?,
+                mem_budget: opt_flag(args, "--mem-budget")?,
+                crash_round: opt_flag(args, "--crash-round")?,
             };
             run_worker(&spec, &cfg, &w).map_err(|e| format!("shard worker: {e}"))?;
             Ok(Outcome::Clean)
@@ -1537,54 +1386,28 @@ fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Parses the value of a numeric flag, or returns `default` when absent.
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value for {name}: `{v}`")),
-    }
+/// Parses the value of a flag, if it is present.
+fn opt_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("bad value for {name}: `{v}`"))
+        })
+        .transpose()
 }
 
-/// Parses `--budget` clauses: `500ms` / `2s` deadlines and `nodes=N`
-/// work limits, comma-separated. Absent flag means unlimited.
+/// Parses the value of a numeric flag, or returns `default` when absent.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    Ok(opt_flag(args, name)?.unwrap_or(default))
+}
+
+/// Parses the `--budget` flag ([`Budget::parse_clauses`]). Absent flag
+/// means unlimited.
 fn budget_flag(args: &[String]) -> Result<Budget, String> {
-    let Some(text) = flag_value(args, "--budget")? else {
-        return Ok(Budget::unlimited());
-    };
-    let mut budget = Budget::unlimited();
-    for clause in text.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-        // Zero limits are rejected fail-closed: a zero budget is always
-        // a typo, and silently treating it as "unlimited" (or as
-        // "instantly exhausted") would invert the intent either way.
-        if let Some(n) = clause.strip_prefix("nodes=") {
-            let n: u64 = n
-                .parse()
-                .map_err(|_| format!("bad node limit `{clause}`"))?;
-            if n == 0 {
-                return Err(format!("node limit must be positive in `{clause}`"));
-            }
-            budget = budget.with_node_limit(n);
-        } else if let Some(ms) = clause.strip_suffix("ms") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad deadline `{clause}`"))?;
-            if ms == 0 {
-                return Err(format!("deadline must be positive in `{clause}`"));
-            }
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        } else if let Some(s) = clause.strip_suffix('s') {
-            let s: u64 = s.parse().map_err(|_| format!("bad deadline `{clause}`"))?;
-            if s == 0 {
-                return Err(format!("deadline must be positive in `{clause}`"));
-            }
-            budget = budget.with_deadline(Duration::from_secs(s));
-        } else {
-            return Err(format!(
-                "bad budget clause `{clause}` (want `500ms`, `2s`, or `nodes=100000`)"
-            ));
-        }
+    match flag_value(args, "--budget")? {
+        Some(text) => Budget::parse_clauses(&text),
+        None => Ok(Budget::unlimited()),
     }
-    Ok(budget)
 }
 
 /// Parses a `90s` / `1500ms` duration value.
@@ -1598,27 +1421,6 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
         return Ok(Duration::from_secs(s));
     }
     Err(format!("bad duration `{text}` (want `90s` or `1500ms`)"))
-}
-
-/// Resolves the VN mapping the `mc` family checks under: an explicit
-/// `--unique-vns`/`--single-vn` flag wins, otherwise the analyzer's
-/// minimal assignment (Class 2 protocols fall back to one VN per
-/// message, and the returned flag is `true`). Shard worker processes
-/// run the same resolution so their configuration — and hence the
-/// checkpoint fingerprint — matches the supervisor's exactly.
-fn resolve_vn_map(spec: &ProtocolSpec, args: &[String]) -> (vnet::mc::VnMap, bool) {
-    use vnet::mc::VnMap;
-    let n = spec.messages().len();
-    if args.iter().any(|a| a == "--unique-vns") {
-        (VnMap::one_per_message(n), false)
-    } else if args.iter().any(|a| a == "--single-vn") {
-        (VnMap::single(n), false)
-    } else {
-        match analyze(spec).outcome() {
-            VnOutcome::Assigned { assignment, .. } => (VnMap::from_assignment(assignment, n), false),
-            VnOutcome::Class2(_) => (VnMap::one_per_message(n), true),
-        }
-    }
 }
 
 /// Parses `--inject-shard-kill <round>:<shard>` (crash injection for

@@ -264,3 +264,35 @@ fn campaign_cli_rejects_zero_threads() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Without `--threads`, a process-isolated child runs the thread-parallel
+/// explorer with the auto worker count. The supervisor must hand the
+/// child a positive `--parallel` — the child refuses `--parallel 0` —
+/// so every protocol still lands a verdict.
+#[test]
+fn process_isolated_campaign_cli_defaults_its_thread_count() {
+    let dir = small_sweep_dir("cli-proc-auto", 1);
+    let report = dir.join("rep.json");
+    let out = Command::new(vnet_bin())
+        .arg("campaign")
+        .arg(&dir)
+        .args([
+            "--isolation",
+            "process",
+            "--budget",
+            "nodes=20000",
+            "--retries",
+            "0",
+        ])
+        .arg("--report")
+        .arg(&report)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn vnet: {e}"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "stdout:\n{stdout}");
+    let json = std::fs::read_to_string(&report).unwrap_or_default();
+    assert!(json.contains("degraded: node limit"), "{json}");
+    assert!(!json.contains("\"kind\": null"), "{json}");
+    assert!(!stdout.contains("FAILED"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
