@@ -28,6 +28,8 @@ const INITIAL_SLOTS: usize = 64;
 /// stays below 32 bits and a vacant slot ([`EMPTY`]) never collides
 /// with a packed one.
 const MAX_SLOTS: usize = 1 << 31;
+/// Keys hashed ahead of placement per run when the table grows.
+const GROW_RUN: usize = 1024;
 
 /// Where a key hashes to in a table of `1 << bits` slots, and the tag
 /// its packed slot carries. Both come from the top 32 hash bits — the
@@ -221,12 +223,26 @@ impl StateArena {
             return; // Keep the old table; intern() degrades gracefully.
         }
         table.resize(new_len, EMPTY);
-        for id in 0..self.len() as u32 {
-            let (mut slot, tag) = home_and_tag(fx_hash_bytes(self.get(id)), bits);
-            while table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
+        // Hash a run of keys first, then place it: the hashing streams
+        // through the arena, and the placements' cache misses on the
+        // new table overlap instead of each waiting on the next hash.
+        // Ids are placed in order, so the table comes out the same.
+        let mut homes = [(0usize, 0u32); GROW_RUN];
+        let len = self.len() as u32;
+        let mut start = 0u32;
+        while start < len {
+            let end = len.min(start + GROW_RUN as u32);
+            let run = &mut homes[..(end - start) as usize];
+            for (home, id) in run.iter_mut().zip(start..end) {
+                *home = home_and_tag(fx_hash_bytes(self.get(id)), bits);
             }
-            table[slot] = tag | id;
+            for (&(mut slot, tag), id) in run.iter().zip(start..end) {
+                while table[slot] != EMPTY {
+                    slot = (slot + 1) & mask;
+                }
+                table[slot] = tag | id;
+            }
+            start = end;
         }
         self.table = table;
         self.bits = bits;
@@ -315,6 +331,29 @@ mod tests {
             .copied()
             .collect();
         assert!(a.lookup(&probe).is_some());
+        Ok(())
+    }
+
+    #[test]
+    fn batched_growth_builds_the_table_one_by_one_placement_builds() -> Result<(), InternError> {
+        // Through grows that re-place 1536 keys (a run and a half), then
+        // 3072 and 6144 (whole runs), with keys of varied lengths.
+        let mut a = StateArena::new();
+        for i in 0..7_000u32 {
+            let key = [&i.to_le_bytes()[..], &[7; 5][..i as usize % 5]].concat();
+            a.intern(&key)?;
+        }
+        assert_eq!(a.len(), 7_000);
+        let mask = a.table.len() - 1;
+        let mut expect = vec![EMPTY; a.table.len()];
+        for id in 0..a.len() as u32 {
+            let (mut slot, tag) = home_and_tag(fx_hash_bytes(a.get(id)), a.bits);
+            while expect[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            expect[slot] = tag | id;
+        }
+        assert_eq!(a.table, expect);
         Ok(())
     }
 

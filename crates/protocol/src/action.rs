@@ -35,17 +35,22 @@ impl Target {
     pub fn is_cache(self) -> bool {
         !matches!(self, Target::Dir)
     }
+
+    /// The target's name, as the DSL writes it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Target::Req => "Req",
+            Target::Dir => "Dir",
+            Target::Owner => "Owner",
+            Target::Readers => "Readers",
+            Target::Writer => "Writer",
+        }
+    }
 }
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Target::Req => f.write_str("Req"),
-            Target::Dir => f.write_str("Dir"),
-            Target::Owner => f.write_str("Owner"),
-            Target::Readers => f.write_str("Readers"),
-            Target::Writer => f.write_str("Writer"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

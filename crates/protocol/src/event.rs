@@ -29,15 +29,20 @@ impl CoreOp {
     pub fn all() -> [CoreOp; 3] {
         [CoreOp::Load, CoreOp::Store, CoreOp::Evict]
     }
+
+    /// The operation's name, as tables and the DSL write it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            CoreOp::Load => "Load",
+            CoreOp::Store => "Store",
+            CoreOp::Evict => "Evict",
+        }
+    }
 }
 
 impl fmt::Display for CoreOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreOp::Load => f.write_str("Load"),
-            CoreOp::Store => f.write_str("Store"),
-            CoreOp::Evict => f.write_str("Evict"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -117,11 +122,11 @@ impl Guard {
             Always => return None,
         })
     }
-}
 
-impl fmt::Display for Guard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The guard as the DSL writes it between brackets; empty for
+    /// [`Guard::Always`].
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
             Guard::Always => "",
             Guard::AckZero => "ack=0",
             Guard::AckPositive => "ack>0",
@@ -137,8 +142,13 @@ impl fmt::Display for Guard {
             Guard::HasOtherSharers => "has-other-sharers",
             Guard::ReqIsOwner => "req-is-owner",
             Guard::ReqNotOwner => "req-not-owner",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Guard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -113,6 +113,16 @@ impl ControllerSpec {
         self.table.insert((state, trigger), cell);
     }
 
+    /// Replaces every cell with `cells`, given in any order, each key
+    /// once.
+    pub(crate) fn set_all(&mut self, cells: Vec<((StateId, Trigger), Cell)>) {
+        assert!(
+            cells.iter().all(|((s, _), _)| s.0 < self.states.len()),
+            "state out of range"
+        );
+        self.table = cells.into_iter().collect();
+    }
+
     /// Removes the cell for an exact `(state, trigger)` key, returning it
     /// if one was present. Used by structural mutators; the resulting
     /// table may no longer validate.

@@ -78,8 +78,10 @@ impl ExecResult {
         ExecResult { fields, provenance, store: None }
     }
 
-    fn with_store(mut self, key: Key, kind: RecordKind) -> Self {
-        if self.provenance.is_exact() {
+    /// Attaches the write-through of an exact result under `key`; a
+    /// request without a key is not cached.
+    fn with_store(mut self, key: Option<Key>, kind: RecordKind) -> Self {
+        if let (Some(key), true) = (key, self.provenance.is_exact()) {
             self.store = Some(StoreEntry { key, kind, body: body_of(&self.fields) });
         }
         self
@@ -109,10 +111,19 @@ pub fn resolve_protocol(proto: &ProtocolRef) -> Result<ProtocolSpec, String> {
     }
 }
 
+/// The normalized DSL export of `spec`, which store keys hash. Each
+/// render counts in `serve.spec_renders_total`.
+fn render(spec: &ProtocolSpec) -> String {
+    if vnet_obs::metrics_enabled() {
+        vnet_obs::counter("serve.spec_renders_total").inc();
+    }
+    dsl::to_text(spec)
+}
+
 /// Content address of an `analyze` result: the normalized DSL export
 /// of the spec, nothing else (the analyzer has no other inputs).
 pub fn analyze_store_key(spec: &ProtocolSpec) -> Key {
-    Key::derive(&[b"analyze/1", dsl::to_text(spec).as_bytes()])
+    Key::derive(&[b"analyze/1", render(spec).as_bytes()])
 }
 
 /// Content address of an `mc` result: normalized spec text plus every
@@ -124,7 +135,7 @@ pub fn analyze_store_key(spec: &ProtocolSpec) -> Key {
 /// replay with a parameterized claim (or the claim silently missing).
 pub fn mc_store_key(spec: &ProtocolSpec, cfg: &McConfig, parameterized: bool) -> Key {
     let mut parts: Vec<&[u8]> = vec![b"mc/1"];
-    let text = dsl::to_text(spec);
+    let text = render(spec);
     parts.push(text.as_bytes());
     let fp = cfg.fingerprint_bytes();
     parts.push(&fp);
@@ -134,37 +145,41 @@ pub fn mc_store_key(spec: &ProtocolSpec, cfg: &McConfig, parameterized: bool) ->
     Key::derive(&parts)
 }
 
-/// A request's protocol resolved once: the spec and, for `mc`, the
-/// config its [`McRequest`] selects. Admission makes one for an inline spec and
-/// hands it to [`execute`], so the worker neither parses the DSL nor
-/// runs the analyzer for the VN map a second time.
+/// A request's protocol resolved once: the spec, for `mc` the config
+/// its [`McRequest`] selects, and the store key of the two. Admission
+/// makes one for an inline spec and hands it to [`execute`], so the
+/// worker neither parses the DSL, nor runs the analyzer for the VN map,
+/// nor renders the spec for its key a second time.
 pub struct Resolved {
     spec: ProtocolSpec,
     cfg: Option<McConfig>,
+    key: Option<Key>,
 }
 
 /// A resolution, or the `bad_request` detail the request answers with.
 pub type Resolution = Result<Resolved, String>;
 
-/// Resolves `req`'s protocol and, for an `mc` request, its config.
+/// Resolves `req`'s protocol, for an `mc` request its config, and the
+/// key of a cacheable request.
 fn resolve(req: &Request) -> Resolution {
     let spec = resolve_protocol(&req.protocol)?;
     let cfg = match &req.cmd {
         Command::Mc { request, .. } => Some(request.config(&spec)?.0),
         _ => None,
     };
-    Ok(Resolved { spec, cfg })
+    let key = key_of(&req.cmd, &spec, cfg.as_ref());
+    Ok(Resolved { spec, cfg, key })
 }
 
-/// The store key of a request whose protocol is already resolved, or
-/// `None` when its command is not cacheable. A checkpointing run's
+/// The store key of a command over a resolved spec and config, or
+/// `None` when the command is not cacheable. A checkpointing run's
 /// response names a server-side checkpoint path; replaying that from
 /// cache would be a lie.
-fn key_of(req: &Request, r: &Resolved) -> Option<Key> {
-    match &req.cmd {
-        Command::Analyze => Some(analyze_store_key(&r.spec)),
+fn key_of(cmd: &Command, spec: &ProtocolSpec, cfg: Option<&McConfig>) -> Option<Key> {
+    match cmd {
+        Command::Analyze => Some(analyze_store_key(spec)),
         Command::Mc { checkpoint: false, parameterized, .. } => {
-            Some(mc_store_key(&r.spec, r.cfg.as_ref()?, *parameterized))
+            Some(mc_store_key(spec, cfg?, *parameterized))
         }
         _ => None,
     }
@@ -177,7 +192,7 @@ fn key_of(req: &Request, r: &Resolved) -> Option<Key> {
 /// key to their results.
 pub fn store_key(req: &Request) -> Option<Key> {
     shape_of(&req.cmd)?;
-    key_of(req, &resolve(req).ok()?)
+    resolve(req).ok()?.key
 }
 
 /// Cacheable command shapes: `analyze`, then `mc` × `vns` × `symmetry`
@@ -233,7 +248,7 @@ pub fn admission_key(req: &Request) -> (Option<Key>, Option<Resolution>) {
         }
         ProtocolRef::Inline(_) => {
             let resolved = resolve(req);
-            let key = resolved.as_ref().ok().and_then(|r| key_of(req, r));
+            let key = resolved.as_ref().ok().and_then(|r| r.key);
             (key, Some(resolved))
         }
         ProtocolRef::None => (None, None),
@@ -279,18 +294,28 @@ pub fn execute(
             parameterized,
             ..
         } => {
-            // `resolve` configures every `mc` request; a resolution
-            // without a config is configured here.
-            let Resolved { spec, cfg } = resolved()?;
-            let cfg = match cfg {
-                Some(cfg) => cfg,
-                None => request.config(&spec)?.0,
+            // `resolve` configures and keys every `mc` request; a
+            // resolution without a config is configured and keyed here.
+            let Resolved { spec, cfg, key } = resolved()?;
+            let (cfg, key) = match cfg {
+                Some(cfg) => (cfg, key),
+                None => {
+                    let cfg = request.config(&spec)?.0;
+                    let key = key_of(&req.cmd, &spec, Some(&cfg));
+                    (cfg, key)
+                }
             };
             let ckpt_path = ckpt_path.filter(|_| *checkpoint);
+            let job = McJob {
+                spec: &spec,
+                cfg: &cfg,
+                key,
+                parameterized: *parameterized,
+            };
             if *process {
-                run_mc_process(req, request, &spec, &cfg, budget, *parameterized, ckpt_path)
+                run_mc_process(req, request, &job, budget, ckpt_path)
             } else {
-                run_mc(&spec, &cfg, budget, *parameterized, ckpt_path, on_level)
+                run_mc(&job, budget, ckpt_path, on_level)
             }
         }
         Command::Sim {
@@ -305,7 +330,7 @@ pub fn execute(
 }
 
 fn run_analyze(resolved: Resolved, budget: &Budget) -> Result<ExecResult, ExecError> {
-    let spec = resolved.spec;
+    let Resolved { spec, key, .. } = resolved;
     let report = analyze_budgeted(&spec, budget);
     let provenance = report.outcome().provenance().clone();
     let mut fields = vec![("protocol", Json::str(spec.name()))];
@@ -333,7 +358,6 @@ fn run_analyze(resolved: Resolved, budget: &Budget) -> Result<ExecResult, ExecEr
         "textbook_vns",
         Json::num(vnet_core::textbook::textbook_vn_count(&spec) as u64),
     ));
-    let key = analyze_store_key(&spec);
     Ok(ExecResult::new(fields, provenance).with_store(key, RecordKind::Analyze))
 }
 
@@ -352,13 +376,20 @@ fn param_fields(spec: &ProtocolSpec, cfg: &McConfig) -> Vec<(&'static str, Json)
     ]
 }
 
+/// A resolved `mc` request, as its runners need it: the spec, the
+/// config, the store key, and whether the flow verdict is asked for.
+struct McJob<'a> {
+    spec: &'a ProtocolSpec,
+    cfg: &'a McConfig,
+    key: Option<Key>,
+    parameterized: bool,
+}
+
 /// Runs an `mc` request inline; it checkpoints to `ckpt_path` when
 /// one is given.
 fn run_mc(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
+    job: &McJob,
     budget: &Budget,
-    parameterized: bool,
     ckpt_path: Option<&Path>,
     on_level: &mut dyn FnMut(usize, usize),
 ) -> Result<ExecResult, ExecError> {
@@ -366,6 +397,7 @@ fn run_mc(
         checkpoint::CheckpointPolicy, explore_budgeted_with, explore_checkpointed,
         CheckpointedRun, Verdict,
     };
+    let (spec, cfg) = (job.spec, job.cfg);
     let run = match ckpt_path {
         Some(path) => {
             let policy = CheckpointPolicy::new(path.to_path_buf());
@@ -411,14 +443,7 @@ fn run_mc(
     fields.push(("states", Json::num(stats.states as u64)));
     fields.push(("levels", Json::num(stats.levels as u64)));
     fields.push(("complete", Json::Bool(stats.complete)));
-    Ok(mc_result(
-        spec,
-        cfg,
-        fields,
-        stats.provenance,
-        parameterized,
-        ckpt_path,
-    ))
+    Ok(mc_result(job, fields, stats.provenance, ckpt_path))
 }
 
 /// An `mc` response from its verdict fields, whichever runner produced
@@ -429,22 +454,20 @@ fn run_mc(
 /// (the path is not content); any other is stored under the request's
 /// key.
 fn mc_result(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
+    job: &McJob,
     mut fields: Vec<(&'static str, Json)>,
     provenance: Provenance,
-    parameterized: bool,
     ckpt_path: Option<&Path>,
 ) -> ExecResult {
-    if parameterized {
-        fields.extend(param_fields(spec, cfg));
+    if job.parameterized {
+        fields.extend(param_fields(job.spec, job.cfg));
     }
     let mut result = ExecResult::new(fields, provenance);
     match ckpt_path {
         Some(p) => result
             .fields
             .push(("checkpoint", Json::str(p.display().to_string()))),
-        None => result = result.with_store(mc_store_key(spec, cfg, parameterized), RecordKind::Mc),
+        None => result = result.with_store(job.key, RecordKind::Mc),
     }
     result
 }
@@ -561,10 +584,8 @@ fn backoff_sleep(budget: &Budget, dur: std::time::Duration) -> Option<vnet_graph
 fn run_mc_process(
     req: &Request,
     request: &McRequest,
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
+    job: &McJob,
     budget: &Budget,
-    parameterized: bool,
     ckpt_path: Option<&Path>,
 ) -> Result<ExecResult, ExecError> {
     use std::process::{Command as Proc, Stdio};
@@ -604,7 +625,7 @@ fn run_mc_process(
 
     let cancelled_result = |reason| {
         ExecResult::new(
-            vec![("protocol", Json::str(spec.name()))],
+            vec![("protocol", Json::str(job.spec.name()))],
             Provenance::Degraded {
                 reason: DegradeReason::Cancelled { reason },
             },
@@ -692,7 +713,7 @@ fn run_mc_process(
                         vnet_obs::counter("serve.worker_loss_total").inc();
                         return cleanup(Ok(ExecResult::new(
                             vec![
-                                ("protocol", Json::str(spec.name())),
+                                ("protocol", Json::str(job.spec.name())),
                                 ("worker_error", Json::str(LOSS_DETAIL)),
                             ],
                             Provenance::Degraded {
@@ -730,15 +751,8 @@ fn run_mc_process(
             }
         };
         let fields =
-            mc_result_fields(spec.name(), &m.kind, m.depth, m.states, m.levels, m.complete);
-        return cleanup(Ok(mc_result(
-            spec,
-            cfg,
-            fields,
-            provenance,
-            parameterized,
-            ckpt_path,
-        )));
+            mc_result_fields(job.spec.name(), &m.kind, m.depth, m.states, m.levels, m.complete);
+        return cleanup(Ok(mc_result(job, fields, provenance, ckpt_path)));
     }
 }
 

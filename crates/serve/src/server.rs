@@ -183,6 +183,25 @@ fn record_queue_wait(admitted: Instant, picked: Option<Instant>) {
     }
 }
 
+/// Bucket edges (microseconds) of the worker's phase histograms,
+/// `serve.compute_us` and `serve.store_write_us`: a cold `analyze` or a
+/// store append with its two `fdatasync`s takes tens to hundreds of µs,
+/// an `mc` run up to the deadline.
+const PHASE_US_BOUNDS: &[u64] = &[
+    16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 16_777_216,
+];
+
+/// Runs `f`, recording its wall time in `name` (microseconds). With
+/// metrics off this costs one relaxed load and reads no clock.
+fn timed_us<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let started = vnet_obs::metrics_enabled().then(Instant::now);
+    let out = f();
+    if let Some(started) = started {
+        vnet_obs::histogram(name, PHASE_US_BOUNDS).record(started.elapsed().as_micros() as u64);
+    }
+    out
+}
+
 /// Bumps one serve counter and its mirror in the process metrics
 /// registry. The daemon's own `Counters` stay authoritative for drain
 /// summaries; the mirrors make serve traffic visible in `metrics`
@@ -680,22 +699,26 @@ fn cache_lookup(
 /// and logged: a dying disk should be loud, not silent.
 fn store_write_through(sh: &Shared, entry: &exec::StoreEntry) {
     let Some(store) = &sh.store else { return };
-    let mut g = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    match g.put(entry.key, entry.kind, &entry.body) {
-        Ok(_) => {
-            if let Some(max) = sh.opts.store_max_bytes {
-                if g.log_bytes() > max {
-                    if let Err(e) = g.gc(Some(max)) {
-                        eprintln!("vnet-serve: store gc failed: {e}");
+    timed_us("serve.store_write_us", || {
+        let mut g = store
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match g.put(entry.key, entry.kind, &entry.body) {
+            Ok(_) => {
+                if let Some(max) = sh.opts.store_max_bytes {
+                    if g.log_bytes() > max {
+                        if let Err(e) = g.gc(Some(max)) {
+                            eprintln!("vnet-serve: store gc failed: {e}");
+                        }
                     }
                 }
             }
+            Err(e) => {
+                vnet_obs::counter("serve.store_write_errors_total").inc();
+                eprintln!("vnet-serve: store write-through failed: {e}");
+            }
         }
-        Err(e) => {
-            vnet_obs::counter("serve.store_write_errors_total").inc();
-            eprintln!("vnet-serve: store write-through failed: {e}");
-        }
-    }
+    });
 }
 
 /// The `cmd` echo for a response line.
@@ -906,9 +929,17 @@ fn handle(sh: &Shared, mut job: Job) {
 
     let mut on_level = progress_hook(&job.req, &job.out);
     let resolved = job.resolved.take();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        exec::execute(&job.req, resolved, &budget, ckpt_path.as_deref(), &mut *on_level)
-    }));
+    let outcome = timed_us("serve.compute_us", || {
+        catch_unwind(AssertUnwindSafe(|| {
+            exec::execute(
+                &job.req,
+                resolved,
+                &budget,
+                ckpt_path.as_deref(),
+                &mut *on_level,
+            )
+        }))
+    });
     drop(on_level);
     sh.deregister(job.seq);
 
@@ -997,9 +1028,17 @@ fn run_batch(sh: &Shared, job: &Job, items: &[String], started: Instant) {
             _ => None,
         };
         let mut on_level = progress_hook(&req, &job.out);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            exec::execute(&req, resolved, &budget, ckpt_path.as_deref(), &mut *on_level)
-        }));
+        let outcome = timed_us("serve.compute_us", || {
+            catch_unwind(AssertUnwindSafe(|| {
+                exec::execute(
+                    &req,
+                    resolved,
+                    &budget,
+                    ckpt_path.as_deref(),
+                    &mut *on_level,
+                )
+            }))
+        });
         drop(on_level);
         let wall_ms = item_started.elapsed().as_millis() as u64;
         vnet_obs::histogram("serve.request_wall_ms", REQUEST_WALL_MS_BOUNDS).record(wall_ms);

@@ -420,22 +420,32 @@ fn inline_export_of_a_builtin_hits_the_builtin_record() {
 }
 
 /// Admission resolves an inline spec to derive its key, and the worker
-/// reuses that resolution: k cold inline `analyze` requests resolve k
-/// times, not 2k, one by one and as a batch. An unparseable spec still
-/// answers with its positioned `bad spec` error, resolved once.
+/// reuses that resolution and that key: k cold inline `analyze`
+/// requests resolve k times, not 2k, and render their spec for the key
+/// k times, one by one and as a batch. An unparseable spec still
+/// answers with its positioned `bad spec` error, resolved once and
+/// never rendered.
 #[test]
 fn cold_inline_requests_resolve_their_spec_once() {
     let dir = tmp_dir("resolve-once");
     let (child, addr) = spawn_serve(&["--store-dir", dir.to_str().expect("utf-8 path")]);
     let (mut w, mut r) = connect(&addr);
+    // (resolves, renders) so far.
     let resolves = |w: &mut _, r: &mut _| {
         let m = roundtrip(w, r, r#"{"id":"m","cmd":"metrics"}"#);
-        m.get("registry")
-            .and_then(|r| r.get("counters"))
-            .and_then(|c| c.get("serve.spec_resolves_total"))
-            .and_then(json::Json::as_u64)
-            .unwrap_or(0)
+        let counter = |name| {
+            m.get("registry")
+                .and_then(|r| r.get("counters"))
+                .and_then(|c| c.get(name))
+                .and_then(json::Json::as_u64)
+                .unwrap_or(0)
+        };
+        (
+            counter("serve.spec_resolves_total"),
+            counter("serve.spec_renders_total"),
+        )
     };
+    let delta = |after: (u64, u64), before: (u64, u64)| (after.0 - before.0, after.1 - before.1);
     let texts: Vec<String> = vnet::protocol::protocols::all()
         .iter()
         .map(vnet::protocol::dsl::to_text)
@@ -448,7 +458,8 @@ fn cold_inline_requests_resolve_their_spec_once() {
         let v = roundtrip(&mut w, &mut r, &inline_line(&format!("a{i}"), analyze, text));
         assert_eq!(provenance(&v), Some("exact"), "a cold request is computed: {v:?}");
     }
-    assert_eq!(resolves(&mut w, &mut r) - before, 3, "single requests resolved twice");
+    let d = delta(resolves(&mut w, &mut r), before);
+    assert_eq!(d, (3, 3), "single requests resolved or rendered twice");
 
     // The same through a batch.
     let before = resolves(&mut w, &mut r);
@@ -466,7 +477,8 @@ fn cold_inline_requests_resolve_their_spec_once() {
         let v = json::parse(line.trim()).expect("structured line");
         assert_eq!(v.get("status").and_then(json::Json::as_str), Some("ok"), "{v:?}");
     }
-    assert_eq!(resolves(&mut w, &mut r) - before, 3, "batch items resolved twice");
+    let d = delta(resolves(&mut w, &mut r), before);
+    assert_eq!(d, (3, 3), "batch items resolved or rendered twice");
 
     // A spec that does not parse: the same error text the parser gives,
     // from one resolution.
@@ -480,8 +492,57 @@ fn cold_inline_requests_resolve_their_spec_once() {
     assert_eq!(v.get("status").and_then(json::Json::as_str), Some("error"), "{v:?}");
     assert_eq!(v.get("reason").and_then(json::Json::as_str), Some("bad_request"));
     assert_eq!(v.get("detail").and_then(json::Json::as_str), Some(want.as_str()));
-    assert_eq!(resolves(&mut w, &mut r) - before, 1, "a bad spec resolved twice");
+    let d = delta(resolves(&mut w, &mut r), before);
+    assert_eq!(d, (1, 0), "a bad spec resolved twice or rendered");
 
+    shutdown(child);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A spec that writes one core-event cell twice, once bare and once
+/// with a guard, is a bad request with the parser's positioned error:
+/// admission's resolution neither panics its connection thread nor
+/// leaves the client without an answer, and the daemon keeps serving.
+#[test]
+fn a_cell_written_twice_through_a_guard_is_a_bad_request() {
+    let dir = tmp_dir("dup-core-cell");
+    let (child, addr) = spawn_serve(&["--store-dir", dir.to_str().expect("utf-8 path")]);
+    let (mut w, mut r) = connect(&addr);
+    let spec = "protocol bad\nmessage Get req\ncache-states stable: I V\n\
+                dir-states stable: I\ncache I Load = send Get Dir\n\
+                cache I Load[ack=0] = stall\n";
+    let want = match vnet::protocol::dsl::parse(spec) {
+        Err(e) => format!("bad spec: {e}"),
+        Ok(_) => panic!("the spec parsed"),
+    };
+    assert!(
+        want.starts_with("bad spec: line 6: duplicate cell"),
+        "{want}"
+    );
+    let v = roundtrip(
+        &mut w,
+        &mut r,
+        &inline_line("dup", r#""cmd":"analyze""#, spec),
+    );
+    assert_eq!(
+        v.get("status").and_then(json::Json::as_str),
+        Some("error"),
+        "{v:?}"
+    );
+    assert_eq!(
+        v.get("reason").and_then(json::Json::as_str),
+        Some("bad_request")
+    );
+    assert_eq!(
+        v.get("detail").and_then(json::Json::as_str),
+        Some(want.as_str())
+    );
+    let pong = roundtrip(&mut w, &mut r, r#"{"id":"p","cmd":"ping"}"#);
+    assert_eq!(
+        pong.get("status").and_then(json::Json::as_str),
+        Some("ok"),
+        "{pong:?}"
+    );
     shutdown(child);
     let _ = std::fs::remove_dir_all(dir);
 }
