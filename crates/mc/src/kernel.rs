@@ -44,7 +44,7 @@ use crate::config::McConfig;
 use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
 use crate::intern::{InternError, StateArena, StateId};
 use crate::parallel::ParallelOpts;
-use crate::rules::{expand, ExpandOutcome, RuleTable, Scratch};
+use crate::rules::{expand, ExpandOutcome, Label, RuleTable, Scratch};
 use crate::spill::{SpillArena, SpillConfig, SpillStats};
 use crate::state::GlobalState;
 use crate::symmetry::{interned_key, Canonicalizer};
@@ -1033,32 +1033,66 @@ struct Pool {
 /// One successor routed to a partition. Its key is the same-numbered
 /// entry of the buffer's key arena; its rule reference sits at
 /// `rules[rule..rule + rlen]`.
-struct Cand {
+pub(crate) struct Cand {
     hash: u64,
     rule: u32,
     rlen: u32,
-    /// The parent's position in the frontier.
-    pos: u32,
+    /// The parent's position: in the frontier, or a process shard's
+    /// entry index.
+    pub(crate) pos: u32,
     /// The candidate's position in its worker's emission order.
     seq: u32,
 }
 
 /// One worker's candidates for one partition, in emission order. Keys
 /// are interned, so a key the worker emitted before is not buffered
-/// again: a later occurrence can never win the claim.
+/// again: a later occurrence can never win the claim. Process-shard
+/// workers fill one per destination shard as their outbox.
 #[derive(Default)]
-struct CandBuf {
-    keys: StateArena,
+pub(crate) struct CandBuf {
+    pub(crate) keys: StateArena,
     rules: Vec<u8>,
-    cands: Vec<Cand>,
+    pub(crate) cands: Vec<Cand>,
 }
 
 impl CandBuf {
-    fn rule(&self, c: &Cand) -> &[u8] {
+    /// Buffers successor `key` (hashed as `hash`), reached by `label`
+    /// from the parent at `pos`, as the `seq`-th emission. `Ok(false)`
+    /// for a key this buffer already holds: it is not buffered again.
+    pub(crate) fn push(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        label: Label<'_>,
+        pos: u32,
+        seq: u32,
+    ) -> Result<bool, InternError> {
+        if !self.keys.intern_hashed(key, hash)?.1 {
+            return Ok(false);
+        }
+        let rule = self.rules.len();
+        label.encode_into(&mut self.rules);
+        self.cands.push(Cand {
+            hash,
+            rule: rule as u32,
+            rlen: (self.rules.len() - rule) as u32,
+            pos,
+            seq,
+        });
+        Ok(true)
+    }
+
+    pub(crate) fn rule(&self, c: &Cand) -> &[u8] {
         &self.rules[c.rule as usize..(c.rule + c.rlen) as usize]
     }
 
-    fn heap_bytes(&self) -> u64 {
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.rules.clear();
+        self.cands.clear();
+    }
+
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.keys.heap_bytes()
             + (self.rules.capacity() + self.cands.capacity() * std::mem::size_of::<Cand>()) as u64
     }
@@ -1092,11 +1126,7 @@ impl WorkerOut {
     }
 
     fn clear(&mut self) {
-        for b in &mut self.bufs {
-            b.keys.clear();
-            b.rules.clear();
-            b.cands.clear();
-        }
+        self.bufs.iter_mut().for_each(CandBuf::clear);
         self.order.clear();
         self.finding = None;
         self.defect = None;
@@ -1152,25 +1182,14 @@ fn expand_one(
         if seen.is_some_and(|a| a.lookup_hashed(key, hash).is_some()) {
             return true;
         }
-        let buf = &mut bufs[p];
-        match buf.keys.intern_hashed(key, hash) {
-            Ok((_, true)) => {}
-            Ok((_, false)) => return true,
+        match bufs[p].push(key, hash, label, pos as u32, order.len() as u32) {
+            Ok(true) => order.push(p as u8),
+            Ok(false) => {}
             Err(why) => {
                 defect.get_or_insert(why.degrade());
                 return false;
             }
         }
-        let rule = buf.rules.len();
-        label.encode_into(&mut buf.rules);
-        buf.cands.push(Cand {
-            hash,
-            rule: rule as u32,
-            rlen: (buf.rules.len() - rule) as u32,
-            pos: pos as u32,
-            seq: order.len() as u32,
-        });
-        order.push(p as u8);
         true
     });
     // Only the slice's first deadlock or model error can be the level's

@@ -34,27 +34,30 @@
 //! Round `r` claims BFS level `r` and expands it:
 //!
 //! 1. **Claim.** Worker `s` reads the candidate successors every shard
-//!    routed to it in round `r-1` (`out-{r-1}-{from}-{s}.box`), drops
-//!    those its in-memory visited set has seen, keeps one candidate per
-//!    remaining key — the least by `(parent shard, parent index, label)`
-//!    — and claims those winners in key order. That is the order of a
-//!    sort of every candidate by `(key, parent shard, parent index,
-//!    label)`, a total order, so a replay reproduces the identical claim
-//!    sequence; only the winners are sorted, and labels are rendered for
-//!    the winners and to break a tie between candidates of one parent.
+//!    routed to it in round `r-1` (`out-{r-1}-{from}-{s}.box`), in
+//!    producer order and each outbox in emission order, and interns
+//!    each candidate's key into its visited set once: a key it has not
+//!    seen is claimed, so the first occurrence wins — the BFS kernel's
+//!    rule (see `crate::kernel`). Claim order is a pure function of the
+//!    outboxes, so a replay reproduces the identical claim sequence.
 //! 2. **Commit the segment.** The round's claims, and only those, go to
-//!    `seg-{s}-{r}.sec` (a checkpoint shard section). Entry indices run
-//!    across segments in round order, so `(parent shard, parent index)`
-//!    references need no rewriting.
-//! 3. **Check.** Every level-`r` claim is decoded and SWMR-checked.
+//!    `seg-{s}-{r}.sec` (a checkpoint shard section) in claim order.
+//!    Entry indices run across segments in round order, so `(parent
+//!    shard, parent index)` references need no rewriting.
+//! 3. **Check.** Each level-`r` claim, in claim order, is decoded once
+//!    and SWMR-checked.
 //! 4. **Expand.** Each claim's successors are routed to their owner
-//!    shard's outbox for round `r+1`; a successor the expanding shard
-//!    owns and has already visited is dropped on the spot. An outbox is
-//!    a `u64` count, then per candidate its key (delta-coded against the
-//!    outbox's previous key), its parent's entry index and its compact
-//!    rule reference (`Label::encode_into`) — no label
-//!    text. Deadlocks and model errors are reported, not acted on — the
-//!    supervisor resolves the globally minimal finding so the verdict is
+//!    shard's outbox for round `r+1`, each key once per outbox: a later
+//!    parent's repeat would lose the owner's claim to the first, so it
+//!    is not written, and a successor the expanding shard owns and has
+//!    already visited is dropped on the spot. An outbox is the kernel's
+//!    candidate buffer on disk: a `u64` count, then per candidate its
+//!    key (delta-coded against the outbox's previous key), its parent's
+//!    entry index and its compact rule reference
+//!    (`Label::encode_into`) — no label text. Deadlocks, model errors
+//!    and SWMR violations are reported, not acted on: each shard
+//!    reports the least-key one of the whole round, and the supervisor
+//!    resolves the least key across shards, so the verdict is
 //!    independent of N.
 //! 5. **Report.** Outboxes, then the result record — each atomic. The
 //!    record is the round's commit marker for this shard; anything torn
@@ -62,9 +65,9 @@
 //!
 //! A worker that died *after* renaming its segment is re-spawned with
 //! that segment already in its rebuilt shard: it skips the claim and
-//! expands the segment's entries, which are exactly the claims the
-//! sorted order would reproduce, so recovery is bit-identical to an
-//! undisturbed run.
+//! expands the segment's entries, which are exactly the claims a
+//! replay would make, so recovery is bit-identical to an undisturbed
+//! run.
 //!
 //! Every artifact carries a checksum — `fnv64` (see
 //! [`crate::checkpoint`]), or the word-at-a-time Fx hash for outboxes —
@@ -79,10 +82,14 @@
 //! function of (spec, config): kill any subset of workers or the
 //! supervisor at any point and the finished run's verdict, statistics,
 //! and merged checkpoint are byte-identical. Across *different* shard
-//! counts the claim levels and per-level claim sets are invariant, so
-//! verdict kind, depth, and total state count match too (a serial
-//! counterexample run may report fewer states only because it stops
-//! mid-level; rounds here commit whole levels).
+//! counts the claim levels and per-level claim sets are invariant (a
+//! key is claimed in the first round that reaches it, whoever routes
+//! it), so verdict kind, depth, and total state count match too, and
+//! so does the reported finding: the least key among the round's
+//! findings, which no partition changes. Only the claim order within a
+//! segment, and with it the parent a state records, depends on N. A
+//! serial counterexample run may report fewer states only because it
+//! stops mid-level; rounds here commit whole levels.
 
 use crate::checkpoint::{
     self, decode_shard_section, CheckpointError, CheckpointPolicy, ShardEncoder, ShardEntry,
@@ -90,7 +97,8 @@ use crate::checkpoint::{
 use crate::codec::{decode_delta, encode_delta, put_varint, read_varint};
 use crate::config::McConfig;
 use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
-use crate::intern::StateArena;
+use crate::intern::StateId;
+use crate::kernel::CandBuf;
 use crate::request::McRequest;
 use crate::rules::{expand, render_rule_ref, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
@@ -170,9 +178,11 @@ pub struct WorkerOpts {
 
 /// Version of the round-file formats (meta record, outboxes, result
 /// records), stored in `meta.bin`. Format 2 outboxes carry compact rule
-/// references instead of label text. Segments are checkpoint sections
-/// and have their own format.
-const SHARD_FORMAT: u32 = 2;
+/// references instead of label text. Format 3 segments list claims in
+/// claim order, not key order, and outboxes carry each key once per
+/// producer. Segments are checkpoint sections and have their own
+/// format.
+const SHARD_FORMAT: u32 = 3;
 
 /// `fx_hash(key) % n` — the static shard partition. Stable across runs
 /// and processes: the hash has no per-process seed.
@@ -403,98 +413,58 @@ fn decode_res(buf: &[u8]) -> Option<ResRecord> {
 // Worker.
 // ---------------------------------------------------------------------
 
-/// One candidate successor routed to this shard. Its key is a span of
-/// the round's key arena; its rule reference a span of `boxes[buf]`,
-/// the outbox it arrived in.
-struct Cand {
-    hash: u64,
-    key: (u32, u32),
-    pshard: u32,
-    pidx: u32,
-    buf: u32,
-    rule: (u32, u32),
+/// Writes outbox `buf` into `out`: a `u64` count, then per candidate
+/// its key delta-coded against the previous key, its parent's entry
+/// index and its length-prefixed compact rule reference.
+fn encode_outbox(buf: &CandBuf, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend((buf.cands.len() as u64).to_le_bytes());
+    let mut prev: &[u8] = &[];
+    for (i, c) in buf.cands.iter().enumerate() {
+        let key = buf.keys.get(i as StateId);
+        encode_delta(prev, key, out);
+        put_varint(out, c.pos as u64);
+        let rule = buf.rule(c);
+        put_varint(out, rule.len() as u64);
+        out.extend_from_slice(rule);
+        prev = key;
+    }
 }
 
-/// A round's routed candidates: the outboxes as read, and every key
-/// decoded once into one arena — no allocation per candidate.
-#[derive(Default)]
-struct Inbox {
-    boxes: Vec<Vec<u8>>,
-    keys: Vec<u8>,
-    cands: Vec<Cand>,
-}
-
-impl Inbox {
-    fn key(&self, c: &Cand) -> &[u8] {
-        &self.keys[c.key.0 as usize..(c.key.0 + c.key.1) as usize]
+/// Calls `f(key, parent index, rule reference)` for each candidate of
+/// an [`encode_outbox`] outbox, in emission order.
+fn decode_outbox(
+    bytes: &[u8],
+    mut f: impl FnMut(&[u8], u32, &[u8]) -> Result<(), String>,
+) -> Result<(), String> {
+    let count = bytes
+        .get(..8)
+        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .ok_or("outbox: no count")?;
+    if count > bytes.len() as u64 {
+        return Err("outbox: impossible count".into());
     }
-
-    fn rule(&self, c: &Cand) -> &[u8] {
-        let (at, len) = (c.rule.0 as usize, c.rule.1 as usize);
-        &self.boxes[c.buf as usize][at..at + len]
+    let mut pos = 8usize;
+    let (mut prev, mut key) = (Vec::new(), Vec::new());
+    for _ in 0..count {
+        decode_delta(&prev, bytes, &mut pos, &mut key).ok_or("outbox: bad key delta")?;
+        let pidx = read_varint(bytes, &mut pos)
+            .and_then(|p| u32::try_from(p).ok())
+            .ok_or("outbox: bad parent index")?;
+        let rlen = read_varint(bytes, &mut pos).ok_or("outbox: bad rule length")?;
+        let rule_end = usize::try_from(rlen)
+            .ok()
+            .and_then(|l| pos.checked_add(l))
+            .filter(|&e| e <= bytes.len())
+            .ok_or("outbox: rule reference overruns")?;
+        f(&key, pidx, &bytes[pos..rule_end])?;
+        pos = rule_end;
+        std::mem::swap(&mut prev, &mut key);
     }
-
-    /// Renders `c`'s label into `out`.
-    fn label(&self, spec: &ProtocolSpec, c: &Cand, out: &mut String) -> Result<(), String> {
-        if render_rule_ref(spec, self.rule(c), out) {
-            Ok(())
-        } else {
-            Err("outbox: malformed rule reference".into())
-        }
+    if pos != bytes.len() {
+        return Err("outbox: trailing bytes".into());
     }
-
-    /// Adds a candidate whose key is `key` and rule reference the
-    /// span `rule` of outbox `buf`.
-    fn push(&mut self, key: &[u8], pshard: u32, pidx: u32, buf: u32, rule: (u32, u32)) {
-        let at = self.keys.len() as u32;
-        self.keys.extend_from_slice(key);
-        self.cands.push(Cand {
-            hash: fx_hash_bytes(key),
-            key: (at, key.len() as u32),
-            pshard,
-            pidx,
-            buf,
-            rule,
-        });
-    }
-
-    /// Reads outbox `bytes` from producer shard `from`: a `u64` count, then
-    /// per candidate the key delta-coded against the previous key, the
-    /// parent's entry index, and the length-prefixed compact rule
-    /// reference.
-    fn parse(&mut self, bytes: Vec<u8>, from: u32) -> Result<(), String> {
-        let buf = self.boxes.len() as u32;
-        let count = bytes
-            .get(..8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-            .ok_or("outbox: no count")?;
-        let mut pos = 8usize;
-        if count > bytes.len() as u64 {
-            return Err("outbox: impossible count".into());
-        }
-        let (mut prev, mut key) = (Vec::new(), Vec::new());
-        for _ in 0..count {
-            decode_delta(&prev, &bytes, &mut pos, &mut key).ok_or("outbox: bad key delta")?;
-            let pidx = read_varint(&bytes, &mut pos).ok_or("outbox: bad parent index")?;
-            if pidx > u32::MAX as u64 {
-                return Err("outbox: parent index out of range".into());
-            }
-            let rlen = read_varint(&bytes, &mut pos).ok_or("outbox: bad rule length")?;
-            let rule_end = usize::try_from(rlen)
-                .ok()
-                .and_then(|l| pos.checked_add(l))
-                .filter(|&e| e <= bytes.len())
-                .ok_or("outbox: rule reference overruns")?;
-            self.push(&key, from, pidx as u32, buf, (pos as u32, rlen as u32));
-            pos = rule_end;
-            std::mem::swap(&mut prev, &mut key);
-        }
-        if pos != bytes.len() {
-            return Err("outbox: trailing bytes".into());
-        }
-        self.boxes.push(bytes);
-        Ok(())
-    }
+    Ok(())
 }
 
 /// One shard worker's state, kept in memory across rounds: the visited
@@ -510,11 +480,11 @@ struct Shard {
     /// Accounted heap high-water mark.
     peak: u64,
     canon: Option<Canonicalizer>,
-    /// Per owner shard, the keys this round's expansion routed there
-    /// and the entry index of the first parent that sent each: a repeat
-    /// from a later parent can never win the owner's claim, so it is
-    /// not written. Cleared each round, kept for its allocations.
-    sent: Vec<(StateArena, Vec<u32>)>,
+    /// Per owner shard, the candidates this round's expansion routes
+    /// there, each key once: a repeat from a later parent would lose
+    /// the owner's claim to the first, so it is not written. Cleared
+    /// each round, kept for its allocations.
+    outboxes: Vec<CandBuf>,
 }
 
 impl Shard {
@@ -533,7 +503,7 @@ impl Shard {
             starts: Vec::new(),
             peak: 0,
             canon: cfg.symmetry.then(|| Canonicalizer::new(cfg)),
-            sent: (0..w.of).map(|_| (StateArena::new(), Vec::new())).collect(),
+            outboxes: (0..w.of).map(|_| CandBuf::default()).collect(),
         };
         loop {
             let round = shard.starts.len() as u32;
@@ -566,12 +536,8 @@ impl Shard {
 
     /// Updates the high-water mark and spills cold keys past the slice.
     fn account(&mut self) {
-        let sent: u64 = self
-            .sent
-            .iter()
-            .map(|(keys, from)| keys.heap_bytes() + (from.capacity() * 4) as u64)
-            .sum();
-        let now = self.keys.heap_bytes() + sent;
+        let routed: u64 = self.outboxes.iter().map(CandBuf::heap_bytes).sum();
+        let now = self.keys.heap_bytes() + routed;
         self.peak = self.peak.max(now);
         let _ = self.keys.maybe_spill(now);
     }
@@ -594,45 +560,59 @@ impl Shard {
         None
     }
 
-    /// The round's claims, as candidate indices: every key the shard
-    /// has not visited, once, under the least `(parent shard, parent
-    /// index, label)` among its candidates, in key order — what a sort
-    /// of all candidates by `(key, parent shard, parent index, label)`
-    /// yields, without sorting the losers. Labels are rendered only to
-    /// break a tie between candidates of one parent.
-    fn claims(&mut self, spec: &ProtocolSpec, inbox: &Inbox) -> Result<Vec<usize>, String> {
-        // Round-local dedupe: the new keys, and the best candidate of each.
-        let mut fresh = StateArena::new();
-        let mut best: Vec<usize> = Vec::new();
-        let (mut a, mut b) = (String::new(), String::new());
-        for (i, c) in inbox.cands.iter().enumerate() {
-            let key = inbox.key(c);
-            if self.keys.lookup_hashed(key, c.hash).is_some() {
-                continue;
+    /// Claims round `round` and commits its segment: the candidates are
+    /// `initial` in round 0, else every producer's outbox for this
+    /// shard, in producer order and each in emission order. A candidate
+    /// whose key the shard has not visited is claimed, so the first
+    /// occurrence of a key wins, at one intern per candidate. Returns
+    /// the number of claims.
+    fn claim(
+        &mut self,
+        spec: &ProtocolSpec,
+        w: &WorkerOpts,
+        round: u32,
+        initial: Option<Vec<u8>>,
+    ) -> Result<u64, String> {
+        self.starts.push(self.keys.len() as u32);
+        let mut enc = ShardEncoder::new();
+        // The claims share a few hundred rules: render each once.
+        let mut rules = RuleTable::new();
+        let mut labels: Vec<String> = Vec::new();
+        let mut written = 0u64;
+        let mut claim = |shard: &mut Shard, key: &[u8], from: u32, pidx: u32, rule: &[u8]| {
+            if !shard.intern(key)? {
+                return Ok(());
             }
-            let (id, new) = fresh
-                .intern_hashed(key, c.hash)
-                .map_err(|why| format!("round table: {why}"))?;
-            if new {
-                best.push(i);
-                continue;
-            }
-            let held = &inbox.cands[best[id as usize]];
-            let better = match (c.pshard, c.pidx).cmp(&(held.pshard, held.pidx)) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    inbox.label(spec, c, &mut a)?;
-                    inbox.label(spec, held, &mut b)?;
-                    a < b
+            let id = rules
+                .intern_ref(rule)
+                .map_err(|why| format!("round rule table: {why}"))?;
+            if id as usize == labels.len() {
+                let mut label = String::new();
+                if !render_rule_ref(spec, rule, &mut label) {
+                    return Err("outbox: malformed rule reference".to_string());
                 }
-            };
-            if better {
-                best[id as usize] = i;
+                labels.push(label);
             }
+            enc.push(key, from, pidx, &labels[id as usize], round);
+            written += 1;
+            if written.is_multiple_of(512) {
+                shard.account();
+            }
+            Ok(())
+        };
+        if let Some(key) = initial {
+            claim(self, &key, w.shard, 0, &[])?;
         }
-        best.sort_unstable_by(|&x, &y| inbox.key(&inbox.cands[x]).cmp(inbox.key(&inbox.cands[y])));
-        Ok(best)
+        for from in (0..w.of).filter(|_| round > 0) {
+            let path = out_path(&w.dir, round - 1, from, w.shard);
+            let bytes = read_box(&path)
+                .ok_or_else(|| format!("missing or corrupt outbox {}", path.display()))?;
+            decode_outbox(&bytes, |key, pidx, rule| claim(self, key, from, pidx, rule))?;
+        }
+        self.account();
+        let seg = seg_path(&w.dir, w.shard, round);
+        write_checked(&seg, &enc.finish()).map_err(|e| format!("{}: {e}", seg.display()))?;
+        Ok(written)
     }
 
     /// Executes round `round` and writes its segment (unless already
@@ -653,52 +633,7 @@ impl Shard {
         };
         let mut written = 0u64;
         if held == round {
-            // Candidates: the initial state in round 0; later rounds
-            // read every producer's outbox for this shard.
-            let mut inbox = Inbox::default();
-            if let Some(key) = initial {
-                inbox.push(&key, w.shard, 0, 0, (0, 0));
-                inbox.boxes.push(Vec::new());
-            }
-            if round > 0 {
-                for from in 0..n {
-                    let path = out_path(&w.dir, round - 1, from, w.shard);
-                    let bytes = read_box(&path)
-                        .ok_or_else(|| format!("missing or corrupt outbox {}", path.display()))?;
-                    inbox.parse(bytes, from)?;
-                }
-            }
-            let claims = self.claims(spec, &inbox)?;
-            self.starts.push(self.keys.len() as u32);
-            let mut enc = ShardEncoder::new();
-            // The winners share a few hundred rules: render each once.
-            let mut rules = RuleTable::new();
-            let mut labels: Vec<String> = Vec::new();
-            for &i in &claims {
-                let c = &inbox.cands[i];
-                let key = inbox.key(c);
-                match self.keys.intern_hashed(key, c.hash) {
-                    Ok((_, true)) => {}
-                    Ok((_, false)) => return Err("a claimed key was already visited".into()),
-                    Err(why) => return Err(format!("intern arena: {why}")),
-                }
-                let rule = rules
-                    .intern_ref(inbox.rule(c))
-                    .map_err(|why| format!("round rule table: {why}"))?;
-                if rule as usize == labels.len() {
-                    let mut label = String::new();
-                    inbox.label(spec, c, &mut label)?;
-                    labels.push(label);
-                }
-                enc.push(key, c.pshard, c.pidx, &labels[rule as usize], round);
-                written += 1;
-                if written.is_multiple_of(512) {
-                    self.account();
-                }
-            }
-            self.account();
-            let seg = seg_path(&w.dir, w.shard, round);
-            write_checked(&seg, &enc.finish()).map_err(|e| format!("{}: {e}", seg.display()))?;
+            written = self.claim(spec, w, round, initial)?;
             if w.crash_round == Some(round) {
                 // Crash injection: die exactly where a SIGKILL between
                 // renames would — segment committed, outboxes and
@@ -715,132 +650,96 @@ impl Shard {
         let frontier = self.starts[round as usize]..self.keys.len() as u32;
         let claimed = frontier.len() as u64;
 
-        // Check, then expand. The frontier is iterated in id order — which
-        // is sorted-key order — so the first finding in a shard is the
-        // minimal-key finding, and the supervisor's cross-shard minimum is
-        // independent of both the shard count and replay history.
-        let mut finding: Option<Finding> = None;
+        // Check and expand each claim, in claim order. A finding ends the
+        // run in this round, and the supervisor reports the least key
+        // among the shards' findings, so each shard reports its own
+        // least-key finding: the verdict is then independent of the
+        // shard count and of replay history. Past the first finding
+        // nothing is routed, and only a smaller key is examined.
+        let mut finding: Option<(Finding, Vec<u8>)> = None;
         let mut gs = GlobalState::initial(spec, cfg);
-        if let Some(swmr) = &cfg.swmr {
-            for idx in frontier.clone() {
-                let Some(key) = self.keys.get(idx) else {
-                    return Err(format!("claimed state {idx} unreadable"));
-                };
-                if !GlobalState::decode_into(key, cfg, &mut gs) {
-                    return Err(format!("claimed state {idx} failed to decode"));
-                }
-                if let Some(detail) = swmr.check(&gs, spec) {
-                    finding = Some(Finding {
-                        kind: FIND_INVARIANT,
-                        idx,
-                        detail,
-                        rule: String::new(),
+        let mut expand_scratch = Scratch::new(spec, cfg);
+        let mut key_buf: Vec<u8> = Vec::with_capacity(128);
+        self.outboxes.iter_mut().for_each(CandBuf::clear);
+        let mut overflow = None;
+        for idx in frontier {
+            let Some(key) = self.keys.get(idx) else {
+                return Err(format!("claimed state {idx} unreadable"));
+            };
+            if finding
+                .as_ref()
+                .is_some_and(|(_, least)| key >= least.as_slice())
+            {
+                continue;
+            }
+            if !GlobalState::decode_into(key, cfg, &mut gs) {
+                return Err(format!("claimed state {idx} failed to decode"));
+            }
+            let (kind, rule, detail) = match cfg.swmr.as_ref().and_then(|s| s.check(&gs, spec)) {
+                Some(detail) => (FIND_INVARIANT, String::new(), detail),
+                None => {
+                    let routing = finding.is_none();
+                    let (canon, keys, outboxes) =
+                        (&mut self.canon, &mut self.keys, &mut self.outboxes);
+                    let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
+                        if !routing {
+                            return true;
+                        }
+                        // Key-only canonicalization: no permuted state is
+                        // ever materialized on the expansion path.
+                        let key = interned_key(canon.as_mut(), sstate, &mut key_buf);
+                        let hash = fx_hash_bytes(key);
+                        let to = (hash % n as u64) as u32;
+                        // A successor this shard owns and has already
+                        // visited would lose its claim next round.
+                        if to == w.shard && keys.lookup_hashed(key, hash).is_some() {
+                            return true;
+                        }
+                        // Emission ranks order the kernel's findings;
+                        // a shard's findings are ordered by key.
+                        match outboxes[to as usize].push(key, hash, label, idx, 0) {
+                            Ok(_) => true,
+                            Err(why) => {
+                                overflow.get_or_insert(why);
+                                false
+                            }
+                        }
                     });
-                    break;
-                }
-            }
-        }
-
-        // Each outbox opens with its candidate count, filled in last.
-        let mut outboxes: Vec<Vec<u8>> = (0..n).map(|_| vec![0; 8]).collect();
-        let mut out_counts = vec![0u64; n as usize];
-        if finding.is_none() {
-            let mut expand_scratch = Scratch::new(spec, cfg);
-            let mut key_buf: Vec<u8> = Vec::with_capacity(128);
-            let mut rule_buf: Vec<u8> = Vec::with_capacity(32);
-            // Each outbox delta-codes a key against its previous one.
-            let mut prev_keys: Vec<Vec<u8>> = (0..n).map(|_| Vec::new()).collect();
-            for (keys, from) in &mut self.sent {
-                keys.clear();
-                from.clear();
-            }
-            let mut overflow = None;
-            'frontier: for idx in frontier {
-                let Some(key) = self.keys.get(idx) else {
-                    return Err(format!("frontier state {idx} unreadable"));
-                };
-                if !GlobalState::decode_into(key, cfg, &mut gs) {
-                    return Err(format!("frontier state {idx} failed to decode"));
-                }
-                let (canon, keys, sent) = (&mut self.canon, &mut self.keys, &mut self.sent);
-                let outcome = expand(spec, cfg, &gs, &mut expand_scratch, |sstate, label| {
-                    // Key-only canonicalization: no permuted state is ever
-                    // materialized on the expansion path.
-                    let key = interned_key(canon.as_mut(), sstate, &mut key_buf);
-                    let hash = fx_hash_bytes(key);
-                    let to = (hash % n as u64) as u32;
-                    // A successor this shard owns and has already visited
-                    // would lose its claim next round: drop it here.
-                    if to == w.shard && keys.lookup_hashed(key, hash).is_some() {
-                        return true;
-                    }
-                    let to = to as usize;
-                    let (routed, first) = &mut sent[to];
-                    match routed.intern_hashed(key, hash) {
-                        Ok((_, true)) => first.push(idx),
-                        // Only a sibling of the first sender may still
-                        // win, on the label tie-break.
-                        Ok((id, false)) if first[id as usize] < idx => return true,
-                        Ok(_) => {}
-                        Err(why) => {
-                            overflow.get_or_insert(why);
-                            return false;
+                    match outcome {
+                        ExpandOutcome::Bug { rule, detail } => (FIND_MODEL_ERROR, rule, detail),
+                        ExpandOutcome::Done(0) if !gs.is_quiescent(spec) => {
+                            (FIND_DEADLOCK, String::new(), String::new())
+                        }
+                        ExpandOutcome::Done(_) => continue,
+                        // The callback stops only when an outbox cannot
+                        // grow: the round fails, like any worker death.
+                        ExpandOutcome::Stopped => {
+                            let why = overflow.map_or("stopped".into(), |e| e.to_string());
+                            return Err(format!("routing table: {why}"));
                         }
                     }
-                    let out = &mut outboxes[to];
-                    encode_delta(&prev_keys[to], key, out);
-                    prev_keys[to].clear();
-                    prev_keys[to].extend_from_slice(key);
-                    put_varint(out, idx as u64);
-                    rule_buf.clear();
-                    label.encode_into(&mut rule_buf);
-                    put_varint(out, rule_buf.len() as u64);
-                    out.extend_from_slice(&rule_buf);
-                    out_counts[to] += 1;
-                    true
-                });
-                match outcome {
-                    ExpandOutcome::Bug { rule, detail } => {
-                        finding = Some(Finding {
-                            kind: FIND_MODEL_ERROR,
-                            idx,
-                            detail,
-                            rule,
-                        });
-                        break 'frontier;
-                    }
-                    ExpandOutcome::Done(0) => {
-                        if !gs.is_quiescent(spec) {
-                            finding = Some(Finding {
-                                kind: FIND_DEADLOCK,
-                                idx,
-                                detail: String::new(),
-                                rule: String::new(),
-                            });
-                            break 'frontier;
-                        }
-                    }
-                    ExpandOutcome::Done(_) => {}
-                    // The callback stops only when a routing table
-                    // cannot grow: the round fails, like any worker death.
-                    ExpandOutcome::Stopped => {
-                        let why = overflow.map_or("stopped".into(), |e| e.to_string());
-                        return Err(format!("routing table: {why}"));
-                    }
                 }
-            }
-            self.account();
+            };
+            let f = Finding {
+                kind,
+                idx,
+                detail,
+                rule,
+            };
+            finding = Some((f, gs.as_bytes().to_vec()));
         }
+        self.account();
 
         // Report: outboxes, then the result record — the commit marker;
         // everything before it is safely recomputable.
         let mut outbox_bytes = 0u64;
         if finding.is_none() {
-            for (to, body) in outboxes.iter_mut().enumerate() {
-                body[..8].copy_from_slice(&out_counts[to].to_le_bytes());
+            let mut body = Vec::new();
+            for (to, buf) in self.outboxes.iter().enumerate() {
+                encode_outbox(buf, &mut body);
                 outbox_bytes += body.len() as u64;
                 let path = out_path(&w.dir, round, w.shard, to as u32);
-                write_box(&path, body).map_err(|e| format!("{}: {e}", path.display()))?;
+                write_box(&path, &body).map_err(|e| format!("{}: {e}", path.display()))?;
             }
         }
         let (sym_images, sym_keys) = self
@@ -855,7 +754,7 @@ impl Shard {
             sym_images,
             sym_keys,
             outbox_bytes,
-            finding,
+            finding: finding.map(|(f, _)| f),
         };
         let path = res_path(&w.dir, round, w.shard);
         write_checked(&path, &encode_res(&rec)).map_err(|e| format!("{}: {e}", path.display()))
@@ -899,6 +798,28 @@ pub fn run_worker(spec: &ProtocolSpec, cfg: &McConfig, w: &WorkerOpts) -> Result
 /// this supervisor. A finished run leaves a `done` marker; a later
 /// invocation with the same directory resets it and starts fresh.
 pub fn explore_procshard(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    opts: &ProcOpts,
+) -> Result<CheckpointedRun, CheckpointError> {
+    // The observability shim, as the kernel's: counting at this one exit
+    // keeps `explore.states_total` equal to the verdict's states on
+    // every exit path.
+    let result = supervise(spec, cfg, opts);
+    if vnet_obs::metrics_enabled() {
+        let states = match &result {
+            Ok(CheckpointedRun::Finished(v)) => v.stats().states,
+            Ok(CheckpointedRun::Interrupted { states, .. }) => *states,
+            Err(_) => return result,
+        };
+        vnet_obs::counter("explore.runs_total").inc();
+        vnet_obs::counter("explore.states_total").add(states as u64);
+    }
+    result
+}
+
+/// The uninstrumented supervisor; see [`explore_procshard`].
+fn supervise(
     spec: &ProtocolSpec,
     cfg: &McConfig,
     opts: &ProcOpts,
@@ -1054,6 +975,8 @@ pub fn explore_procshard(
             ))));
         }
 
+        // Per-round wall clock, read only while metrics are on.
+        let round_clock = metrics.then(Instant::now);
         let results = match pool.run_round(round) {
             Ok(r) => r,
             Err(RoundFailure::WorkerLost { restarts }) => {
@@ -1079,6 +1002,14 @@ pub fn explore_procshard(
         peak = peak.max(results.iter().map(|r| r.peak).sum());
         spilled = results.iter().map(|r| r.spilled).sum();
         if metrics {
+            // Round `r` claims level `r`, so rounds 1.. give the kernel's
+            // per-level series: one sample per expanded level.
+            if let Some(clock) = round_clock.filter(|_| round > 0) {
+                vnet_obs::histogram("explore.level_wall_us", vnet_obs::DURATION_US_BOUNDS)
+                    .record(clock.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                vnet_obs::histogram("explore.level_states", vnet_obs::SMALL_COUNT_BOUNDS)
+                    .record(claimed_round);
+            }
             vnet_obs::counter("explore.procshard.rounds_total").inc();
             let sum = |f: fn(&ResRecord) -> u64| results.iter().map(f).sum::<u64>();
             vnet_obs::counter("explore.procshard.entries_written_total").add(sum(|r| r.written));
@@ -1488,4 +1419,116 @@ fn merge_checkpoint(
 
     let level = level as usize;
     checkpoint::write(path, fp, level, claims, &encoded, frontier.into_iter())
+}
+
+// Test-only panics below (unwrap/expect on known-good fixtures) stop
+// just the failing test.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vnet_protocol::protocols;
+
+    /// Routes every successor of `gs` from parent `parent` into `buf`,
+    /// as a worker's expansion does; returns the keys it buffered.
+    fn route(
+        spec: &ProtocolSpec,
+        cfg: &McConfig,
+        gs: &GlobalState,
+        parent: u32,
+        buf: &mut CandBuf,
+    ) -> Vec<Vec<u8>> {
+        let mut scratch = Scratch::new(spec, cfg);
+        let mut fresh = Vec::new();
+        expand(spec, cfg, gs, &mut scratch, |succ, label| {
+            let key = succ.as_bytes();
+            if buf.push(key, fx_hash_bytes(key), label, parent, 0).unwrap() {
+                fresh.push(key.to_vec());
+            }
+            true
+        });
+        fresh
+    }
+
+    /// The claim rule: a shard scans its candidates in (producer shard,
+    /// emission order) and the first occurrence of a key wins, so when
+    /// two producers route one key, the lower producer's first emission
+    /// becomes the segment entry. A sibling repeat inside one producer's
+    /// emission is not written to its outbox.
+    #[test]
+    fn the_lower_producers_first_emission_claims_each_key() {
+        let spec = protocols::chi();
+        let cfg = McConfig::figure3(&spec);
+        let dir = std::env::temp_dir().join(format!("vnet-procshard-claim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let w = WorkerOpts {
+            dir: dir.clone(),
+            shard: 1,
+            of: 2,
+            mem_budget: None,
+            crash_round: None,
+        };
+        let initial = GlobalState::initial(&spec, &cfg);
+        let mut first = None;
+        expand(
+            &spec,
+            &cfg,
+            &initial,
+            &mut Scratch::new(&spec, &cfg),
+            |succ, _| {
+                first = Some(succ.clone());
+                false
+            },
+        );
+        let first = first.expect("the initial state has a successor");
+
+        // Producer 0 routes the initial state's successors from parent
+        // 7, then the same ones again from parent 8.
+        let mut boxes = [CandBuf::default(), CandBuf::default()];
+        let keys0 = route(&spec, &cfg, &initial, 7, &mut boxes[0]);
+        assert!(keys0.len() > 1);
+        assert!(route(&spec, &cfg, &initial, 8, &mut boxes[0]).is_empty());
+        // Producer 1 routes the successors of the first successor from
+        // parent 3, then the initial state's from parent 4.
+        let keys1a = route(&spec, &cfg, &first, 3, &mut boxes[1]);
+        let keys1b = route(&spec, &cfg, &initial, 4, &mut boxes[1]);
+        assert!(
+            !keys1b.is_empty(),
+            "producer 1 must repeat producer 0's keys"
+        );
+        let mut body = Vec::new();
+        for (from, buf) in boxes.iter().enumerate() {
+            encode_outbox(buf, &mut body);
+            write_box(&out_path(&dir, 0, from as u32, 1), &body).unwrap();
+        }
+        let outbox = read_box(&out_path(&dir, 0, 0, 1)).unwrap();
+        let mut written = Vec::new();
+        decode_outbox(&outbox, |key, pidx, _| {
+            written.push((key.to_vec(), pidx));
+            Ok(())
+        })
+        .unwrap();
+        let once: Vec<(Vec<u8>, u32)> = keys0.iter().map(|k| (k.clone(), 7)).collect();
+        assert_eq!(written, once, "a sibling repeat reached the outbox");
+
+        let mut shard = Shard::rebuild(&cfg, &w).unwrap();
+        let claims = shard.claim(&spec, &w, 1, None).unwrap();
+        let (_, entries) =
+            decode_shard_section(&read_checked(&seg_path(&dir, 1, 1)).unwrap(), 0).unwrap();
+        let got: Vec<(Vec<u8>, u32, u32)> = entries
+            .into_iter()
+            .map(|e| (e.key, e.parent_shard, e.parent_idx))
+            .collect();
+        let mut want: Vec<(Vec<u8>, u32, u32)> = keys0.iter().map(|k| (k.clone(), 0, 7)).collect();
+        for (keys, parent) in [(&keys1a, 3), (&keys1b, 4)] {
+            for k in keys {
+                if !want.iter().any(|(w, _, _)| w == k) {
+                    want.push((k.clone(), 1, parent));
+                }
+            }
+        }
+        assert_eq!(claims, want.len() as u64);
+        assert_eq!(got, want, "claims must follow (producer, emission) order");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -83,6 +83,56 @@ fn metrics_flag_is_invisible_in_output_and_exact_in_counts() {
     assert_eq!(json_u64(&snapshot, "schema"), Some(1));
 }
 
+/// The process-shard supervisor counts its run like the kernel does:
+/// `explore.states_total` equals the machine line's state count, here on
+/// the degraded exit of the budgeted workload, and the per-level series
+/// counts every claim but the root's, as the kernel's does.
+#[test]
+fn process_shard_states_total_equals_the_machine_line() {
+    let base = std::env::temp_dir().join(format!(
+        "vnet-metrics-procshard-states-{}",
+        std::process::id()
+    ));
+    let snap_path = base.with_extension("json");
+    let shard_dir = base.with_extension("shards");
+    let _ = std::fs::remove_dir_all(&shard_dir);
+    let snap_str = snap_path.to_string_lossy().into_owned();
+    let shard_str = shard_dir.to_string_lossy().into_owned();
+    let out = vnet(&[
+        "--machine",
+        "--shard-procs",
+        "2",
+        "--shard-dir",
+        &shard_str,
+        "--metrics",
+        &snap_str,
+    ]);
+    let _ = std::fs::remove_dir_all(&shard_dir);
+    let snapshot = std::fs::read_to_string(&snap_path).expect("--metrics writes the snapshot");
+    let _ = std::fs::remove_file(&snap_path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("mc-result "))
+        .unwrap_or_else(|| panic!("no mc-result line in {stdout}"));
+    let field = |name: &str| -> u64 {
+        line.split_whitespace()
+            .find_map(|t| t.strip_prefix(name))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {line}"))
+    };
+    assert_eq!(
+        json_u64(&snapshot, "explore.states_total"),
+        Some(field("states=")),
+        "explore.states_total must equal the machine line's states under --shard-procs 2"
+    );
+    assert_eq!(json_u64(&snapshot, "explore.runs_total"), Some(1));
+    let per_level = snapshot
+        .find("\"explore.level_states\"")
+        .and_then(|at| json_u64(&snapshot[at..], "sum"));
+    assert_eq!(per_level, Some(field("states=") - 1), "{snapshot}");
+}
+
 /// The symmetry canonicalizer's tallies reach the snapshot from the
 /// serial and the threaded explorer, and the exact prunings show in
 /// them: fewer candidate images started per key than the 11

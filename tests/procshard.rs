@@ -136,7 +136,7 @@ fn complete_run_matches_the_serial_explorer() {
 #[test]
 fn deadlock_verdict_is_shard_count_invariant() {
     let mut lines = Vec::new();
-    for n in ["2", "3"] {
+    for n in ["1", "2", "3"] {
         let dir = tmpdir(&format!("inv{n}"));
         let dir_s = dir.display().to_string();
         let (code, out) = run_mc(&[
@@ -157,7 +157,9 @@ fn deadlock_verdict_is_shard_count_invariant() {
         lines.push(machine_line(&out));
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(lines[0], lines[1], "verdict depends on shard count");
+    for line in &lines[1..] {
+        assert_eq!(&lines[0], line, "verdict depends on shard count");
+    }
 }
 
 /// The acceptance scenario: a worker process dies mid-round — after
@@ -426,75 +428,85 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A directory left mid-run by a binary whose round files predate the
-/// format version has a 12-byte meta record (fingerprint, shard count).
-/// Resuming it must fail closed, naming the remedy, before any worker
-/// reads an outbox: the directory is left exactly as it was found.
+/// A directory left mid-run by a binary of an older round-file format
+/// must fail closed, naming the remedy, before any worker reads an
+/// outbox: the directory is left exactly as it was found. Format 1
+/// predates the format version and has a 12-byte meta record
+/// (fingerprint, shard count); format 2 records its version and holds
+/// key-ordered segments.
 #[test]
 fn shard_directory_of_an_older_format_is_refused() {
-    let dir = tmpdir("old-format");
-    let dir_s = dir.display().to_string();
-    let args = [
-        "CHI",
-        "--machine",
-        "--shard-procs",
-        "2",
-        "--shard-dir",
-        &dir_s,
-        "--budget",
-        "nodes=3000",
-    ];
-    let (code, out) = run_mc(&args);
-    assert_eq!(code, 3, "the budgeted run should stop mid-run:\n{out}");
+    for format in [1u32, 2] {
+        let dir = tmpdir(&format!("old-format-{format}"));
+        let dir_s = dir.display().to_string();
+        let args = [
+            "CHI",
+            "--machine",
+            "--shard-procs",
+            "2",
+            "--shard-dir",
+            &dir_s,
+            "--budget",
+            "nodes=3000",
+        ];
+        let (code, out) = run_mc(&args);
+        assert_eq!(code, 3, "the budgeted run should stop mid-run:\n{out}");
 
-    let meta = dir.join("meta.bin");
-    let record = std::fs::read(&meta).expect("a shard directory has a meta record");
-    assert_eq!(
-        record.len(),
-        8 + 16,
-        "meta = checksum, fingerprint, shard count, format"
-    );
-    let old = &record[8..20];
-    let mut rewritten = fnv1a(old).to_le_bytes().to_vec();
-    rewritten.extend_from_slice(old);
-    std::fs::write(&meta, &rewritten).unwrap();
-    let snapshot = |d: &std::path::Path| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().is_file())
-            .map(|e| {
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        files
-    };
-    let before = snapshot(&dir);
-    assert!(
-        before.iter().any(|(name, _)| name.starts_with("out-")),
-        "the mid-run directory should hold outboxes"
-    );
+        let meta = dir.join("meta.bin");
+        let record = std::fs::read(&meta).expect("a shard directory has a meta record");
+        assert_eq!(
+            record.len(),
+            8 + 16,
+            "meta = checksum, fingerprint, shard count, format"
+        );
+        let mut old = record[8..20].to_vec();
+        if format > 1 {
+            old.extend(format.to_le_bytes());
+        }
+        let mut rewritten = fnv1a(&old).to_le_bytes().to_vec();
+        rewritten.extend_from_slice(&old);
+        std::fs::write(&meta, &rewritten).unwrap();
+        let snapshot = |d: &std::path::Path| {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
+                .unwrap()
+                .flatten()
+                .filter(|e| e.path().is_file())
+                .map(|e| {
+                    (
+                        e.file_name().to_string_lossy().into_owned(),
+                        std::fs::read(e.path()).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = snapshot(&dir);
+        assert!(
+            before.iter().any(|(name, _)| name.starts_with("out-")),
+            "the mid-run directory should hold outboxes"
+        );
 
-    let out = Command::new(vnet_bin())
-        .arg("mc")
-        .args(args)
-        .output()
-        .expect("vnet mc should spawn");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "an old-format directory must be refused:\n{stderr}"
-    );
-    assert!(stderr.contains("shard format 1"), "{stderr}");
-    assert!(stderr.contains("use a fresh --shard-dir"), "{stderr}");
-    assert!(
-        snapshot(&dir) == before,
-        "the refused directory was modified"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let out = Command::new(vnet_bin())
+            .arg("mc")
+            .args(args)
+            .output()
+            .expect("vnet mc should spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "an old-format directory must be refused:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("shard format {format}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("use a fresh --shard-dir"), "{stderr}");
+        assert!(
+            snapshot(&dir) == before,
+            "the refused directory was modified"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
