@@ -47,29 +47,27 @@ use std::path::PathBuf;
 use std::time::Instant;
 use vnet_core::minimize_vns;
 use vnet_mc::{
-    explore_budgeted, explore_parallel, InjectionBudget, McConfig, SpillConfig, Verdict, VnMap,
+    CheckpointedRun, Explorer, InjectionBudget, McConfig, McRequest, RunPlan, SpillConfig, Verdict,
+    VnMap,
 };
 use vnet_protocol::{protocols, ProtocolSpec};
 
-/// Which explorer a workload runs on.
-#[derive(Clone, Copy)]
-enum Explorer {
-    Serial,
-    /// The thread-parallel explorer with this many threads.
-    Threads(usize),
-    /// The process-sharded explorer with this many worker processes,
-    /// through the `vnet` binary (its default VN map for the protocol,
-    /// the analyzer's minimal one, which `derived_vns` also computes).
-    Procs(usize),
-}
-
-/// One named (spec, config) pair to measure.
+/// One named (spec, config) pair to measure, and how it runs (a sharded
+/// row through the `vnet` binary, under its default, minimal VN map).
 struct Workload {
     name: String,
     group: &'static str,
     spec: ProtocolSpec,
     cfg: McConfig,
-    explorer: Explorer,
+    plan: RunPlan,
+}
+
+/// A plan for `explorer`, without limits.
+fn on(explorer: Explorer) -> RunPlan {
+    RunPlan {
+        explorer,
+        ..RunPlan::default()
+    }
 }
 
 /// One measured result.
@@ -114,7 +112,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan::default(),
         });
     }
     for spec in [
@@ -129,7 +127,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan::default(),
         });
     }
     // table1_mc_spill: one Figure-3 subject forced out-of-core, so the
@@ -138,15 +136,16 @@ fn workloads() -> Vec<Workload> {
     {
         let spec = protocols::chi();
         let vns = derived_vns(&spec);
-        let cfg = McConfig::figure3(&spec)
-            .with_vns(vns)
-            .with_spill(SpillConfig::new(spill_dir().join("chi-fig3"), 16 << 20));
+        let cfg = McConfig::figure3(&spec).with_vns(vns);
         out.push(Workload {
             name: format!("{}@derived-fig3+spill", spec.name()),
             group: "table1_mc_spill",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan {
+                spill: Some(SpillConfig::new(spill_dir().join("chi-fig3"), 16 << 20)),
+                ..RunPlan::default()
+            },
         });
     }
     // table1_mc_sym: the symmetry-reduced Table I sweep. A complete
@@ -170,7 +169,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan::default(),
         });
     }
     // The 4-cache follow-up row: symmetry (group order 4!·2! = 48) is
@@ -193,7 +192,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_sym",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan::default(),
         });
     }
     // mc_depth_series: the bounded general sweeps (the big ones).
@@ -212,7 +211,7 @@ fn workloads() -> Vec<Workload> {
             group: "mc_depth_series",
             spec,
             cfg,
-            explorer: Explorer::Serial,
+            plan: RunPlan::default(),
         });
     }
     // table1_mc_par: Figure-3 subjects on the thread-parallel explorer,
@@ -225,7 +224,7 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_par",
             spec,
             cfg,
-            explorer: Explorer::Threads(2),
+            plan: on(Explorer::Threads(2)),
         });
     }
     // table1_mc_shard: the same kind of subject on the process-sharded
@@ -239,7 +238,10 @@ fn workloads() -> Vec<Workload> {
             group: "table1_mc_shard",
             spec,
             cfg,
-            explorer: Explorer::Procs(2),
+            plan: on(Explorer::Shards {
+                procs: 2,
+                dir: spill_dir(),
+            }),
         });
     }
     out
@@ -274,15 +276,14 @@ impl Run {
 }
 
 /// Runs `vnet mc <protocol> --machine --shard-procs <procs>` in a fresh
-/// shard directory and reads its `mc-result` line.
-fn run_sharded(spec: &ProtocolSpec, procs: usize, dir: &std::path::Path) -> Result<Run, String> {
+/// shard directory for repetition `rep` and reads its `mc-result` line.
+fn run_sharded(spec: &ProtocolSpec, procs: u32, rep: usize) -> Result<Run, String> {
     let harness = std::env::current_exe().map_err(|e| e.to_string())?;
     let vnet = harness.with_file_name(format!("vnet{}", std::env::consts::EXE_SUFFIX));
+    let dir = spill_dir().join(format!("shard{rep}"));
+    let plan = on(Explorer::Shards { procs, dir });
     let out = std::process::Command::new(&vnet)
-        .args(["mc", spec.name(), "--machine", "--shard-procs"])
-        .arg(procs.to_string())
-        .arg("--shard-dir")
-        .arg(dir)
+        .args(plan.mc_argv(spec.name(), &McRequest::default()))
         .output()
         .map_err(|e| format!("cannot run {}: {e}", vnet.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -307,19 +308,17 @@ fn run_sharded(spec: &ProtocolSpec, procs: usize, dir: &std::path::Path) -> Resu
     })
 }
 
-fn measure(
-    w: &Workload,
-    repeat: usize,
-    budget: &vnet_graph::Budget,
-) -> Result<Measurement, String> {
+fn measure(w: &Workload, repeat: usize) -> Result<Measurement, String> {
     let mut walls: Vec<f64> = Vec::with_capacity(repeat);
     let mut last = None;
     for i in 0..repeat {
         let t = Instant::now();
-        let run = match w.explorer {
-            Explorer::Serial => Run::of(&explore_budgeted(&w.spec, &w.cfg, budget)),
-            Explorer::Threads(n) => Run::of(&explore_parallel(&w.spec, &w.cfg, n)),
-            Explorer::Procs(n) => run_sharded(&w.spec, n, &spill_dir().join(format!("shard{i}")))?,
+        let run = match &w.plan.explorer {
+            Explorer::Shards { procs, .. } => run_sharded(&w.spec, *procs, i)?,
+            _ => match vnet_mc::run(&w.spec, &w.cfg, &w.plan, |_, _| {}) {
+                Ok(CheckpointedRun::Finished(v)) => Run::of(&v),
+                other => return Err(format!("run did not finish: {other:?}")),
+            },
         };
         walls.push(t.elapsed().as_secs_f64() * 1e3);
         last = Some(run);
@@ -497,19 +496,13 @@ fn main() {
             eprintln!("bench_explorer: no workload named `{name}`");
             std::process::exit(1);
         };
-        let mut budget = vnet_graph::Budget::unlimited();
-        if let Some(b) = mem_budget {
-            // Out-of-core mode: same budget → spill-threshold split the
-            // CLI uses, so bench numbers transfer to `vnet mc
-            // --mem-budget` runs.
-            budget = budget.with_mem_limit(b);
-            let dir = spill_dir().join("row");
-            w.cfg = w
-                .cfg
-                .clone()
-                .with_spill(SpillConfig::new(dir, b.saturating_mul(4) / 5));
+        if let Some(b) = mem_budget.filter(|_| w.plan.explorer == Explorer::Serial) {
+            // Out-of-core mode: the budget and spill trigger of `vnet mc
+            // --mem-budget <b> --spill-dir`, so bench numbers transfer.
+            w.plan.budget = w.plan.budget.with_mem_limit(b);
+            w.plan.spill = Some(SpillConfig::for_budget(spill_dir().join("row"), b));
         }
-        let m = measure(&w, repeat, &budget);
+        let m = measure(&w, repeat);
         let _ = std::fs::remove_dir_all(spill_dir());
         let m = match m {
             Ok(m) => m,

@@ -7,20 +7,23 @@
 //! clean ones run to their bound.
 
 use vnet_core::minimize_vns;
-use vnet_mc::{explore_with, InjectionBudget, McConfig, Verdict, VnMap};
+use vnet_mc::{run, CheckpointedRun, InjectionBudget, McConfig, RunPlan, Verdict, VnMap};
 use vnet_protocol::{protocols, ProtocolSpec};
 
 fn series(spec: &ProtocolSpec, cfg: &McConfig, label: &str) {
     print!("{label:<44}levels:");
     let mut printed = 0usize;
-    let v = explore_with(spec, cfg, |level, states| {
+    let run = run(spec, cfg, &RunPlan::default(), |level, states| {
         if level % 5 == 0 || level < 3 {
             print!(" {level}:{states}");
             printed += 1;
         }
     });
     println!();
-    println!("{:<44}{}", "", v.summary());
+    match run {
+        Ok(CheckpointedRun::Finished(v)) => println!("{:<44}{}", "", v.summary()),
+        other => println!("{:<44}run did not finish: {other:?}", ""),
+    }
 }
 
 fn main() {

@@ -70,7 +70,14 @@ fn check_class3(spec: &ProtocolSpec, full: bool) {
     // reproducible traces.
     let v = if full {
         let sym = cfg.with_symmetry().expect("general config is symmetric");
-        vnet_mc::explore_parallel(spec, &sym, 0)
+        let plan = vnet_mc::RunPlan {
+            explorer: vnet_mc::Explorer::Threads(0),
+            ..vnet_mc::RunPlan::default()
+        };
+        match vnet_mc::run(spec, &sym, &plan, |_, _| {}) {
+            Ok(vnet_mc::CheckpointedRun::Finished(v)) => v,
+            other => panic!("{}: run did not finish: {other:?}", spec.name()),
+        }
     } else {
         explore(spec, &cfg)
     };

@@ -13,7 +13,10 @@
 //! byte-for-byte (a requirement for replayable campaign reports).
 
 use vnet_core::{analyze_budgeted, Budget, VnOutcome};
-use vnet_mc::{check_parameterized, explore_budgeted, McConfig, Verdict, VnMap};
+use vnet_mc::{
+    check_parameterized, run, CheckpointedRun, McConfig, McRequest, RunPlan, Verdict, VnChoice,
+    VnMap,
+};
 use vnet_protocol::ProtocolSpec;
 
 /// Oracle bounds and drill switches.
@@ -149,33 +152,43 @@ fn merge_top_vn(map: &VnMap) -> VnMap {
     VnMap::from_vns(vns)
 }
 
-fn bounded_cfg(spec: &ProtocolSpec, opts: &OracleOpts, vns: VnMap) -> McConfig {
-    if opts.symmetry {
-        // The flag is set directly rather than through `with_symmetry()`:
-        // the general scenario always satisfies the symmetry
-        // preconditions, the explorers re-validate fail-closed at run
-        // time, and the fuzz harness keeps zero panic sites in
-        // production code (a harness panic is a finding lost).
-        let mut cfg = McConfig::general(spec)
-            .with_vns(vns)
-            .with_limits(opts.max_states, opts.max_depth);
-        cfg.symmetry = true;
-        cfg
-    } else {
-        McConfig::figure3(spec)
-            .with_vns(vns)
-            .with_limits(opts.max_states, opts.max_depth)
+/// The bounded serial run under `vns` (Figure 3, or general under
+/// symmetry), configured by [`McRequest`]; `Err` is a refusal.
+fn bounded_run(
+    spec: &ProtocolSpec,
+    opts: &OracleOpts,
+    vns: VnMap,
+) -> Result<(McConfig, Verdict), String> {
+    let request = McRequest {
+        vns: VnChoice::Single,
+        general: opts.symmetry,
+        symmetry: opts.symmetry,
+        ..McRequest::default()
+    };
+    let cfg = (request.config(spec)?.0)
+        .with_vns(vns)
+        .with_limits(opts.max_states, opts.max_depth);
+    match run(spec, &cfg, &RunPlan::default(), |_, _| {}).map_err(|e| e.to_string())? {
+        CheckpointedRun::Finished(v) => Ok((cfg, v)),
+        CheckpointedRun::Interrupted { .. } => Err("run interrupted".to_string()),
     }
 }
 
-/// Runs the differential oracle on a **validated** mutant.
+/// Runs the differential oracle on a **validated** mutant. A refused run
+/// is never a pass, nor a panic (a harness panic is a finding lost).
 pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
+    oracle(spec, opts).unwrap_or_else(|error| MutantOutcome::Undetermined {
+        reason: format!("model checker refused the run: {error}"),
+    })
+}
+
+/// [`run_oracle`], with the model checker's refusals as `Err`.
+fn oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> Result<MutantOutcome, String> {
     // Bound the analyzer by node count only: wall-clock budgets would
     // make outcomes (and thus reports) machine-dependent.
     let analyzer_budget = Budget::unlimited().with_node_limit(opts.analyzer_nodes);
     let report = analyze_budgeted(spec, &analyzer_budget);
     let n_messages = spec.messages().len();
-    let mc_budget = Budget::unlimited();
 
     match report.outcome() {
         VnOutcome::Class2(_) => {
@@ -184,7 +197,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
             // one VN per message corroborates it; a clean bounded run
             // does not contradict it (one scenario, bounded) — either
             // way this is not the analyzer making an unsafe promise.
-            let cfg = bounded_cfg(spec, opts, VnMap::one_per_message(n_messages));
+            let (cfg, verdict) = bounded_run(spec, opts, VnMap::one_per_message(n_messages))?;
             // Third advisory leg: the flow-abstraction checker on the
             // same config. It derives from the same waits relation the
             // analyzer's Class-2 verdict does, so a free-for-all-N
@@ -194,10 +207,10 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
             // `flow-inapplicable`.
             let flow = check_parameterized(spec, &cfg);
             let flow_note = flow.summary();
-            match explore_budgeted(spec, &cfg, &mc_budget) {
+            Ok(match verdict {
                 Verdict::Deadlock { depth, stats, .. } => {
                     if flow.is_free_for_all_n() {
-                        return MutantOutcome::Disagreement {
+                        return Ok(MutantOutcome::Disagreement {
                             checked_vns: n_messages,
                             assigned_vns: n_messages,
                             depth,
@@ -206,7 +219,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                                 "class2 analyzer verdict (corroborated by an mc deadlock at \
                                  depth {depth}) contradicted by the flow leg: {flow_note}"
                             ),
-                        };
+                        });
                     }
                     MutantOutcome::Consistent {
                         n_vns: None,
@@ -218,7 +231,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                 }
                 Verdict::NoDeadlock(stats) => {
                     if flow.is_free_for_all_n() {
-                        return MutantOutcome::Disagreement {
+                        return Ok(MutantOutcome::Disagreement {
                             checked_vns: n_messages,
                             assigned_vns: n_messages,
                             depth: 0,
@@ -227,7 +240,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                                 "class2 analyzer verdict contradicted by the flow leg: \
                                  {flow_note}"
                             ),
-                        };
+                        });
                     }
                     MutantOutcome::Consistent {
                         n_vns: None,
@@ -243,7 +256,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                 Verdict::InvariantViolation { detail, .. } => MutantOutcome::ModelRejected {
                     detail: format!("invariant violation: {detail}"),
                 },
-            }
+            })
         }
         VnOutcome::Assigned {
             assignment,
@@ -251,9 +264,9 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
             ..
         } => {
             if !provenance.is_exact() {
-                return MutantOutcome::Undetermined {
+                return Ok(MutantOutcome::Undetermined {
                     reason: "analyzer solvers degraded; assignment may be non-minimal".to_string(),
-                };
+                });
             }
             let assigned_vns = assignment.n_vns();
             let assigned_map = VnMap::from_assignment(assignment, n_messages);
@@ -264,14 +277,14 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
             };
             let checked_vns = checked_map.n_vns();
 
-            let cfg = bounded_cfg(spec, opts, checked_map);
+            let (cfg, verdict) = bounded_run(spec, opts, checked_map)?;
             // Third advisory leg on the checked map. A free-for-all-N
             // claim that the explicit leg then refutes with a deadlock
             // is already a Disagreement; the note keeps the
             // contradiction on record either way.
             let flow = check_parameterized(spec, &cfg);
             let flow_note = flow.summary();
-            match explore_budgeted(spec, &cfg, &mc_budget) {
+            Ok(match verdict {
                 Verdict::Deadlock { depth, stats, .. } => MutantOutcome::Disagreement {
                     checked_vns,
                     assigned_vns,
@@ -303,9 +316,8 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                     let detail = if skewed || assigned_vns < 2 {
                         format!("no deadlock under {checked_vns} VNs (complete)")
                     } else {
-                        let probe_cfg = bounded_cfg(spec, opts, merge_top_vn(&assigned_map));
-                        match explore_budgeted(spec, &probe_cfg, &mc_budget) {
-                            Verdict::Deadlock { depth, .. } => format!(
+                        match bounded_run(spec, opts, merge_top_vn(&assigned_map)) {
+                            Ok((_, Verdict::Deadlock { depth, .. })) => format!(
                                 "no deadlock under {assigned_vns} VNs (complete); minimality \
                                  witnessed: {} VNs deadlock at depth {depth}",
                                 assigned_vns - 1
@@ -331,7 +343,7 @@ pub fn run_oracle(spec: &ProtocolSpec, opts: &OracleOpts) -> MutantOutcome {
                         opts.max_states, stats.levels
                     ),
                 },
-            }
+            })
         }
     }
 }

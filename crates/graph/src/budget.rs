@@ -46,6 +46,13 @@ impl std::fmt::Display for CancelReason {
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicU8>);
 
+/// Two tokens are equal when they are clones of one token.
+impl PartialEq for CancelToken {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
 const CANCEL_LIVE: u8 = 0;
 
 impl CancelToken {
@@ -85,7 +92,7 @@ impl CancelToken {
 /// Work limits for a solver call. The default ([`Budget::unlimited`])
 /// imposes no bound, matching the historical behaviour of the exact
 /// solvers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Budget {
     /// Give up after this much wall-clock time.
     pub deadline: Option<Duration>,

@@ -34,13 +34,11 @@ use std::time::{Duration, Instant};
 use vnet_graph::Budget;
 use vnet_protocol::{dsl, protocols, ProtocolSpec};
 
-use crate::checkpoint::CheckpointPolicy;
 use crate::config::McConfig;
-use crate::explore::{CheckpointedRun, Verdict};
-use crate::parallel::{
-    explore_parallel_supervised, resume_parallel, worker_count, PanicInjection, ParallelOpts,
-};
-use crate::request::McRequest;
+use crate::explore::{run, CheckpointedRun, Verdict};
+use crate::parallel::{worker_count, PanicInjection};
+use crate::request::{Explorer, McRequest, RunPlan};
+use crate::spill::SpillConfig;
 
 /// How each protocol run is isolated from the campaign supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +114,6 @@ pub struct CampaignConfig {
     /// Deterministic worker-fault injection, forwarded to
     /// thread-isolated runs (tests and the CI smoke job).
     pub inject: Option<PanicInjection>,
-    /// Per-run memory budget in bytes. Thread-isolated runs take it as
-    /// a budget limit; process-isolated children get `--mem-budget`.
-    pub mem_budget: Option<u64>,
     /// Out-of-core spill root (process isolation only): each child runs
     /// the serial spilling explorer with its own `<dir>/<protocol>`
     /// segment directory instead of the thread-parallel one.
@@ -149,7 +144,6 @@ impl CampaignConfig {
             checkpoint_dir: None,
             stop_file: None,
             inject: None,
-            mem_budget: None,
             spill_dir: None,
             shard_procs: None,
             request: McRequest::default(),
@@ -180,7 +174,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Overrides the exploration budget.
+    /// Overrides the exploration budget, its memory limit included.
     pub fn with_budget(mut self, b: Budget) -> Self {
         self.budget = b;
         self
@@ -204,9 +198,10 @@ impl CampaignConfig {
         self
     }
 
-    /// Caps each run's accounted memory footprint.
+    /// Caps each run's accounted memory footprint (the budget's memory
+    /// limit; process-isolated children get `--mem-budget`).
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget = Some(bytes);
+        self.budget.mem_limit = Some(bytes);
         self
     }
 
@@ -226,6 +221,51 @@ impl CampaignConfig {
     pub fn with_symmetry(mut self) -> Self {
         self.request = self.request.with_symmetry();
         self
+    }
+
+    /// The plan a process-isolated attempt at protocol `name` renders
+    /// into its child's argv. One explorer per child: process shards
+    /// when fanned out, the serial out-of-core explorer when spilling,
+    /// otherwise the thread-parallel explorer. A fresh child writes the
+    /// attempt's checkpoint `ckpt`; a resumed one flushes onward
+    /// checkpoints to the file it resumed from. (In process isolation
+    /// the two only diverge after a kill that beat the first flush.)
+    /// Shard children carry their resume state in the shard directory
+    /// itself, so they never resume from a checkpoint.
+    pub fn child_plan(
+        &self,
+        name: &str,
+        ckpt: Option<&Path>,
+        resume_from: Option<&Path>,
+    ) -> RunPlan {
+        let spill = self
+            .budget
+            .mem_limit
+            .zip(self.spill_dir.as_ref())
+            .map(|(b, d)| SpillConfig::for_budget(d.join(name), b));
+        let explorer = match self.shard_procs {
+            Some(procs) => Explorer::Shards {
+                procs,
+                dir: self
+                    .checkpoint_dir
+                    .clone()
+                    .unwrap_or_else(std::env::temp_dir)
+                    .join(format!("{name}.shards")),
+            },
+            None if spill.is_some() => Explorer::Serial,
+            // The child refuses `--parallel 0`, so the auto default is
+            // resolved here, by the kernel's own rule.
+            None => Explorer::Threads(worker_count(self.threads)),
+        };
+        let resume = resume_from.filter(|_| self.shard_procs.is_none());
+        RunPlan {
+            spill: spill.filter(|_| self.shard_procs.is_none()),
+            explorer,
+            budget: self.budget.clone(),
+            checkpoint: resume.or(ckpt).map(Path::to_path_buf),
+            resume: resume.map(Path::to_path_buf),
+            ..RunPlan::default()
+        }
     }
 
     /// The config a run of `spec` checks under [`CampaignConfig::request`].
@@ -707,34 +747,22 @@ fn attempt_thread(
     if let Some(s) = &stop {
         let _ = std::fs::remove_file(s);
     }
-    let budget = match cc.mem_budget {
-        Some(b) => cc.budget.clone().with_mem_limit(b),
-        None => cc.budget.clone(),
+    let plan = RunPlan {
+        explorer: Explorer::Threads(cc.threads),
+        budget: cc.budget.clone(),
+        checkpoint: ckpt.map(Path::to_path_buf),
+        stop_file: stop.clone(),
+        resume: resume_from.map(Path::to_path_buf),
+        inject_panic: cc.inject,
+        ..RunPlan::default()
     };
-    let mut opts = ParallelOpts::new()
-        .with_threads(cc.threads)
-        .with_budget(budget);
-    if let Some(p) = ckpt {
-        let mut policy = CheckpointPolicy::new(p);
-        if let Some(s) = &stop {
-            policy = policy.with_stop_file(s.clone());
-        }
-        opts = opts.with_policy(policy);
-    }
-    if let Some(i) = cc.inject {
-        opts = opts.with_injection(i);
-    }
 
     let (tx, rx) = mpsc::channel();
     let spec = spec.clone();
     let cfg = cfg.clone();
-    let resume_owned = resume_from.map(Path::to_path_buf);
     std::thread::spawn(move || {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match &resume_owned {
-                Some(p) => resume_parallel(p, &spec, &cfg, &opts),
-                None => explore_parallel_supervised(&spec, &cfg, &opts),
-            }
+            run(&spec, &cfg, &plan, |_, _| {})
         }));
         let _ = tx.send(run.map_err(|p| panic_text(p.as_ref())));
     });
@@ -798,51 +826,8 @@ fn attempt_process(
         Err(e) => return Attempt::Crashed(format!("cannot find own executable: {e}")),
     };
     let mut cmd = Command::new(exe);
-    cmd.arg("mc")
-        .arg(&entry.arg)
-        .arg("--machine")
-        .args(cc.request.to_args());
-    // Explorer selection, one per child: process shards when fanned
-    // out, the serial out-of-core explorer when spilling, otherwise
-    // the thread-parallel explorer.
-    if let Some(n) = cc.shard_procs {
-        let shard_dir = cc
-            .checkpoint_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir)
-            .join(format!("{}.shards", entry.name));
-        cmd.arg("--shard-procs")
-            .arg(n.to_string())
-            .arg("--shard-dir")
-            .arg(shard_dir);
-    } else if let Some(d) = &cc.spill_dir {
-        cmd.arg("--spill-dir").arg(d.join(&entry.name));
-    } else {
-        // The child refuses `--parallel 0`, so the auto default is
-        // resolved here, by the kernel's own rule.
-        cmd.arg("--parallel")
-            .arg(worker_count(cc.threads).to_string());
-    }
-    if let Some(b) = cc.mem_budget {
-        cmd.arg("--mem-budget").arg(b.to_string());
-    }
-    if let Some(clauses) = cc.budget.to_clauses() {
-        cmd.arg("--budget").arg(clauses);
-    }
-    // A resumed child flushes onward checkpoints to the file it
-    // resumed from; a fresh one writes the attempt's generation path.
-    // (In process isolation the two only diverge after a kill that
-    // beat the first flush.) Shard children carry their resume state
-    // in the shard directory itself — `--resume` never applies.
-    match (cc.shard_procs, resume_from, ckpt) {
-        (Some(_), _, Some(p)) | (None, None, Some(p)) => {
-            cmd.arg("--checkpoint").arg(p);
-        }
-        (None, Some(p), _) => {
-            cmd.arg("--resume").arg(p);
-        }
-        _ => {}
-    }
+    let plan = cc.child_plan(&entry.name, ckpt, resume_from);
+    cmd.args(plan.mc_argv(&entry.arg, &cc.request));
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::null());

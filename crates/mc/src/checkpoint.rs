@@ -168,58 +168,6 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// When and where an explorer flushes checkpoints.
-///
-/// Flushes happen at BFS level boundaries — the only points at which
-/// the (visited map, frontier, level) triple is a consistent snapshot —
-/// at the first boundary after `every_states` newly claimed states,
-/// when the budget's wall-clock deadline is within `deadline_window`,
-/// and always on budget exhaustion (so a starved run can be continued
-/// under a fresh budget).
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// Where the checkpoint file lives (rewritten atomically).
-    pub path: PathBuf,
-    /// Flush at the first level boundary after this many new states
-    /// since the last flush (0 = every level).
-    pub every_states: usize,
-    /// Also flush once less than this much of the budget deadline
-    /// remains, so the work survives the deadline kill.
-    pub deadline_window: std::time::Duration,
-    /// Cooperative-interrupt file: when this path exists at a level
-    /// boundary, the explorer flushes a final checkpoint and returns
-    /// an interrupted outcome instead of a verdict. This is the
-    /// dependency-free stand-in for a SIGINT handler (the hermetic
-    /// build has no signal-handling binding); periodic flushes make
-    /// even SIGKILL survivable.
-    pub stop_file: Option<PathBuf>,
-}
-
-impl CheckpointPolicy {
-    /// A policy writing to `path` with the default cadence (every
-    /// 50 000 states, 2 s deadline window, no stop file).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointPolicy {
-            path: path.into(),
-            every_states: 50_000,
-            deadline_window: std::time::Duration::from_secs(2),
-            stop_file: None,
-        }
-    }
-
-    /// Overrides the state-count cadence.
-    pub fn every_states(mut self, n: usize) -> Self {
-        self.every_states = n;
-        self
-    }
-
-    /// Enables the cooperative-interrupt file.
-    pub fn with_stop_file(mut self, p: impl Into<PathBuf>) -> Self {
-        self.stop_file = Some(p.into());
-        self
-    }
-}
-
 /// One visited-map entry: a claimed state key with its parent link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VisitedEntry {

@@ -138,11 +138,6 @@ pub struct McConfig {
     /// Collapse cache-symmetric states (scalar-set reduction). Only
     /// legal with a uniform [`InjectionBudget::PerCache`] budget.
     pub symmetry: bool,
-    /// Out-of-core spill tier for the serial explorer's visited keys:
-    /// when the accounted footprint crosses the threshold, cold state
-    /// encodings move to disk segments behind an in-RAM fingerprint
-    /// filter instead of the run dying on its memory budget.
-    pub spill: Option<crate::spill::SpillConfig>,
 }
 
 impl McConfig {
@@ -162,7 +157,6 @@ impl McConfig {
             max_depth: None,
             swmr: None,
             symmetry: false,
-            spill: None,
         }
     }
 
@@ -226,12 +220,6 @@ impl McConfig {
     /// Enables SWMR invariant checking.
     pub fn with_swmr(mut self, swmr: crate::invariant::Swmr) -> Self {
         self.swmr = Some(swmr);
-        self
-    }
-
-    /// Enables the out-of-core spill tier for the serial explorer.
-    pub fn with_spill(mut self, spill: crate::spill::SpillConfig) -> Self {
-        self.spill = Some(spill);
         self
     }
 
@@ -371,10 +359,10 @@ impl McConfig {
         // `max_states`/`max_depth` are deliberately excluded: like the
         // wall-clock budget they only truncate the run, so resuming a
         // checkpoint under different bounds is sound (and is exactly how
-        // a bounded sweep gets extended). `spill` is excluded for the
-        // same reason — it changes where visited bytes live, never which
-        // states exist, so checkpoints stay interchangeable between
-        // in-RAM and spilled runs.
+        // a bounded sweep gets extended). Spill is not a config field
+        // for the same reason (it is the run plan's): it changes where
+        // visited bytes live, never which states exist, so checkpoints
+        // stay interchangeable between in-RAM and spilled runs.
         match &self.swmr {
             None => num(&mut out, u64::MAX),
             Some(swmr) => {

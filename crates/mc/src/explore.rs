@@ -1,19 +1,19 @@
-//! The model checker's verdicts and its serial entry points.
+//! The model checker's verdicts and its one run entry point.
 //!
-//! [`explore`] and its variants run the one BFS kernel
-//! (`crate::kernel`) with one partition and one worker: successors
-//! are claimed in first-reach order as they are generated, budgets are
-//! metered per claim, and a checkpoint is one section in claim order.
-//! The threaded entry points ([`crate::parallel`]) run the same kernel
-//! with 64 partitions. The counterexample and fallback helpers here
-//! are shared by every explorer, the process-sharded one included.
+//! [`run`] executes a [`RunPlan`]: the serial and threaded explorers
+//! are the one BFS kernel (`crate::kernel`) with one worker and
+//! one-section checkpoints or with `n` workers and 64-section ones
+//! ([`crate::parallel`]), and the process-sharded explorer is
+//! [`crate::procshard`]'s supervisor. [`explore`] is the plain serial
+//! run. The counterexample and fallback helpers here are shared by
+//! every explorer.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::McConfig;
-use crate::parallel::ParallelOpts;
+use crate::request::{Explorer, RunPlan};
 use crate::trace::Trace;
-use std::path::{Path, PathBuf};
-use vnet_graph::{Budget, DegradeReason, Provenance};
+use std::path::PathBuf;
+use vnet_graph::{DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
 
 /// Exploration statistics.
@@ -218,40 +218,15 @@ pub(crate) fn settle(run: Result<CheckpointedRun, CheckpointError>) -> Verdict {
     })
 }
 
-/// Explores the reachable state space of `spec` under `cfg`.
+/// Explores the reachable state space of `spec` under `cfg` with the
+/// serial explorer and no limits: [`run`] under [`RunPlan::default`].
 ///
 /// See the crate docs for an end-to-end example.
 pub fn explore(spec: &ProtocolSpec, cfg: &McConfig) -> Verdict {
-    explore_with(spec, cfg, |_, _| {})
+    settle(run(spec, cfg, &RunPlan::default(), |_, _| {}))
 }
 
-/// Like [`explore`], invoking `on_level(level, states_so_far)` as each
-/// BFS level completes (the paper reports Murphi progress the same way).
-pub fn explore_with(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    on_level: impl FnMut(usize, usize),
-) -> Verdict {
-    explore_budgeted_with(spec, cfg, &Budget::unlimited(), on_level)
-}
-
-/// [`explore`] under a work/memory [`Budget`]. On exhaustion the partial
-/// result is returned with a degraded provenance instead of hanging.
-pub fn explore_budgeted(spec: &ProtocolSpec, cfg: &McConfig, budget: &Budget) -> Verdict {
-    explore_budgeted_with(spec, cfg, budget, |_, _| {})
-}
-
-/// [`explore_budgeted`] with the per-level progress callback.
-pub fn explore_budgeted_with(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    budget: &Budget,
-    on_level: impl FnMut(usize, usize),
-) -> Verdict {
-    settle(serial(spec, cfg, budget, None, None, on_level))
-}
-
-/// The outcome of a checkpoint-enabled run.
+/// The outcome of a run.
 // A `Verdict` is bigger than the `Interrupted` payload, but one value
 // exists per run (not per state) and every caller matches on it
 // immediately — boxing would only add indirection.
@@ -272,59 +247,36 @@ pub enum CheckpointedRun {
     },
 }
 
-/// [`explore_budgeted_with`] plus crash tolerance: explorer progress is
-/// flushed to `policy.path` per the policy's cadence, on an imminent
-/// budget deadline, and on budget exhaustion, so a killed or starved
-/// run can be continued with [`resume`]. Checkpoint IO failures are
-/// returned, never ignored — a run that cannot persist its progress
-/// should not pretend it can.
+/// Explores `spec` under `cfg` the way `plan` says, invoking
+/// `on_level(level, states_so_far)` as each kernel BFS level completes
+/// (the paper reports Murphi progress the same way).
 ///
-/// Budget granularity: without a policy, exhaustion stops the search at
-/// the very next claim. With a policy, the current level is finished
-/// first — a flushable snapshot must sit at a level boundary — so the
-/// overrun is bounded by one BFS level and the checkpoint is always
-/// consistent. A cancellation stops at the next state either way and
-/// flushes the unexpanded rest of the level with the states already
-/// claimed from it.
-pub fn explore_checkpointed(
+/// Budget exhaustion returns the partial result with a degraded
+/// provenance. The serial explorer without a checkpoint stops at the
+/// next claim; with one it finishes the level first, since a snapshot
+/// must sit at a level boundary. More workers and process shards check
+/// the budget at level boundaries, and a cancellation stops at the next
+/// state. Checkpoint IO failures are returned, never ignored. A resume
+/// checks the file's checksum and (spec, config) fingerprint, refusing
+/// another protocol, VN map or size with
+/// [`CheckpointError::SpecMismatch`]; its node budget is cumulative.
+/// Any explorer resumes any explorer's checkpoint. Worker loss beyond
+/// the restart budget degrades the verdict
+/// ([`DegradeReason::WorkerLoss`]) instead of failing the run.
+pub fn run(
     spec: &ProtocolSpec,
     cfg: &McConfig,
-    budget: &Budget,
-    policy: &CheckpointPolicy,
+    plan: &RunPlan,
     on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
-    serial(spec, cfg, budget, None, Some(policy), on_level)
-}
-
-/// Continues a run from the checkpoint at `path`, after verifying its
-/// checksum and its (spec, config) fingerprint — a checkpoint from a
-/// different protocol, VN mapping, or system size is refused with
-/// [`CheckpointError::SpecMismatch`]. The budget's node accounting is
-/// cumulative: the checkpoint records nodes already spent.
-pub fn resume(
-    path: &Path,
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    budget: &Budget,
-    policy: Option<&CheckpointPolicy>,
-    on_level: impl FnMut(usize, usize),
-) -> Result<CheckpointedRun, CheckpointError> {
-    let ckpt = Checkpoint::load(path, spec, cfg)?;
-    serial(spec, cfg, budget, Some(ckpt), policy, on_level)
-}
-
-/// The kernel with one partition and one worker.
-fn serial(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    budget: &Budget,
-    start: Option<Checkpoint>,
-    policy: Option<&CheckpointPolicy>,
-    on_level: impl FnMut(usize, usize),
-) -> Result<CheckpointedRun, CheckpointError> {
-    let mut opts = ParallelOpts::new().with_threads(1).with_budget(budget.clone());
-    opts.policy = policy.cloned();
-    crate::kernel::run(spec, cfg, 1, &opts, start, on_level)
+    if let Explorer::Shards { procs, dir } = &plan.explorer {
+        return crate::procshard::explore_procshard(spec, cfg, plan, *procs, dir);
+    }
+    let start = match &plan.resume {
+        Some(path) => Some(Checkpoint::load(path, spec, cfg)?),
+        None => None,
+    };
+    crate::kernel::run(spec, cfg, plan, start, on_level)
 }
 
 // Test-only panics below (unwrap/expect on known-good fixtures,
@@ -334,7 +286,17 @@ fn serial(
 mod tests {
     use super::*;
     use crate::config::{IcnOrder, InjectionBudget, McConfig, VnMap};
+    use vnet_graph::Budget;
     use vnet_protocol::protocols;
+
+    /// A serial run under `budget`.
+    fn run_budgeted(spec: &ProtocolSpec, cfg: &McConfig, budget: &Budget) -> Verdict {
+        let plan = RunPlan {
+            budget: budget.clone(),
+            ..RunPlan::default()
+        };
+        settle(run(spec, cfg, &plan, |_, _| {}))
+    }
 
     #[test]
     fn figure3_deadlock_found_in_textbook_msi() {
@@ -395,7 +357,7 @@ mod tests {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
         let mut levels = 0;
-        let _ = explore_with(&spec, &cfg, |_, _| levels += 1);
+        let _ = run(&spec, &cfg, &RunPlan::default(), |_, _| levels += 1);
         assert!(levels > 0);
     }
 
@@ -487,10 +449,12 @@ mod tests {
         let spec = protocols::msi_blocking_cache();
         let mut cfg = McConfig::figure3(&spec);
         cfg.symmetry = true; // bypasses with_symmetry's validation
-        let budget = vnet_graph::Budget::unlimited();
         // The config is refused before anything is written to the path.
-        let policy = CheckpointPolicy::new(std::env::temp_dir().join("vnet-never-written.ckpt"));
-        match explore_checkpointed(&spec, &cfg, &budget, &policy, |_, _| {}) {
+        let plan = RunPlan {
+            checkpoint: Some(std::env::temp_dir().join("vnet-never-written.ckpt")),
+            ..RunPlan::default()
+        };
+        match run(&spec, &cfg, &plan, |_, _| {}) {
             Err(CheckpointError::Config { detail }) => {
                 assert!(detail.contains("per-cache budget"), "{detail}");
             }
@@ -505,7 +469,7 @@ mod tests {
         // Five states is far too few to reach the Figure-3 deadlock; the
         // explorer must stop cleanly and say so.
         let budget = vnet_graph::Budget::unlimited().with_node_limit(5);
-        match explore_budgeted(&spec, &cfg, &budget) {
+        match run_budgeted(&spec, &cfg, &budget) {
             Verdict::NoDeadlock(stats) => {
                 assert!(!stats.complete);
                 assert!(!stats.provenance.is_exact());
@@ -521,7 +485,7 @@ mod tests {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
         let plain = explore(&spec, &cfg);
-        let budgeted = explore_budgeted(&spec, &cfg, &vnet_graph::Budget::unlimited());
+        let budgeted = run_budgeted(&spec, &cfg, &vnet_graph::Budget::unlimited());
         assert_eq!(plain.stats(), budgeted.stats());
         assert_eq!(plain.is_deadlock(), budgeted.is_deadlock());
         assert!(plain.stats().provenance.is_exact());
@@ -539,7 +503,7 @@ mod tests {
         };
         let budget =
             vnet_graph::Budget::unlimited().with_node_limit(stats.states as u64 + 64);
-        let v = explore_budgeted(&spec, &cfg, &budget);
+        let v = run_budgeted(&spec, &cfg, &budget);
         assert!(v.is_deadlock(), "{}", v.summary());
         assert!(v.stats().provenance.is_exact());
     }

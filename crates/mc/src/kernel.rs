@@ -1,15 +1,15 @@
 //! The one breadth-first kernel behind `vnet mc` and `vnet mc
 //! --parallel N`: one visited store, one level loop, and one copy of
-//! seed, flush, witness and verdict. The entry point fixes its two
-//! parameters.
+//! seed, flush, witness and verdict. The run plan's explorer fixes its
+//! two parameters.
 //!
 //! * **Sections.** A checkpoint has one section per hash partition of
 //!   the keys, `fx_hash(key) % S`, each in claim order: one section for
-//!   the serial entry points, 64 for the threaded ones, so each keeps
-//!   its checkpoint layout byte for byte. A state reference packs
-//!   `(partition, id)` into one `u32`, `id << log2(P) | partition`, so a
-//!   parent link is 12 bytes (parent, rule, level) and a frontier entry
-//!   4.
+//!   [`Explorer::Serial`], 64 for [`Explorer::Threads`] whatever the
+//!   thread count, so each keeps its checkpoint layout byte for byte. A
+//!   state reference packs `(partition, id)` into one `u32`,
+//!   `id << log2(P) | partition`, so a parent link is 12 bytes (parent,
+//!   rule, level) and a frontier entry 4.
 //! * **Workers.** One worker keeps the visited set in one partition
 //!   whatever `S` is, expands a level in frontier order and claims each
 //!   successor as it is generated: no candidate buffers, no pre-claim
@@ -35,7 +35,7 @@
 //! finding in that order: the same witness, with a larger state count.
 //! The multi-worker expand step runs under [`catch_unwind`] with no side
 //! effect outside its worker's buffers, so a lost slice is expanded
-//! again, with backoff, up to [`ParallelOpts::max_restarts`] times,
+//! again, with backoff, up to [`RunPlan::max_restarts`] times,
 //! then the verdict degrades with [`DegradeReason::WorkerLoss`]. A run
 //! resumes from a snapshot any explorer flushed.
 
@@ -43,7 +43,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError, ShardEncoder, VisitedEntry}
 use crate::config::McConfig;
 use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
 use crate::intern::{InternError, StateArena, StateId};
-use crate::parallel::ParallelOpts;
+use crate::request::{Explorer, RunPlan};
 use crate::rules::{expand, ExpandOutcome, Label, RuleTable, Scratch};
 use crate::spill::{SpillArena, SpillConfig, SpillStats};
 use crate::state::GlobalState;
@@ -52,7 +52,7 @@ use crate::trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vnet_graph::{fx_hash_bytes, BudgetMeter, DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
 
@@ -363,7 +363,7 @@ fn stop_at(frontier: &mut Vec<Ref>, next: &mut Vec<Ref>, i: usize) -> LevelEnd {
 struct Run<'a> {
     spec: &'a ProtocolSpec,
     cfg: &'a McConfig,
-    opts: &'a ParallelOpts,
+    plan: &'a RunPlan,
     visited: Visited,
     meter: BudgetMeter,
     /// Bytes the meter holds (one-worker accounting).
@@ -382,18 +382,28 @@ struct Run<'a> {
     sections: usize,
 }
 
-/// Runs the kernel with `opts.threads` workers over a visited set whose
-/// checkpoints have `sections` sections (1 or 64), from `start` or from
-/// the initial state. `on_level(level, states)` fires as each level
-/// completes.
+/// Sections per threaded checkpoint (and visited-set partitions with
+/// more than one worker).
+const SECTIONS: usize = 64;
+
+/// A checkpointing run also flushes once less than this much of its
+/// budget deadline remains, so the work survives the deadline kill.
+const DEADLINE_WINDOW: Duration = Duration::from_secs(2);
+
+/// Runs the kernel as `plan`'s serial or threaded explorer, from
+/// `start` or from the initial state. `on_level(level, states)` fires
+/// as each level completes.
 pub(crate) fn run(
     spec: &ProtocolSpec,
     cfg: &McConfig,
-    sections: usize,
-    opts: &ParallelOpts,
+    plan: &RunPlan,
     start: Option<Checkpoint>,
     on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
+    let (sections, threads) = match plan.explorer {
+        Explorer::Threads(n) => (SECTIONS, crate::parallel::worker_count(n)),
+        _ => (1, 1),
+    };
     // The observability shim. Counting at this single choke point keeps
     // `explore.states_total` exactly equal to the verdict's
     // `ExploreStats.states` on every exit path, at no per-state cost.
@@ -401,7 +411,7 @@ pub(crate) fn run(
         1 => "explore.serial",
         _ => "explore.parallel",
     });
-    let result = run_inner(spec, cfg, sections, opts, start, on_level);
+    let result = run_inner(spec, cfg, (sections, threads), plan, start, on_level);
     let states = match &result {
         Ok(CheckpointedRun::Finished(v)) => {
             span.set_bytes(v.stats().peak_bytes as i64);
@@ -421,23 +431,22 @@ pub(crate) fn run(
 fn run_inner(
     spec: &ProtocolSpec,
     cfg: &McConfig,
-    sections: usize,
-    opts: &ParallelOpts,
+    (sections, threads): (usize, usize),
+    plan: &RunPlan,
     start: Option<Checkpoint>,
     mut on_level: impl FnMut(usize, usize),
 ) -> Result<CheckpointedRun, CheckpointError> {
     if let Err(detail) = cfg.validate_for_run() {
         return Err(CheckpointError::Config { detail });
     }
-    let threads = crate::parallel::worker_count(opts.threads);
     // Fault injection needs the multi-worker body's isolated, retryable
     // expand step, even for one worker.
-    let inline = threads == 1 && opts.inject.is_none();
+    let inline = threads == 1 && plan.inject_panic.is_none();
     let mut scratch: Vec<WorkScratch> = (0..threads).map(|_| WorkScratch::new(spec, cfg)).collect();
     // One worker claims into one partition whatever the section count;
     // more workers claim a partition each at a time, one per section.
     let parts = if inline { 1 } else { sections };
-    let mut visited = Visited::new(parts, cfg.spill.clone());
+    let mut visited = Visited::new(parts, plan.spill.clone());
     // A resumed run must expand at least one level before honoring the
     // stop file: loading and re-seeding a large checkpoint can outlast
     // a short supervision timeout, and stopping at the first boundary
@@ -495,8 +504,8 @@ fn run_inner(
     let mut run = Run {
         spec,
         cfg,
-        opts,
-        meter: opts.budget.start_from(claims),
+        plan,
+        meter: plan.budget.start_from(claims),
         accounted: 0,
         peak: visited.bytes,
         visited,
@@ -526,25 +535,25 @@ fn run_inner(
         outs: (0..workers).map(|_| WorkerOut::new(parts)).collect(),
         claimed: (0..parts).map(|_| Vec::new()).collect(),
         restarts: 0,
-        inject_left: AtomicU32::new(opts.inject.map_or(0, |i| i.times)),
+        inject_left: AtomicU32::new(plan.inject_panic.map_or(0, |i| i.times)),
     };
 
     while !frontier.is_empty() && run.truncated.is_none() {
         // Level-boundary housekeeping: cooperative interrupt, then the
         // periodic / deadline-imminent flush, then the bounds.
-        if let Some(pol) = &opts.policy {
-            if may_stop && pol.stop_file.as_ref().is_some_and(|p| p.exists()) {
-                run.flush(&frontier, &pol.path)?;
+        if let Some(path) = &plan.checkpoint {
+            if may_stop && plan.stop_file.as_ref().is_some_and(|p| p.exists()) {
+                run.flush(&frontier, path)?;
                 return Ok(CheckpointedRun::Interrupted {
-                    checkpoint: pol.path.clone(),
+                    checkpoint: path.clone(),
                     states: run.visited.len,
                     level: run.level,
                 });
             }
-            if run.since_flush > pol.every_states
-                || run.meter.deadline_imminent(pol.deadline_window)
+            if run.since_flush > plan.checkpoint_every
+                || run.meter.deadline_imminent(DEADLINE_WINDOW)
             {
-                run.flush(&frontier, &pol.path)?;
+                run.flush(&frontier, path)?;
                 run.since_flush = 0;
             }
         }
@@ -611,9 +620,9 @@ fn run_inner(
 
     // A truncated run is resumable — flush its snapshot — unless the
     // level it stopped in was left half claimed.
-    if let Some(pol) = &opts.policy {
+    if let Some(path) = &plan.checkpoint {
         if run.truncated.is_some() && run.resumable {
-            run.flush(&frontier, &pol.path)?;
+            run.flush(&frontier, path)?;
         }
     }
     if level_clock.is_some() {
@@ -741,7 +750,7 @@ impl Run<'_> {
     /// cancellation and the memory, node and deadline budgets. The
     /// overrun after a trip is at most one BFS level.
     fn level_bound(&self) -> Option<DegradeReason> {
-        let budget = &self.opts.budget;
+        let budget = &self.plan.budget;
         if let Some(reason) = budget.cancel.as_ref().and_then(|t| t.reason()) {
             return Some(DegradeReason::Cancelled { reason });
         }
@@ -770,7 +779,7 @@ impl Run<'_> {
         let Run {
             spec,
             cfg,
-            opts,
+            plan,
             visited,
             meter,
             accounted,
@@ -781,7 +790,7 @@ impl Run<'_> {
             ..
         } = self;
         let (spec, cfg) = (*spec, *cfg);
-        let policy = opts.policy.is_some();
+        let policy = plan.checkpoint.is_some();
         let child_level = *level as u32 + 1;
         let WorkScratch {
             rules,
@@ -902,7 +911,7 @@ impl Run<'_> {
         pool: &mut Pool,
         scratch: &mut [WorkScratch],
     ) -> LevelEnd {
-        let (spec, cfg, opts, level) = (self.spec, self.cfg, self.opts, self.level);
+        let (spec, cfg, plan, level) = (self.spec, self.cfg, self.plan, self.level);
         // ---- Expand: contiguous frontier slices, retried on panic. ----
         // Expansion has no side effect outside its worker's buffers, so
         // a panicked worker's slice is simply expanded again.
@@ -920,7 +929,7 @@ impl Run<'_> {
                             catch_unwind(AssertUnwindSafe(|| {
                                 out.clear();
                                 for pos in range(w) {
-                                    let fire = opts.inject.is_some_and(|i| i.level == level)
+                                    let fire = plan.inject_panic.is_some_and(|i| i.level == level)
                                         && inject_left
                                             .fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1))
                                             .is_ok();
@@ -945,7 +954,7 @@ impl Run<'_> {
             if failed.is_empty() {
                 break;
             }
-            if pool.restarts >= opts.max_restarts {
+            if pool.restarts >= plan.max_restarts {
                 let lost_states = failed.iter().map(|&w| range(w).len()).sum();
                 // The level did not complete, so the level counter stays
                 // put and no checkpoint is flushed (the last boundary
@@ -959,7 +968,7 @@ impl Run<'_> {
             }
             pool.restarts += 1;
             vnet_obs::counter("explore.worker_restarts_total").inc();
-            std::thread::sleep(opts.backoff.saturating_mul(1 << wave.min(8)));
+            std::thread::sleep(plan.backoff.saturating_mul(1 << wave.min(8)));
             pending = failed;
         }
         let outs = &mut pool.outs[..workers];

@@ -19,6 +19,12 @@
 //!   the same methodology (and the same kind of output) as the paper's
 //!   Murphi runs.
 //!
+//! Every run goes through one entry point, [`run`]: the [`McConfig`]
+//! says what is checked (build it from an [`McRequest`]), and a
+//! [`RunPlan`] says how — the explorer (serial, threaded or
+//! process-sharded), budget, spill, checkpoints, resume and fault
+//! injection. [`explore`] is the plain serial run.
+//!
 //! The checker finds three kinds of outcomes: a [`Verdict::Deadlock`]
 //! with a shortest counterexample trace, a clean [`Verdict::NoDeadlock`]
 //! (complete or bounded), or a [`Verdict::ModelError`] when a controller
@@ -65,7 +71,7 @@ pub use campaign::{
     run_campaign, table1_config, CampaignConfig, CampaignEntry, CampaignReport, Isolation,
     RunReport,
 };
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
+pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{IcnOrder, InjectionBudget, McConfig, VnMap};
 pub use flows::{
     check_parameterized, check_vn_map, extract_flows, flows_canonical, Flow, FlowProvenance,
@@ -73,15 +79,10 @@ pub use flows::{
 };
 pub use intern::{InternError, StateArena, StateId};
 pub use invariant::Swmr;
-pub use explore::{
-    explore, explore_budgeted, explore_budgeted_with, explore_checkpointed, explore_with, resume,
-    CheckpointedRun, ExploreStats, Verdict,
-};
-pub use parallel::{
-    explore_parallel, explore_parallel_supervised, resume_parallel, PanicInjection, ParallelOpts,
-};
-pub use procshard::{explore_procshard, run_worker, ProcOpts, WorkerOpts};
-pub use request::{McRequest, VnChoice};
+pub use explore::{explore, run, CheckpointedRun, ExploreStats, Verdict};
+pub use parallel::PanicInjection;
+pub use procshard::{run_worker, WorkerOpts};
+pub use request::{Explorer, McRequest, RunPlan, VnChoice};
 pub use spill::{SpillArena, SpillConfig, SpillStats};
 pub use state::{GlobalState, Msg, Node};
 pub use trace::Trace;

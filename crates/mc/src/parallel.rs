@@ -1,22 +1,13 @@
-//! The threaded entry points: the BFS kernel (`crate::kernel`) with
-//! `threads` workers and 64-section checkpoints. One worker runs the
-//! serial explorer's loop and store; more expand each level in
-//! parallel over 64 visited-set partitions. Claims follow the serial
-//! explorer's first-reach order, so a run prints the serial witness,
-//! and a flush does not depend on the thread count. Used by `vnet mc
-//! --parallel N` and the long bounded sweeps (`vnet campaign`).
-
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy};
-use crate::config::McConfig;
-use crate::explore::{settle, CheckpointedRun, Verdict};
-use std::path::Path;
-use std::time::Duration;
-use vnet_graph::Budget;
-use vnet_protocol::ProtocolSpec;
-
-/// Sections per threaded checkpoint (and visited-set partitions with
-/// more than one worker).
-const SECTIONS: usize = 64;
+//! The threaded explorer: the BFS kernel (`crate::kernel`) with
+//! [`Explorer::Threads`]`(n)` workers and 64-section checkpoints,
+//! whatever `n` is. One worker runs the serial explorer's loop and
+//! store; more expand each level in parallel over 64 visited-set
+//! partitions. Claims follow the serial explorer's first-reach order,
+//! so a run prints the serial witness, and a flush does not depend on
+//! the thread count. Used by `vnet mc --parallel N` and the long
+//! bounded sweeps (`vnet campaign`), through [`crate::run`].
+//!
+//! [`Explorer::Threads`]: crate::request::Explorer::Threads
 
 /// Deterministic fault injection for the supervisor tests and the CI
 /// smoke job: panic a worker thread when it starts processing a state
@@ -31,65 +22,6 @@ pub struct PanicInjection {
     pub times: u32,
 }
 
-/// Supervisor configuration for [`explore_parallel_supervised`].
-#[derive(Debug, Clone, Default)]
-pub struct ParallelOpts {
-    /// Worker threads; 0 picks the available parallelism.
-    pub threads: usize,
-    /// How many times lost workers may be restarted before the
-    /// remaining slice is abandoned with [`vnet_graph::DegradeReason::WorkerLoss`].
-    pub max_restarts: u32,
-    /// Base backoff slept before the first restart wave; doubles per
-    /// wave.
-    pub backoff: Duration,
-    /// Work/deadline budget; checked at level boundaries (the paper's
-    /// sweeps are level-reported, so the granularity matches).
-    pub budget: Budget,
-    /// Checkpoint emission, as in the serial explorer.
-    pub policy: Option<CheckpointPolicy>,
-    /// Deterministic worker-fault injection (tests, smoke jobs).
-    pub inject: Option<PanicInjection>,
-}
-
-impl ParallelOpts {
-    /// Defaults: available parallelism, 3 restarts, 10 ms backoff,
-    /// unlimited budget, no checkpoints, no injection.
-    pub fn new() -> Self {
-        ParallelOpts {
-            threads: 0,
-            max_restarts: 3,
-            backoff: Duration::from_millis(10),
-            budget: Budget::unlimited(),
-            policy: None,
-            inject: None,
-        }
-    }
-
-    /// Overrides the thread count.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Overrides the budget.
-    pub fn with_budget(mut self, b: Budget) -> Self {
-        self.budget = b;
-        self
-    }
-
-    /// Enables checkpoint emission.
-    pub fn with_policy(mut self, p: CheckpointPolicy) -> Self {
-        self.policy = Some(p);
-        self
-    }
-
-    /// Enables worker-fault injection.
-    pub fn with_injection(mut self, i: PanicInjection) -> Self {
-        self.inject = Some(i);
-        self
-    }
-}
-
 /// The worker count a `threads` setting runs with: 0 picks the
 /// available parallelism (4 when the host does not say).
 pub(crate) fn worker_count(threads: usize) -> usize {
@@ -99,39 +31,6 @@ pub(crate) fn worker_count(threads: usize) -> usize {
     }
 }
 
-/// Parallel variant of [`crate::explore()`]. `threads = 0` picks the
-/// available parallelism. Workers are panic-isolated with the default
-/// restart budget; see [`explore_parallel_supervised`] for the full
-/// supervisor surface (budgets, checkpoints, fault injection).
-pub fn explore_parallel(spec: &ProtocolSpec, cfg: &McConfig, threads: usize) -> Verdict {
-    let opts = ParallelOpts::new().with_threads(threads);
-    settle(explore_parallel_supervised(spec, cfg, &opts))
-}
-
-/// The supervised parallel explorer: panic-isolated workers, bounded
-/// restarts with backoff, optional budget, checkpoints, and fault
-/// injection. Worker loss beyond the restart budget degrades the
-/// verdict ([`vnet_graph::DegradeReason::WorkerLoss`]) instead of failing the run.
-pub fn explore_parallel_supervised(
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    opts: &ParallelOpts,
-) -> Result<CheckpointedRun, CheckpointError> {
-    crate::kernel::run(spec, cfg, SECTIONS, opts, None, |_, _| {})
-}
-
-/// Continues a parallel run from the checkpoint at `path` (checksum and
-/// spec/config fingerprint verified, as in [`crate::explore::resume`]).
-pub fn resume_parallel(
-    path: &Path,
-    spec: &ProtocolSpec,
-    cfg: &McConfig,
-    opts: &ParallelOpts,
-) -> Result<CheckpointedRun, CheckpointError> {
-    let ckpt = Checkpoint::load(path, spec, cfg)?;
-    crate::kernel::run(spec, cfg, SECTIONS, opts, Some(ckpt), |_, _| {})
-}
-
 // Test-only panics below (unwrap/expect on known-good fixtures,
 // aborts on impossible verdicts) stop just the failing test; the
 // production paths above are panic-free.
@@ -139,8 +38,36 @@ pub fn resume_parallel(
 mod tests {
     use super::*;
     use crate::config::{InjectionBudget, McConfig};
-    use vnet_graph::{DegradeReason, Provenance};
-    use vnet_protocol::protocols;
+    use crate::explore::{run, settle, CheckpointedRun, Verdict};
+    use crate::request::{Explorer, RunPlan};
+    use std::path::Path;
+    use std::time::Duration;
+    use vnet_graph::{Budget, DegradeReason, Provenance};
+    use vnet_protocol::{protocols, ProtocolSpec};
+
+    /// A plan for `threads` workers.
+    fn threaded(n: usize) -> RunPlan {
+        RunPlan {
+            explorer: Explorer::Threads(n),
+            ..RunPlan::default()
+        }
+    }
+
+    /// A plan for `n` workers under a node limit, checkpointing to
+    /// `path` and resuming from `resume`.
+    fn bounded(n: usize, nodes: u64, path: &Path, resume: Option<&Path>) -> RunPlan {
+        RunPlan {
+            budget: Budget::unlimited().with_node_limit(nodes),
+            checkpoint: Some(path.to_path_buf()),
+            resume: resume.map(Path::to_path_buf),
+            ..threaded(n)
+        }
+    }
+
+    /// An unlimited run with `n` workers.
+    fn run_threads(spec: &ProtocolSpec, cfg: &McConfig, n: usize) -> Verdict {
+        settle(run(spec, cfg, &threaded(n), |_, _| {}))
+    }
 
     #[test]
     fn parallel_matches_serial_on_a_complete_space() {
@@ -150,7 +77,7 @@ mod tests {
         cfg.n_addrs = 1;
         cfg.n_dirs = 1;
         let serial = crate::explore(&spec, &cfg);
-        let parallel = explore_parallel(&spec, &cfg, 4);
+        let parallel = run_threads(&spec, &cfg, 4);
         let (s, p) = (serial.stats(), parallel.stats());
         assert_eq!(s.states, p.states, "state counts must agree");
         assert_eq!(s.levels, p.levels);
@@ -162,7 +89,7 @@ mod tests {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
         let serial = crate::explore(&spec, &cfg);
-        let parallel = explore_parallel(&spec, &cfg, 4);
+        let parallel = run_threads(&spec, &cfg, 4);
         let Verdict::Deadlock { depth: ds, .. } = serial else {
             panic!()
         };
@@ -177,7 +104,7 @@ mod tests {
     fn parallel_respects_bounds() {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec).with_limits(usize::MAX, Some(3));
-        match explore_parallel(&spec, &cfg, 2) {
+        match run_threads(&spec, &cfg, 2) {
             Verdict::NoDeadlock(stats) => {
                 assert!(!stats.complete);
                 assert!(stats.levels <= 3);
@@ -192,7 +119,7 @@ mod tests {
         let cfg = McConfig::figure3(&spec);
         let mut seen: Option<Vec<String>> = None;
         for threads in [1, 2, 4, 4, 7] {
-            let steps = match explore_parallel(&spec, &cfg, threads) {
+            let steps = match run_threads(&spec, &cfg, threads) {
                 Verdict::Deadlock { trace, .. } => trace.steps,
                 other => return Err(format!("figure3 must deadlock, got {}", other.summary())),
             };
@@ -211,11 +138,12 @@ mod tests {
     fn injected_worker_panic_is_retried_transparently() -> Result<(), String> {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
-        let clean = explore_parallel(&spec, &cfg, 4);
-        let opts = ParallelOpts::new()
-            .with_threads(4)
-            .with_injection(PanicInjection { level: 3, times: 2 });
-        let v = match explore_parallel_supervised(&spec, &cfg, &opts) {
+        let clean = run_threads(&spec, &cfg, 4);
+        let plan = RunPlan {
+            inject_panic: Some(PanicInjection { level: 3, times: 2 }),
+            ..threaded(4)
+        };
+        let v = match run(&spec, &cfg, &plan, |_, _| {}) {
             Ok(CheckpointedRun::Finished(v)) => v,
             other => return Err(format!("unexpected outcome {other:?}")),
         };
@@ -243,15 +171,16 @@ mod tests {
     fn persistent_worker_loss_degrades_instead_of_hanging() -> Result<(), String> {
         let spec = protocols::msi_blocking_cache();
         let cfg = McConfig::figure3(&spec);
-        let mut opts = ParallelOpts::new()
-            .with_threads(2)
-            .with_injection(PanicInjection {
+        let plan = RunPlan {
+            inject_panic: Some(PanicInjection {
                 level: 2,
                 times: u32::MAX,
-            });
-        opts.max_restarts = 2;
-        opts.backoff = Duration::from_millis(1);
-        let v = match explore_parallel_supervised(&spec, &cfg, &opts) {
+            }),
+            max_restarts: 2,
+            backoff: Duration::from_millis(1),
+            ..threaded(2)
+        };
+        let v = match run(&spec, &cfg, &plan, |_, _| {}) {
             Ok(CheckpointedRun::Finished(v)) => v,
             other => return Err(format!("unexpected outcome {other:?}")),
         };
@@ -304,7 +233,7 @@ mod tests {
             return Err("the serial explorer must find the SWMR violation".into());
         };
         for threads in [1, 2, 4] {
-            match explore_parallel(&spec, &cfg, threads) {
+            match run_threads(&spec, &cfg, threads) {
                 Verdict::InvariantViolation {
                     trace: t,
                     detail: d,
@@ -325,7 +254,7 @@ mod tests {
             return Err(format!("figure3 must deadlock, got {}", serial.summary()));
         };
         for threads in [1, 3] {
-            let Verdict::Deadlock { trace: t, .. } = explore_parallel(&spec, &cfg, threads) else {
+            let Verdict::Deadlock { trace: t, .. } = run_threads(&spec, &cfg, threads) else {
                 return Err(format!("{threads} threads missed the deadlock"));
             };
             assert_eq!(
@@ -346,27 +275,22 @@ mod tests {
         let cfg = McConfig::figure3(&spec);
         let dir = std::env::temp_dir().join(format!("vnet-par-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let budget = |n| Budget::unlimited().with_node_limit(n);
         let serial = dir.join("serial.ckpt");
-        let policy = CheckpointPolicy::new(&serial);
-        crate::explore_checkpointed(&spec, &cfg, &budget(2_000), &policy, |_, _| {})
-            .map_err(|e| e.to_string())?;
+        let plan = RunPlan {
+            explorer: Explorer::Serial,
+            ..bounded(1, 2_000, &serial, None)
+        };
+        run(&spec, &cfg, &plan, |_, _| {}).map_err(|e| e.to_string())?;
         let threaded = dir.join("threaded.ckpt");
-        let opts = ParallelOpts::new()
-            .with_threads(2)
-            .with_budget(budget(2_000))
-            .with_policy(CheckpointPolicy::new(&threaded));
-        explore_parallel_supervised(&spec, &cfg, &opts).map_err(|e| e.to_string())?;
+        let plan = bounded(2, 2_000, &threaded, None);
+        run(&spec, &cfg, &plan, |_, _| {}).map_err(|e| e.to_string())?;
         for snapshot in [&serial, &threaded] {
             let mut flushed = Vec::new();
             for threads in [1, 2, 4] {
                 let copy = dir.join(format!("resumed-{threads}.ckpt"));
                 std::fs::copy(snapshot, &copy).map_err(|e| e.to_string())?;
-                let opts = ParallelOpts::new()
-                    .with_threads(threads)
-                    .with_budget(budget(6_000))
-                    .with_policy(CheckpointPolicy::new(&copy));
-                match resume_parallel(&copy, &spec, &cfg, &opts) {
+                let plan = bounded(threads, 6_000, &copy, Some(copy.as_path()));
+                match run(&spec, &cfg, &plan, |_, _| {}) {
                     Ok(CheckpointedRun::Finished(Verdict::NoDeadlock(s))) if !s.complete => {}
                     other => return Err(format!("{threads} threads: {other:?}")),
                 }

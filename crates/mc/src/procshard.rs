@@ -91,15 +91,13 @@
 //! serial counterexample run may report fewer states only because it
 //! stops mid-level; rounds here commit whole levels.
 
-use crate::checkpoint::{
-    self, decode_shard_section, CheckpointError, CheckpointPolicy, ShardEncoder, ShardEntry,
-};
+use crate::checkpoint::{self, decode_shard_section, CheckpointError, ShardEncoder, ShardEntry};
 use crate::codec::{decode_delta, encode_delta, put_varint, read_varint};
 use crate::config::McConfig;
 use crate::explore::{counterexample, CheckpointedRun, ExploreStats, FindingKind, Verdict};
 use crate::intern::StateId;
 use crate::kernel::CandBuf;
-use crate::request::McRequest;
+use crate::request::{McRequest, RunPlan};
 use crate::rules::{expand, render_rule_ref, ExpandOutcome, RuleTable, Scratch};
 use crate::spill::{sweep_stale_tmp, SpillArena, SpillConfig};
 use crate::state::GlobalState;
@@ -108,58 +106,28 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Instant;
-use vnet_graph::{fx_hash_bytes, Budget, DegradeReason, Provenance};
+use vnet_graph::{fx_hash_bytes, DegradeReason, Provenance};
 use vnet_protocol::ProtocolSpec;
 
-/// Supervisor options for [`explore_procshard`].
-#[derive(Debug, Clone)]
-pub struct ProcOpts {
-    /// Number of shard worker processes (the `N` of `hash % N`).
-    pub shards: u32,
-    /// Working directory holding shard sections, outboxes, and round
-    /// state. Re-running with the same directory resumes the run.
-    pub dir: PathBuf,
-    /// The protocol argument workers re-load (`vnet` built-in name or
-    /// `.vnp` path) — it must resolve to the supervisor's `spec`.
-    pub spec_arg: String,
-    /// The request the supervisor's `cfg` was built from, forwarded
-    /// as flags so every worker builds the same `McConfig` and the
-    /// shard-directory fingerprints match.
-    pub request: McRequest,
-    /// Budget enforced at round boundaries (deadline and node limit).
-    pub budget: Budget,
-    /// Per-shard, per-round respawn budget before the run degrades
-    /// with [`DegradeReason::WorkerLoss`].
-    pub max_restarts: u32,
-    /// Checkpoint policy: where to flush the *merged* v2 checkpoint on
-    /// interruption/truncation, and the cooperative stop file.
-    pub policy: Option<CheckpointPolicy>,
-    /// Total memory budget, split evenly across shards; each worker
-    /// spills its cold visited keys once its slice fills.
-    pub mem_budget: Option<u64>,
-    /// Test hook: `(round, shard)` whose first process aborts in that
-    /// round after renaming its segment — a deterministic mid-round
-    /// SIGKILL.
-    pub inject_kill: Option<(u32, u32)>,
+/// A sharded run's supervisor settings, out of its [`RunPlan`].
+struct Fleet<'a> {
+    /// Worker processes (the `N` of `hash % N`).
+    shards: u32,
+    /// The working directory; re-running with it resumes the run.
+    dir: PathBuf,
+    /// The protocol argument and request workers re-load, so their
+    /// config and shard-directory fingerprint are the supervisor's.
+    spec_arg: &'a str,
+    request: &'a McRequest,
+    /// The budget (deadline and node limit at round boundaries, the
+    /// memory limit split evenly across the workers), checkpoint and
+    /// kill injection.
+    plan: &'a RunPlan,
 }
 
-impl ProcOpts {
-    /// Options for `shards` workers coordinating through `dir`,
-    /// re-loading the protocol from `spec_arg`.
-    pub fn new(shards: u32, dir: impl Into<PathBuf>, spec_arg: impl Into<String>) -> Self {
-        ProcOpts {
-            shards,
-            dir: dir.into(),
-            spec_arg: spec_arg.into(),
-            request: McRequest::default(),
-            budget: Budget::unlimited(),
-            max_restarts: 2,
-            policy: None,
-            mem_budget: None,
-            inject_kill: None,
-        }
-    }
-}
+/// Per-shard, per-round respawn budget before the run degrades with
+/// [`DegradeReason::WorkerLoss`].
+const MAX_RESPAWNS: u32 = 2;
 
 /// Worker-side options (parsed from the hidden `__shard-worker` CLI).
 #[derive(Debug, Clone)]
@@ -493,10 +461,7 @@ impl Shard {
     fn rebuild(cfg: &McConfig, w: &WorkerOpts) -> Result<Shard, String> {
         let spill = w.mem_budget.map(|b| {
             let slice = (b / w.of as u64).max(64 << 10);
-            SpillConfig::new(
-                w.dir.join(format!("spill-{}", w.shard)),
-                slice.saturating_mul(4) / 5,
-            )
+            SpillConfig::for_budget(w.dir.join(format!("spill-{}", w.shard)), slice)
         });
         let mut shard = Shard {
             keys: SpillArena::new(spill),
@@ -791,21 +756,44 @@ pub fn run_worker(spec: &ProtocolSpec, cfg: &McConfig, w: &WorkerOpts) -> Result
 // Supervisor.
 // ---------------------------------------------------------------------
 
-/// Explores `spec` under `cfg` with `opts.shards` worker processes.
+/// Explores `spec` under `cfg` with `shards` worker processes
+/// coordinating through `dir`, as `plan` says; the run behind
+/// [`crate::run`] for [`Explorer::Shards`].
 ///
 /// The working directory is the run's durable state: re-invoking with
 /// the same directory resumes after any crash — of a worker *or* of
 /// this supervisor. A finished run leaves a `done` marker; a later
 /// invocation with the same directory resets it and starts fresh.
-pub fn explore_procshard(
+///
+/// [`Explorer::Shards`]: crate::request::Explorer::Shards
+pub(crate) fn explore_procshard(
     spec: &ProtocolSpec,
     cfg: &McConfig,
-    opts: &ProcOpts,
+    plan: &RunPlan,
+    shards: u32,
+    dir: &Path,
 ) -> Result<CheckpointedRun, CheckpointError> {
+    let Some((spec_arg, request)) = &plan.shard_cell else {
+        return Err(CheckpointError::Config {
+            detail: "a process-shard run needs the protocol argument its workers re-load".into(),
+        });
+    };
+    if plan.resume.is_some() {
+        return Err(CheckpointError::Config {
+            detail: "process shards resume from their shard directory, not a checkpoint".into(),
+        });
+    }
+    let opts = Fleet {
+        shards,
+        dir: dir.to_path_buf(),
+        spec_arg,
+        request,
+        plan,
+    };
     // The observability shim, as the kernel's: counting at this one exit
     // keeps `explore.states_total` equal to the verdict's states on
     // every exit path.
-    let result = supervise(spec, cfg, opts);
+    let result = supervise(spec, cfg, &opts);
     if vnet_obs::metrics_enabled() {
         let states = match &result {
             Ok(CheckpointedRun::Finished(v)) => v.stats().states,
@@ -822,7 +810,7 @@ pub fn explore_procshard(
 fn supervise(
     spec: &ProtocolSpec,
     cfg: &McConfig,
-    opts: &ProcOpts,
+    opts: &Fleet,
 ) -> Result<CheckpointedRun, CheckpointError> {
     let n = opts.shards;
     if n == 0 || n > 1 << 12 {
@@ -916,13 +904,13 @@ fn supervise(
     let mut spilled = 0u64;
 
     loop {
-        if let Some(pol) = &opts.policy {
-            if pol.stop_file.as_ref().is_some_and(|p| p.exists()) {
+        if let Some(path) = &opts.plan.checkpoint {
+            if opts.plan.stop_file.as_ref().is_some_and(|p| p.exists()) {
                 if round > 0 {
-                    merge_checkpoint(&opts.dir, n, fp, round - 1, claims, &pol.path)?;
+                    merge_checkpoint(&opts.dir, n, fp, round - 1, claims, path)?;
                 }
                 return Ok(CheckpointedRun::Interrupted {
-                    checkpoint: pol.path.clone(),
+                    checkpoint: path.clone(),
                     states: claims as usize,
                     level: round.saturating_sub(1) as usize,
                 });
@@ -946,23 +934,23 @@ fn supervise(
             });
         }
         if degrade.is_none() {
-            if let Some(limit) = opts.budget.node_limit {
+            if let Some(limit) = opts.plan.budget.node_limit {
                 if claims >= limit {
                     degrade = Some(DegradeReason::NodeLimit { limit });
                 }
             }
         }
         if degrade.is_none() {
-            if let Some(deadline) = opts.budget.deadline {
+            if let Some(deadline) = opts.plan.budget.deadline {
                 if started.elapsed() >= deadline {
                     degrade = Some(DegradeReason::DeadlineExpired { deadline });
                 }
             }
         }
         if let Some(reason) = degrade {
-            if let Some(pol) = &opts.policy {
+            if let Some(path) = &opts.plan.checkpoint {
                 if round > 0 {
-                    merge_checkpoint(&opts.dir, n, fp, round - 1, claims, &pol.path)?;
+                    merge_checkpoint(&opts.dir, n, fp, round - 1, claims, path)?;
                 }
             }
             return Ok(finished(Verdict::NoDeadlock(stats_of(
@@ -1130,7 +1118,7 @@ struct Worker {
 /// spawned when first rung and kept across rounds. Dropping the pool
 /// closes every doorbell pipe and reaps every worker.
 struct Pool<'a> {
-    opts: &'a ProcOpts,
+    opts: &'a Fleet<'a>,
     workers: Vec<Option<Worker>>,
     /// Whether each shard has had a process yet (a later one is a
     /// restart).
@@ -1142,13 +1130,13 @@ struct Pool<'a> {
 }
 
 impl<'a> Pool<'a> {
-    fn new(opts: &'a ProcOpts) -> Self {
+    fn new(opts: &'a Fleet<'a>) -> Self {
         Pool {
             opts,
             workers: (0..opts.shards).map(|_| None).collect(),
             spawned: vec![false; opts.shards as usize],
             restarts: 0,
-            kill: opts.inject_kill,
+            kill: opts.plan.inject_kill,
         }
     }
 
@@ -1168,7 +1156,7 @@ impl<'a> Pool<'a> {
                 return Ok(records.into_iter().flatten().collect());
             }
             for &s in &pending {
-                if attempts[s as usize] > self.opts.max_restarts {
+                if attempts[s as usize] > MAX_RESPAWNS {
                     return Err(RoundFailure::WorkerLost {
                         restarts: self.restarts,
                     });
@@ -1255,7 +1243,7 @@ impl Drop for Pool<'_> {
     }
 }
 
-fn spawn_worker(opts: &ProcOpts, shard: u32, crash_round: Option<u32>) -> std::io::Result<Worker> {
+fn spawn_worker(opts: &Fleet, shard: u32, crash_round: Option<u32>) -> std::io::Result<Worker> {
     let exe = std::env::current_exe()?;
     let mut cmd = Command::new(exe);
     cmd.arg("__shard-worker")
@@ -1266,9 +1254,9 @@ fn spawn_worker(opts: &ProcOpts, shard: u32, crash_round: Option<u32>) -> std::i
         .arg("--of")
         .arg(opts.shards.to_string())
         .arg("--spec")
-        .arg(&opts.spec_arg)
+        .arg(opts.spec_arg)
         .args(opts.request.to_args());
-    if let Some(b) = opts.mem_budget {
+    if let Some(b) = opts.plan.budget.mem_limit {
         cmd.arg("--mem-budget").arg(b.to_string());
     }
     if let Some(r) = crash_round {

@@ -37,7 +37,7 @@ pub const RESTART_INTERVAL: u32 = 16;
 const VACANT: u64 = u64::MAX;
 
 /// Where and when the arena spills.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Directory for segment files (created on first use).
     pub dir: PathBuf,
@@ -57,6 +57,13 @@ impl SpillConfig {
             threshold_bytes,
             min_hot_bytes: 32 << 10,
         }
+    }
+
+    /// The spill trigger of a run under a `mem_budget`-byte memory
+    /// budget: spill into `dir` at 4/5 of the budget, so cold keys leave
+    /// RAM before the budget meter would latch exhaustion.
+    pub fn for_budget(dir: impl Into<PathBuf>, mem_budget: u64) -> Self {
+        SpillConfig::new(dir, mem_budget.saturating_mul(4) / 5)
     }
 }
 

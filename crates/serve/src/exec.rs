@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use vnet_core::{analyze_budgeted, VnOutcome};
 use vnet_graph::{Budget, Provenance};
-use vnet_mc::{McConfig, McRequest, VnChoice};
+use vnet_mc::{CheckpointedRun, McConfig, McRequest, RunPlan, Verdict, VnChoice};
 use vnet_protocol::{dsl, protocols, ProtocolSpec};
 use vnet_store::{Key, RecordKind};
 
@@ -305,7 +305,7 @@ pub fn execute(
                     (cfg, key)
                 }
             };
-            let ckpt_path = ckpt_path.filter(|_| *checkpoint);
+            let plan = mc_plan(budget, ckpt_path.filter(|_| *checkpoint));
             let job = McJob {
                 spec: &spec,
                 cfg: &cfg,
@@ -313,9 +313,9 @@ pub fn execute(
                 parameterized: *parameterized,
             };
             if *process {
-                run_mc_process(req, request, &job, budget, ckpt_path)
+                run_mc_process(req, request, &job, &plan)
             } else {
-                run_mc(&job, budget, ckpt_path, on_level)
+                run_mc(&job, &plan, on_level)
             }
         }
         Command::Sim {
@@ -385,27 +385,24 @@ struct McJob<'a> {
     parameterized: bool,
 }
 
-/// Runs an `mc` request inline; it checkpoints to `ckpt_path` when
-/// one is given.
+/// How an `mc` job runs, inline or in a child: serially under the
+/// request's budget, checkpointing to `ckpt_path` when one is given.
+pub fn mc_plan(budget: &Budget, ckpt_path: Option<&Path>) -> RunPlan {
+    RunPlan {
+        budget: budget.clone(),
+        checkpoint: ckpt_path.map(Path::to_path_buf),
+        ..RunPlan::default()
+    }
+}
+
+/// Runs an `mc` request inline, as `plan` says.
 fn run_mc(
     job: &McJob,
-    budget: &Budget,
-    ckpt_path: Option<&Path>,
+    plan: &RunPlan,
     on_level: &mut dyn FnMut(usize, usize),
 ) -> Result<ExecResult, ExecError> {
-    use vnet_mc::{
-        checkpoint::CheckpointPolicy, explore_budgeted_with, explore_checkpointed,
-        CheckpointedRun, Verdict,
-    };
-    let (spec, cfg) = (job.spec, job.cfg);
-    let run = match ckpt_path {
-        Some(path) => {
-            let policy = CheckpointPolicy::new(path.to_path_buf());
-            explore_checkpointed(spec, cfg, budget, &policy, on_level)
-                .map_err(|e| format!("checkpoint error: {e}"))?
-        }
-        None => CheckpointedRun::Finished(explore_budgeted_with(spec, cfg, budget, on_level)),
-    };
+    let run = vnet_mc::run(job.spec, job.cfg, plan, on_level)
+        .map_err(|e| format!("checkpoint error: {e}"))?;
 
     let verdict = match run {
         CheckpointedRun::Finished(v) => v,
@@ -424,7 +421,7 @@ fn run_mc(
     };
 
     let stats = verdict.stats().clone();
-    let mut fields = vec![("protocol", Json::str(spec.name()))];
+    let mut fields = vec![("protocol", Json::str(job.spec.name()))];
     match &verdict {
         Verdict::NoDeadlock(_) => fields.push(("verdict", Json::str("no_deadlock"))),
         Verdict::Deadlock { depth, .. } => {
@@ -443,7 +440,7 @@ fn run_mc(
     fields.push(("states", Json::num(stats.states as u64)));
     fields.push(("levels", Json::num(stats.levels as u64)));
     fields.push(("complete", Json::Bool(stats.complete)));
-    Ok(mc_result(job, fields, stats.provenance, ckpt_path))
+    Ok(mc_result(job, fields, stats.provenance, plan.checkpoint.as_deref()))
 }
 
 /// An `mc` response from its verdict fields, whichever runner produced
@@ -585,12 +582,12 @@ fn run_mc_process(
     req: &Request,
     request: &McRequest,
     job: &McJob,
-    budget: &Budget,
-    ckpt_path: Option<&Path>,
+    plan: &RunPlan,
 ) -> Result<ExecResult, ExecError> {
     use std::process::{Command as Proc, Stdio};
     use vnet_graph::DegradeReason;
     use vnet_mc::campaign::parse_machine_line;
+    let budget = &plan.budget;
 
     // The child re-resolves the protocol: built-ins by name, inline
     // DSL via a scratch file (validated here first, so a client error
@@ -636,19 +633,7 @@ fn run_mc_process(
     let mut restarts: u32 = 0;
     loop {
         let mut cmd = Proc::new(&exe);
-        cmd.arg("mc")
-            .arg(&arg)
-            .arg("--machine")
-            .args(request.to_args());
-        if let Some(clauses) = budget.to_clauses() {
-            cmd.arg("--budget").arg(clauses);
-        }
-        if let Some(b) = budget.mem_limit {
-            cmd.arg("--mem-budget").arg(b.to_string());
-        }
-        if let Some(p) = ckpt_path {
-            cmd.arg("--checkpoint").arg(p);
-        }
+        cmd.args(plan.mc_argv(&arg, request));
         cmd.stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
@@ -752,7 +737,7 @@ fn run_mc_process(
         };
         let fields =
             mc_result_fields(job.spec.name(), &m.kind, m.depth, m.states, m.levels, m.complete);
-        return cleanup(Ok(mc_result(job, fields, provenance, ckpt_path)));
+        return cleanup(Ok(mc_result(job, fields, provenance, plan.checkpoint.as_deref())));
     }
 }
 

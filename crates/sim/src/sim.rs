@@ -150,7 +150,6 @@ impl Simulator {
             max_depth: None,
             swmr: None,
             symmetry: false,
-            spill: None,
         };
         let state = GlobalState::initial(&spec, &mc_cfg);
         let links = cfg.topology.links();

@@ -418,148 +418,20 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         }
         "mc" => {
             let spec = load(args.get(1).ok_or("mc needs a protocol")?)?;
-            use std::path::PathBuf;
-            use vnet::mc::{
-                campaign, checkpoint::CheckpointPolicy, explore_budgeted, explore_checkpointed,
-                explore_parallel_supervised, explore_procshard, resume, resume_parallel,
-                CheckpointedRun, McRequest, ParallelOpts, ProcOpts, SpillConfig, Verdict,
-            };
+            use vnet::mc::{campaign, CheckpointedRun, McRequest, RunPlan, Verdict};
             let request = McRequest::from_args(args)?;
-            let (mut cfg, class2) = request.config(&spec)?;
+            let (cfg, class2) = request.config(&spec)?;
             if class2 {
                 println!("Class 2 protocol: checking with one VN per message");
             }
-            let mut budget = budget_flag(args)?;
-
             let machine = args.iter().any(|a| a == "--machine");
-            let threads: Option<usize> = opt_flag(args, "--parallel")?;
-            // Fail closed on an explicit zero: silently promoting it to
-            // "auto" would hide a typo in a script that meant a real
-            // thread count.
-            if threads == Some(0) {
-                return Err(
-                    "--parallel needs a positive thread count (omit the flag for the serial \
-                     explorer)"
-                        .into(),
-                );
-            }
-            let resume_path = flag_value(args, "--resume")?.map(PathBuf::from);
-            let ckpt_path = flag_value(args, "--checkpoint")?.map(PathBuf::from);
-            let interval: usize = parse_flag(args, "--checkpoint-interval", 50_000)?;
-            if interval == 0 {
-                return Err("--checkpoint-interval must be positive".into());
-            }
-            let stop_file = flag_value(args, "--stop-file")?.map(PathBuf::from);
-            let inject = inject_flag(args)?;
-            if inject.is_some() && threads.is_none() {
-                return Err("--inject-worker-panic needs --parallel".into());
-            }
-
-            // Out-of-core and process-shard flags. --mem-budget alone
-            // just bounds the serial explorer; adding --spill-dir lets
-            // it shed cold visited keys to disk instead of degrading;
-            // --shard-procs/--shard-dir hand the run to per-shard
-            // worker processes that survive individual SIGKILLs.
-            let mem_budget: Option<u64> = opt_flag(args, "--mem-budget")?;
-            if mem_budget == Some(0) {
-                return Err("--mem-budget must be positive".into());
-            }
-            let spill_dir = flag_value(args, "--spill-dir")?.map(PathBuf::from);
-            let shard_procs: Option<u32> = opt_flag(args, "--shard-procs")?;
-            if shard_procs == Some(0) {
-                return Err("--shard-procs needs a positive process count".into());
-            }
-            let shard_dir = flag_value(args, "--shard-dir")?.map(PathBuf::from);
-            let shard_kill = shard_kill_flag(args)?;
-            if shard_procs.is_some() != shard_dir.is_some() {
-                return Err("--shard-procs and --shard-dir go together".into());
-            }
-            if shard_procs.is_some() {
-                if threads.is_some() {
-                    return Err("--shard-procs and --parallel are mutually exclusive".into());
-                }
-                if resume_path.is_some() {
-                    return Err(
-                        "--shard-procs resumes from its --shard-dir; --resume is for the \
-                         serial and thread-parallel explorers"
-                            .into(),
-                    );
-                }
-                if spill_dir.is_some() {
-                    return Err(
-                        "--shard-procs workers spill inside --shard-dir; drop --spill-dir".into(),
-                    );
-                }
-            } else if shard_kill.is_some() {
-                return Err("--inject-shard-kill needs --shard-procs".into());
-            }
-            if let Some(dir) = &spill_dir {
-                if mem_budget.is_none() {
-                    return Err("--spill-dir needs --mem-budget (the spill trigger)".into());
-                }
-                if threads.is_some() {
-                    return Err(
-                        "--spill-dir applies to the serial explorer; the thread-parallel \
-                         explorer keeps its shards in RAM"
-                            .into(),
-                    );
-                }
-                if let Some(b) = mem_budget {
-                    // Spill at 4/5 of the budget: cold keys leave RAM
-                    // before the budget meter would latch exhaustion.
-                    cfg = cfg.with_spill(SpillConfig::new(dir, b.saturating_mul(4) / 5));
-                }
-            }
-            if shard_procs.is_none() {
-                if let Some(b) = mem_budget {
-                    budget = budget.with_mem_limit(b);
-                }
-            }
-
-            // A resumed run keeps checkpointing to the file it resumed
-            // from unless --checkpoint redirects it.
-            let policy_path = ckpt_path.or_else(|| resume_path.clone());
-            let policy = policy_path.map(|p| {
-                let mut pol = CheckpointPolicy::new(p).every_states(interval);
-                if let Some(s) = &stop_file {
-                    pol = pol.with_stop_file(s.clone());
-                }
-                pol
-            });
-
-            let run = if let (Some(n), Some(dir)) = (shard_procs, shard_dir) {
-                let mut opts = ProcOpts::new(n, dir, args[1].clone());
-                opts.request = request;
-                opts.budget = budget;
-                opts.mem_budget = mem_budget;
-                opts.policy = policy;
-                opts.inject_kill = shard_kill;
-                explore_procshard(&spec, &cfg, &opts)
-            } else if let Some(n) = threads {
-                let mut opts = ParallelOpts::new().with_threads(n).with_budget(budget);
-                if let Some(p) = policy {
-                    opts = opts.with_policy(p);
-                }
-                if let Some(i) = inject {
-                    opts = opts.with_injection(i);
-                }
-                match &resume_path {
-                    Some(p) => resume_parallel(p, &spec, &cfg, &opts),
-                    None => explore_parallel_supervised(&spec, &cfg, &opts),
-                }
-            } else {
-                match (&resume_path, policy) {
-                    (Some(p), pol) => resume(p, &spec, &cfg, &budget, pol.as_ref(), |_, _| {}),
-                    (None, Some(pol)) => {
-                        explore_checkpointed(&spec, &cfg, &budget, &pol, |_, _| {})
-                    }
-                    (None, None) => Ok(CheckpointedRun::Finished(explore_budgeted(
-                        &spec, &cfg, &budget,
-                    ))),
-                }
+            let plan = RunPlan {
+                shard_cell: Some((args[1].clone(), request)),
+                ..RunPlan::from_args(args)?
             };
-
-            let v = match run.map_err(|e| format!("checkpoint error: {e}"))? {
+            let run = vnet::mc::run(&spec, &cfg, &plan, |_, _| {})
+                .map_err(|e| format!("checkpoint error: {e}"))?;
+            let v = match run {
                 CheckpointedRun::Finished(v) => v,
                 CheckpointedRun::Interrupted {
                     checkpoint,
@@ -628,6 +500,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         "campaign" => {
             use std::path::Path;
             use vnet::mc::campaign::{self, CampaignConfig, Isolation};
+            use vnet::mc::{request::SPILL_NEEDS_BUDGET, RunPlan};
             let dir = args
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
@@ -677,28 +550,24 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             if let Some(s) = flag_value(args, "--stop-file")? {
                 cc = cc.with_stop_file(s);
             }
-            if let Some(i) = inject_flag(args)? {
+            // The flags `vnet mc` shares are parsed and checked by its
+            // plan's rules; the isolation checks are the campaign's own.
+            if let Some(i) = RunPlan::inject_panic_flag(args)? {
                 cc = cc.with_injection(i);
             }
-            if let Some(b) = opt_flag(args, "--mem-budget")? {
-                if b == 0 {
-                    return Err("--mem-budget must be positive".into());
-                }
+            if let Some(b) = RunPlan::mem_budget_flag(args)? {
                 cc = cc.with_mem_budget(b);
             }
             if let Some(d) = flag_value(args, "--spill-dir")? {
-                if cc.mem_budget.is_none() {
-                    return Err("--spill-dir needs --mem-budget (the spill trigger)".into());
+                if cc.budget.mem_limit.is_none() {
+                    return Err(SPILL_NEEDS_BUDGET.into());
                 }
                 if cc.isolation != Isolation::Process {
                     return Err("--spill-dir needs --isolation process".into());
                 }
                 cc = cc.with_spill_dir(d);
             }
-            if let Some(n) = opt_flag(args, "--shard-procs")? {
-                if n == 0 {
-                    return Err("--shard-procs needs a positive process count".into());
-                }
+            if let Some(n) = RunPlan::shard_procs_flag(args)? {
                 if cc.isolation != Isolation::Process {
                     return Err("--shard-procs needs --isolation process".into());
                 }
@@ -1353,7 +1222,6 @@ fn dump_rejected(
     Ok(())
 }
 
-/// The value following `name` in `args`, if the flag is present.
 /// What `vnet analyze` may claim after folding the last of `n_vns` VNs
 /// into the one before it loses the flow certificate. With two VNs that
 /// fold is the only one-VN map, so the minimum is tight; with more, the
@@ -1376,6 +1244,7 @@ fn fold_probe_line(n_vns: usize) -> String {
     }
 }
 
+/// The value following `name` in `args`, if the flag is present.
 fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == name) {
         None => Ok(None),
@@ -1421,43 +1290,6 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
         return Ok(Duration::from_secs(s));
     }
     Err(format!("bad duration `{text}` (want `90s` or `1500ms`)"))
-}
-
-/// Parses `--inject-shard-kill <round>:<shard>` (crash injection for
-/// the process-shard supervisor tests and the CI smoke job: the named
-/// worker aborts mid-round on its first spawn).
-fn shard_kill_flag(args: &[String]) -> Result<Option<(u32, u32)>, String> {
-    let Some(text) = flag_value(args, "--inject-shard-kill")? else {
-        return Ok(None);
-    };
-    let (round, shard) = text
-        .split_once(':')
-        .ok_or_else(|| format!("bad injection `{text}` (want <round>:<shard>)"))?;
-    let round: u32 = round
-        .parse()
-        .map_err(|_| format!("bad round in `{text}`"))?;
-    let shard: u32 = shard
-        .parse()
-        .map_err(|_| format!("bad shard in `{text}`"))?;
-    Ok(Some((round, shard)))
-}
-
-/// Parses `--inject-worker-panic <level>:<times>` (fault injection for
-/// the supervisor tests and the CI smoke job).
-fn inject_flag(args: &[String]) -> Result<Option<vnet::mc::PanicInjection>, String> {
-    let Some(text) = flag_value(args, "--inject-worker-panic")? else {
-        return Ok(None);
-    };
-    let (level, times) = text
-        .split_once(':')
-        .ok_or_else(|| format!("bad injection `{text}` (want <level>:<times>)"))?;
-    let level: usize = level
-        .parse()
-        .map_err(|_| format!("bad injection level in `{text}`"))?;
-    let times: u32 = times
-        .parse()
-        .map_err(|_| format!("bad injection count in `{text}`"))?;
-    Ok(Some(vnet::mc::PanicInjection { level, times }))
 }
 
 /// Parses `--topology`: `ring:<n>` or `mesh:<rows>x<cols>`.

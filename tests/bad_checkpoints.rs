@@ -33,9 +33,7 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use vnet::mc::{
-    explore_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy, McConfig, VnMap,
-};
+use vnet::mc::{run, Checkpoint, CheckpointError, McConfig, RunPlan, VnMap};
 use vnet::protocol::{protocols, ProtocolSpec};
 
 #[path = "support/single_section.rs"]
@@ -70,9 +68,12 @@ fn other_config(spec: &ProtocolSpec) -> McConfig {
 /// it flushed.
 fn live_checkpoint_bytes(spec: &ProtocolSpec, cfg: &McConfig, dir: &Path) -> Vec<u8> {
     let path = dir.join("base.ckpt");
-    let policy = CheckpointPolicy::new(&path).every_states(1);
-    let budget = vnet::core::Budget::unlimited();
-    let run = explore_checkpointed(spec, cfg, &budget, &policy, |_, _| {});
+    let plan = RunPlan {
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 1,
+        ..RunPlan::default()
+    };
+    let run = run(spec, cfg, &plan, |_, _| {});
     assert!(run.is_ok(), "base exploration failed: {:?}", run.err());
     let bytes = std::fs::read(&path);
     assert!(bytes.is_ok(), "no checkpoint flushed at {}", path.display());

@@ -5,7 +5,7 @@
 use std::time::Duration;
 use vnet::core::{analyze_budgeted, minimize_vns, minimize_vns_budgeted, VnOutcome};
 use vnet::graph::{Budget, Provenance};
-use vnet::mc::{explore_budgeted, McConfig, Verdict};
+use vnet::mc::{run, CheckpointedRun, McConfig, RunPlan, Verdict};
 use vnet::protocol::protocols;
 
 /// A starved budget must visibly degrade at least one solver kernel on a
@@ -82,13 +82,16 @@ fn zero_deadline_never_hangs_or_panics() {
 fn mc_budget_exhaustion_is_a_partial_degraded_verdict() {
     let spec = protocols::msi_blocking_cache();
     let cfg = McConfig::figure3(&spec);
-    let v = explore_budgeted(&spec, &cfg, &Budget::unlimited().with_node_limit(3));
-    match v {
-        Verdict::NoDeadlock(stats) => {
+    let plan = RunPlan {
+        budget: Budget::unlimited().with_node_limit(3),
+        ..RunPlan::default()
+    };
+    match run(&spec, &cfg, &plan, |_, _| {}) {
+        Ok(CheckpointedRun::Finished(Verdict::NoDeadlock(stats))) => {
             assert!(!stats.complete);
             assert!(!stats.provenance.is_exact());
             assert!(stats.provenance.to_string().contains("node limit"));
         }
-        other => panic!("expected partial verdict, got {}", other.summary()),
+        other => panic!("expected partial verdict, got {other:?}"),
     }
 }

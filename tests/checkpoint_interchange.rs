@@ -12,8 +12,7 @@
 use std::path::{Path, PathBuf};
 use vnet::core::Budget;
 use vnet::mc::{
-    explore_checkpointed, explore_parallel_supervised, resume, resume_parallel, Checkpoint,
-    CheckpointError, CheckpointPolicy, CheckpointedRun, McConfig, ParallelOpts, Verdict, VnMap,
+    run, Checkpoint, CheckpointError, CheckpointedRun, Explorer, McConfig, RunPlan, Verdict, VnMap,
 };
 use vnet::protocol::{protocols, ProtocolSpec};
 
@@ -43,6 +42,32 @@ fn signature(v: &Verdict) -> Signature {
         ),
     };
     (kind, depth, stats.states, steps)
+}
+
+/// Runs `plan`.
+fn go(
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+    plan: &RunPlan,
+) -> Result<CheckpointedRun, CheckpointError> {
+    run(spec, cfg, plan, |_, _| {})
+}
+
+/// A serial plan checkpointing to `path` every `every` states.
+fn checkpointing(path: &Path, every: usize) -> RunPlan {
+    RunPlan {
+        checkpoint: Some(path.to_path_buf()),
+        checkpoint_every: every,
+        ..RunPlan::default()
+    }
+}
+
+/// An unlimited serial plan resuming from `path`, flushing nothing.
+fn resuming(path: &Path) -> RunPlan {
+    RunPlan {
+        resume: Some(path.to_path_buf()),
+        ..RunPlan::default()
+    }
 }
 
 /// The verdict of a run that must have finished.
@@ -75,14 +100,17 @@ fn config_for(spec: &ProtocolSpec, max_states: usize) -> McConfig {
 fn serial_baseline(name: &str, spec: &ProtocolSpec, cfg: &McConfig) -> Signature {
     let path = tmp(&format!("{name}-serial-ref"));
     let _ = std::fs::remove_file(&path);
-    let policy = CheckpointPolicy::new(&path).every_states(usize::MAX);
-    let run = explore_checkpointed(spec, cfg, &Budget::unlimited(), &policy, |_, _| {});
+    let run = go(spec, cfg, &checkpointing(&path, usize::MAX));
     let _ = std::fs::remove_file(&path);
     signature(&finished(name, run))
 }
 
-fn threads(budget: Budget) -> ParallelOpts {
-    ParallelOpts::new().with_threads(2).with_budget(budget)
+/// `plan` on the threaded explorer with two workers.
+fn threads(plan: RunPlan) -> RunPlan {
+    RunPlan {
+        explorer: Explorer::Threads(2),
+        ..plan
+    }
 }
 
 /// Asserts a snapshot leg stopped on its node budget, so the file it
@@ -102,7 +130,7 @@ fn snapshots_resume_across_serial_and_threaded_explorers() {
     for (name, spec, max_states, seg) in corpus() {
         let cfg = config_for(&spec, max_states);
         let baseline = serial_baseline(name, &spec, &cfg);
-        let threaded = explore_parallel_supervised(&spec, &cfg, &threads(Budget::unlimited()));
+        let threaded = go(&spec, &cfg, &threads(RunPlan::default()));
         assert_eq!(
             signature(&finished(name, threaded)),
             baseline,
@@ -112,18 +140,24 @@ fn snapshots_resume_across_serial_and_threaded_explorers() {
 
         let path = tmp(&format!("{name}-serial"));
         let _ = std::fs::remove_file(&path);
-        let policy = CheckpointPolicy::new(&path).every_states(1);
-        let snap = explore_checkpointed(&spec, &cfg, &budget, &policy, |_, _| {});
+        let plan = RunPlan {
+            budget: budget.clone(),
+            ..checkpointing(&path, 1)
+        };
+        let snap = go(&spec, &cfg, &plan);
         assert_interrupted(name, &finished(name, snap), &path);
-        let v = finished(name, resume_parallel(&path, &spec, &cfg, &threads(Budget::unlimited())));
+        let v = finished(name, go(&spec, &cfg, &threads(resuming(&path))));
         assert_eq!(signature(&v), baseline, "{name}: serial → threaded diverged");
 
         let path = tmp(&format!("{name}-threaded"));
         let _ = std::fs::remove_file(&path);
-        let opts = threads(budget).with_policy(CheckpointPolicy::new(&path).every_states(1));
-        let snap = explore_parallel_supervised(&spec, &cfg, &opts);
+        let plan = RunPlan {
+            budget,
+            ..checkpointing(&path, 1)
+        };
+        let snap = go(&spec, &cfg, &threads(plan));
         assert_interrupted(name, &finished(name, snap), &path);
-        let v = finished(name, resume(&path, &spec, &cfg, &Budget::unlimited(), None, |_, _| {}));
+        let v = finished(name, go(&spec, &cfg, &resuming(&path)));
         assert_eq!(signature(&v), baseline, "{name}: threaded → serial diverged");
     }
 }
@@ -137,7 +171,7 @@ fn snapshots_resume_across_serial_and_threaded_explorers() {
 fn procshard_snapshot_resumes_under_the_threaded_explorer() {
     let spec = protocols::chi();
     let cfg = McConfig::figure3(&spec).with_vns(VnMap::one_per_message(spec.messages().len()));
-    let clean = explore_parallel_supervised(&spec, &cfg, &threads(Budget::unlimited()));
+    let clean = go(&spec, &cfg, &threads(RunPlan::default()));
     let baseline = signature(&finished("clean threaded run", clean));
     assert_eq!(baseline.0, "no-deadlock", "CHI/unique-VNs must complete");
 
@@ -161,7 +195,7 @@ fn procshard_snapshot_resumes_under_the_threaded_explorer() {
     );
     assert!(ckpt.exists(), "degraded supervisor must flush a merged checkpoint");
 
-    let v = finished("resume", resume_parallel(&ckpt, &spec, &cfg, &threads(Budget::unlimited())));
+    let v = finished("resume", go(&spec, &cfg, &threads(resuming(&ckpt))));
     assert_eq!(signature(&v), baseline, "procshard → threaded diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,20 +209,20 @@ fn serial_resume_flushes_the_uninterrupted_runs_bytes() {
     let cfg = config_for(&spec, 3_000);
     let straight = tmp("bytes-straight");
     let _ = std::fs::remove_file(&straight);
-    let policy = CheckpointPolicy::new(&straight).every_states(usize::MAX);
-    let run = explore_checkpointed(&spec, &cfg, &Budget::unlimited(), &policy, |_, _| {});
-    finished("straight", run);
+    finished("straight", go(&spec, &cfg, &checkpointing(&straight, usize::MAX)));
 
     let resumed = tmp("bytes-resumed");
     let _ = std::fs::remove_file(&resumed);
-    let policy = CheckpointPolicy::new(&resumed).every_states(usize::MAX);
+    let plan = checkpointing(&resumed, usize::MAX);
     let level4 = cfg.clone().with_limits(3_000, Some(4));
-    let snap = explore_checkpointed(&spec, &level4, &Budget::unlimited(), &policy, |_, _| {});
-    finished("level-4 snapshot", snap);
+    finished("level-4 snapshot", go(&spec, &level4, &plan));
     let loaded = Checkpoint::load(&resumed, &spec, &cfg).expect("level-4 snapshot loads");
     assert_eq!(loaded.level, 4, "snapshot is not the level-4 boundary");
-    let run = resume(&resumed, &spec, &cfg, &Budget::unlimited(), Some(&policy), |_, _| {});
-    finished("resumed", run);
+    let plan = RunPlan {
+        resume: Some(resumed.clone()),
+        ..plan
+    };
+    finished("resumed", go(&spec, &cfg, &plan));
 
     let (a, b) = (std::fs::read(&straight), std::fs::read(&resumed));
     assert!(a.is_ok() && b.is_ok(), "both runs must flush a final snapshot");
@@ -213,8 +247,7 @@ fn key_sorted_serial_snapshot_resumes_to_the_fresh_verdict() {
         loaded.entries.windows(2).all(|w| w[0].key < w[1].key),
         "fixture is not in sorted-key order"
     );
-    let run = resume(&fixture, &spec, &cfg, &Budget::unlimited(), None, |_, _| {});
-    let v = finished("fixture", run);
+    let v = finished("fixture", go(&spec, &cfg, &resuming(&fixture)));
     assert_eq!(signature(&v), serial_baseline("keysorted", &spec, &cfg));
 }
 
@@ -227,14 +260,11 @@ fn corrupted_v2_checkpoints_are_rejected() {
     let cfg = config_for(&spec, 3_000);
     let path = tmp("corrupt-src");
     let _ = std::fs::remove_file(&path);
-    let policy = CheckpointPolicy::new(&path).every_states(1);
-    let _ = explore_checkpointed(
-        &spec,
-        &cfg,
-        &Budget::unlimited().with_node_limit(900),
-        &policy,
-        |_, _| {},
-    );
+    let plan = RunPlan {
+        budget: Budget::unlimited().with_node_limit(900),
+        ..checkpointing(&path, 1)
+    };
+    let _ = go(&spec, &cfg, &plan);
     let bytes = std::fs::read(&path).expect("snapshot must exist");
     assert!(bytes.len() > 100, "snapshot suspiciously small");
 

@@ -7,11 +7,10 @@
 //! chained multi-segment resumes, for both the serial and the parallel
 //! explorer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use vnet::core::Budget;
 use vnet::mc::{
-    explore_budgeted, explore_checkpointed, explore_parallel_supervised, resume, resume_parallel,
-    CheckpointPolicy, CheckpointedRun, McConfig, ParallelOpts, SpillConfig, Verdict, VnMap,
+    run, CheckpointedRun, Explorer, McConfig, RunPlan, SpillConfig, Verdict, VnMap,
 };
 use vnet::protocol::{protocols, ProtocolSpec};
 
@@ -19,6 +18,24 @@ fn tmp(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("vnet-resume-{}", std::process::id()));
     let _ = std::fs::create_dir_all(&d);
     d.join(format!("{tag}.ckpt"))
+}
+
+/// A serial plan checkpointing to `path` every `k` states.
+fn checkpointing(path: &Path, k: usize) -> RunPlan {
+    RunPlan {
+        checkpoint: Some(path.to_path_buf()),
+        checkpoint_every: k,
+        ..RunPlan::default()
+    }
+}
+
+/// The verdict of `plan`'s run; `what` names the run if it does not
+/// finish.
+fn finish(spec: &ProtocolSpec, cfg: &McConfig, plan: &RunPlan, what: &str) -> Verdict {
+    match run(spec, cfg, plan, |_, _| {}) {
+        Ok(CheckpointedRun::Finished(v)) => v,
+        other => panic!("{what} did not finish: {other:?}"),
+    }
 }
 
 /// The observable identity of a verdict for equivalence checks.
@@ -43,16 +60,17 @@ fn signature(v: &Verdict) -> (String, usize, usize, Vec<String>) {
 
 /// Runs serial exploration in budgeted segments of `seg` nodes,
 /// checkpointing every `k` states and abandoning the explorer between
-/// segments; returns the final verdict and how many resumes it took.
+/// segments, spilling as `spill` says; returns the final verdict and
+/// how many resumes it took.
 fn run_in_segments(
     spec: &ProtocolSpec,
     cfg: &McConfig,
+    spill: Option<&SpillConfig>,
     path: &PathBuf,
     k: usize,
     seg: u64,
 ) -> (Verdict, usize) {
     let _ = std::fs::remove_file(path);
-    let policy = CheckpointPolicy::new(path).every_states(k);
     let mut segments = 0;
     loop {
         segments += 1;
@@ -60,13 +78,13 @@ fn run_in_segments(
         // Node limits are cumulative across resumes: the checkpoint
         // records nodes already spent, so each segment grants `seg`
         // more.
-        let budget = Budget::unlimited().with_node_limit(seg * segments as u64);
-        let run = if segments == 1 {
-            explore_checkpointed(spec, cfg, &budget, &policy, |_, _| {})
-        } else {
-            resume(path, spec, cfg, &budget, Some(&policy), |_, _| {})
+        let plan = RunPlan {
+            budget: Budget::unlimited().with_node_limit(seg * segments as u64),
+            spill: spill.cloned(),
+            resume: (segments > 1).then(|| path.clone()),
+            ..checkpointing(path, k)
         };
-        let run = match run {
+        let run = match run(spec, cfg, &plan, |_, _| {}) {
             Ok(r) => r,
             Err(e) => panic!("segment {segments} failed: {e}"),
         };
@@ -102,27 +120,19 @@ fn serial_kill_and_resume_matrix_reproduces_verdicts() {
         // The uninterrupted reference runs in checkpointed mode too:
         // when a configured bound fires, that mode finishes the BFS
         // level before stopping (a flushable snapshot must sit at a
-        // level boundary), so a plain `explore_budgeted` run can stop
+        // level boundary), so a run without a checkpoint can stop
         // mid-level with a smaller state count. Counterexample verdicts
         // are unaffected — the deadlock test below compares against the
         // plain explorer directly.
         let base_path = tmp(&format!("{name}-base"));
         let _ = std::fs::remove_file(&base_path);
-        let base_policy = CheckpointPolicy::new(&base_path).every_states(1_000_000);
-        let baseline = match explore_checkpointed(
-            &spec,
-            &cfg,
-            &Budget::unlimited(),
-            &base_policy,
-            |_, _| {},
-        ) {
-            Ok(CheckpointedRun::Finished(v)) => signature(&v),
-            other => panic!("{name}: uninterrupted reference did not finish: {other:?}"),
-        };
+        let base_plan = checkpointing(&base_path, 1_000_000);
+        let what = format!("{name}: uninterrupted reference");
+        let baseline = signature(&finish(&spec, &cfg, &base_plan, &what));
         let _ = std::fs::remove_file(&base_path);
         for k in [1usize, 17, 400] {
             let path = tmp(&format!("{name}-k{k}"));
-            let (v, resumes) = run_in_segments(&spec, &cfg, &path, k, 700);
+            let (v, resumes) = run_in_segments(&spec, &cfg, None, &path, k, 700);
             assert_eq!(
                 signature(&v),
                 baseline,
@@ -145,11 +155,11 @@ fn serial_resume_reproduces_a_real_deadlock_and_its_witness() {
     // the same number of states, with the identical witness trace.
     let spec = protocols::chi();
     let cfg = McConfig::figure3(&spec).with_vns(VnMap::single(spec.messages().len()));
-    let baseline = signature(&explore_budgeted(&spec, &cfg, &Budget::unlimited()));
+    let baseline = signature(&finish(&spec, &cfg, &RunPlan::default(), "plain run"));
     assert_eq!(baseline.0, "deadlock", "CHI/single-VN must deadlock");
 
     let path = tmp("chi-deadlock");
-    let (v, resumes) = run_in_segments(&spec, &cfg, &path, 10_000, 40_000);
+    let (v, resumes) = run_in_segments(&spec, &cfg, None, &path, 10_000, 40_000);
     assert!(resumes >= 1, "deadlock run was never interrupted");
     assert_eq!(signature(&v), baseline, "witness diverged across resume");
     // A matching trace is not enough: the resumed witness must also
@@ -170,32 +180,24 @@ fn parallel_kill_and_resume_matches_a_clean_parallel_run() {
         .with_vns(VnMap::one_per_message(spec.messages().len()))
         .with_limits(4_000, Some(7));
 
-    let clean = match explore_parallel_supervised(
-        &spec,
-        &cfg,
-        &ParallelOpts::new().with_threads(3),
-    ) {
-        Ok(CheckpointedRun::Finished(v)) => signature(&v),
-        other => panic!("clean parallel run did not finish: {other:?}"),
+    let threads = RunPlan {
+        explorer: Explorer::Threads(3),
+        ..RunPlan::default()
     };
+    let clean = signature(&finish(&spec, &cfg, &threads, "clean parallel run"));
 
     let path = tmp("parallel-msi");
     let _ = std::fs::remove_file(&path);
-    let policy = CheckpointPolicy::new(&path).every_states(200);
     let mut segments = 0;
     let resumed = loop {
         segments += 1;
         assert!(segments <= 200, "parallel resume chain did not converge");
-        let opts = ParallelOpts::new()
-            .with_threads(3)
-            .with_budget(Budget::unlimited().with_node_limit(250 * segments as u64))
-            .with_policy(policy.clone());
-        let run = if segments == 1 {
-            explore_parallel_supervised(&spec, &cfg, &opts)
-        } else {
-            resume_parallel(&path, &spec, &cfg, &opts)
+        let plan = RunPlan {
+            budget: Budget::unlimited().with_node_limit(250 * segments as u64),
+            resume: (segments > 1).then(|| path.clone()),
+            ..checkpointing(&path, 200)
         };
-        match run {
+        match run(&spec, &cfg, &RunPlan { explorer: Explorer::Threads(3), ..plan }, |_, _| {}) {
             Ok(CheckpointedRun::Finished(v)) => {
                 if v.stats().provenance.is_exact()
                     || !v.stats().provenance.annotation().contains("node limit")
@@ -232,31 +234,21 @@ fn spill_enabled_kill_and_resume_matches_the_in_ram_run() {
     // In-RAM baseline, uninterrupted.
     let base_path = tmp("spill-base");
     let _ = std::fs::remove_file(&base_path);
-    let base_policy = CheckpointPolicy::new(&base_path).every_states(1_000_000);
-    let baseline = match explore_checkpointed(
-        &spec,
-        &base_cfg,
-        &Budget::unlimited(),
-        &base_policy,
-        |_, _| {},
-    ) {
-        Ok(CheckpointedRun::Finished(v)) => signature(&v),
-        other => panic!("in-RAM reference did not finish: {other:?}"),
-    };
+    let base_plan = checkpointing(&base_path, 1_000_000);
+    let baseline = signature(&finish(&spec, &base_cfg, &base_plan, "in-RAM reference"));
     let _ = std::fs::remove_file(&base_path);
 
     let spill_root = std::env::temp_dir().join(format!("vnet-resume-spill-{}", std::process::id()));
 
     // Fresh spilled run: same signature, and it genuinely spilled.
     let fresh_dir = spill_root.join("fresh");
-    let cfg = base_cfg.clone().with_spill(SpillConfig::new(&fresh_dir, 4_096));
     let fresh_path = tmp("spill-fresh");
     let _ = std::fs::remove_file(&fresh_path);
-    let policy = CheckpointPolicy::new(&fresh_path).every_states(1_000_000);
-    let fresh = match explore_checkpointed(&spec, &cfg, &Budget::unlimited(), &policy, |_, _| {}) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        other => panic!("spilled run did not finish: {other:?}"),
+    let plan = RunPlan {
+        spill: Some(SpillConfig::new(&fresh_dir, 4_096)),
+        ..checkpointing(&fresh_path, 1_000_000)
     };
+    let fresh = finish(&spec, &base_cfg, &plan, "spilled run");
     let _ = std::fs::remove_file(&fresh_path);
     assert_eq!(signature(&fresh), baseline, "spilling changed the verdict");
     assert!(
@@ -268,9 +260,9 @@ fn spill_enabled_kill_and_resume_matches_the_in_ram_run() {
     // checkpoint cadences.
     for k in [1usize, 17] {
         let seg_dir = spill_root.join(format!("k{k}"));
-        let cfg = base_cfg.clone().with_spill(SpillConfig::new(&seg_dir, 4_096));
+        let spill = SpillConfig::new(&seg_dir, 4_096);
         let path = tmp(&format!("spill-k{k}"));
-        let (v, resumes) = run_in_segments(&spec, &cfg, &path, k, 700);
+        let (v, resumes) = run_in_segments(&spec, &base_cfg, Some(&spill), &path, k, 700);
         assert_eq!(
             signature(&v),
             baseline,
@@ -294,7 +286,7 @@ fn procshard_checkpoint_resumes_in_process_to_the_plain_verdict() {
     // unlike counterexample state counts.
     let spec = protocols::chi();
     let cfg = McConfig::figure3(&spec).with_vns(VnMap::one_per_message(spec.messages().len()));
-    let baseline = signature(&explore_budgeted(&spec, &cfg, &Budget::unlimited()));
+    let baseline = signature(&finish(&spec, &cfg, &RunPlan::default(), "plain run"));
     assert_eq!(baseline.0, "no-deadlock", "CHI/unique-VNs must complete");
 
     let dir = std::env::temp_dir().join(format!("vnet-resume-proc-{}", std::process::id()));
@@ -317,10 +309,11 @@ fn procshard_checkpoint_resumes_in_process_to_the_plain_verdict() {
     );
     assert!(ckpt.exists(), "degraded supervisor must flush a merged checkpoint");
 
-    let v = match resume(&ckpt, &spec, &cfg, &Budget::unlimited(), None, |_, _| {}) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        other => panic!("in-process resume did not finish: {other:?}"),
+    let plan = RunPlan {
+        resume: Some(ckpt.clone()),
+        ..RunPlan::default()
     };
+    let v = finish(&spec, &cfg, &plan, "in-process resume");
     assert_eq!(
         signature(&v),
         baseline,
@@ -343,14 +336,10 @@ fn resumed_run_reports_the_same_peak_bytes_as_a_fresh_run() {
         .with_limits(3_000, Some(7));
     let base_path = tmp("peak-fresh");
     let _ = std::fs::remove_file(&base_path);
-    let policy = CheckpointPolicy::new(&base_path).every_states(1_000_000);
-    let fresh = match explore_checkpointed(&spec, &cfg, &Budget::unlimited(), &policy, |_, _| {}) {
-        Ok(CheckpointedRun::Finished(v)) => v,
-        other => panic!("fresh run did not finish: {other:?}"),
-    };
+    let fresh = finish(&spec, &cfg, &checkpointing(&base_path, 1_000_000), "fresh run");
     let _ = std::fs::remove_file(&base_path);
     let path = tmp("peak-resumed");
-    let (resumed, resumes) = run_in_segments(&spec, &cfg, &path, 200, 700);
+    let (resumed, resumes) = run_in_segments(&spec, &cfg, None, &path, 200, 700);
     assert!(resumes >= 1, "segment budget never interrupted the run");
     let _ = std::fs::remove_file(&path);
     assert_eq!(signature(&fresh), signature(&resumed));

@@ -9,8 +9,23 @@
 //! Figure-3 configuration; one full Figure-3 deadlock run validates
 //! witness replay end to end.
 
-use vnet::mc::{explore, explore_parallel, InjectionBudget, McConfig, Swmr, Verdict, VnMap};
-use vnet::protocol::protocols;
+use vnet::mc::{
+    explore, run, CheckpointedRun, Explorer, InjectionBudget, McConfig, RunPlan, Swmr, Verdict,
+    VnMap,
+};
+use vnet::protocol::{protocols, ProtocolSpec};
+
+/// The verdict of the threaded explorer with `threads` workers.
+fn run_threads(spec: &ProtocolSpec, cfg: &McConfig, threads: usize) -> Verdict {
+    let plan = RunPlan {
+        explorer: Explorer::Threads(threads),
+        ..RunPlan::default()
+    };
+    match run(spec, cfg, &plan, |_, _| {}) {
+        Ok(CheckpointedRun::Finished(v)) => v,
+        other => panic!("{threads} threads: run did not finish: {other:?}"),
+    }
+}
 
 fn kind(v: &Verdict) -> &'static str {
     match v {
@@ -60,7 +75,7 @@ fn complete_small_spaces_agree_for_every_table1_protocol() {
             spec.name()
         );
         for threads in [1, 2, 4] {
-            let parallel = explore_parallel(&spec, &cfg, threads);
+            let parallel = run_threads(&spec, &cfg, threads);
             assert_agree(spec.name(), threads, &serial, &parallel);
         }
     }
@@ -74,7 +89,7 @@ fn bounded_figure3_sweeps_agree_for_every_table1_protocol() {
             .with_limits(usize::MAX, Some(10));
         let serial = explore(&spec, &cfg);
         for threads in [1, 2, 4] {
-            let parallel = explore_parallel(&spec, &cfg, threads);
+            let parallel = run_threads(&spec, &cfg, threads);
             assert_agree(spec.name(), threads, &serial, &parallel);
         }
     }
@@ -124,7 +139,7 @@ fn symmetry_preserves_verdicts_and_reduces_states_for_every_table1_protocol() {
         // specific (see procshard.rs "Determinism"); only complete
         // clean runs compare state-for-state.
         for threads in [1, 2, 4] {
-            let par = explore_parallel(&spec, &sym_cfg, threads);
+            let par = run_threads(&spec, &sym_cfg, threads);
             if matches!(sym, Verdict::NoDeadlock(_)) {
                 assert_agree(spec.name(), threads, &sym, &par);
             } else {
@@ -264,7 +279,7 @@ fn parallel_figure3_witness_replays_to_its_terminal_state() {
     assert_eq!(serial_end, serial_trace.last);
 
     for threads in [1, 2, 4] {
-        let Verdict::Deadlock { trace, depth, .. } = explore_parallel(&spec, &cfg, threads)
+        let Verdict::Deadlock { trace, depth, .. } = run_threads(&spec, &cfg, threads)
         else {
             panic!("figure3 MSI-blocking must deadlock with {threads} threads");
         };
@@ -306,7 +321,7 @@ fn initial_swmr_violation_is_found_by_every_explorer() {
             trace: t,
             detail: d,
             ..
-        } = explore_parallel(&spec, &cfg, threads)
+        } = run_threads(&spec, &cfg, threads)
         else {
             panic!("{threads} threads must reject the initial state");
         };

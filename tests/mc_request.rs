@@ -10,11 +10,18 @@
 //! first test checks, cell by cell, that every path builds the same
 //! fingerprint; the second pins the daemon's store keys, so a refactor
 //! that moves one orphans no cached record unseen.
+//!
+//! One `RunPlan` decides how the run executes. The last tests check
+//! that every explorer mode's plan round-trips through its flags, and
+//! pin, byte for byte, each flag combination `vnet mc` refuses.
 
-use vnet::mc::campaign::{self, CampaignConfig};
-use vnet::mc::{McConfig, McRequest, VnChoice};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use vnet::core::Budget;
+use vnet::mc::campaign::{self, CampaignConfig, Isolation};
+use vnet::mc::{Explorer, McConfig, McRequest, PanicInjection, RunPlan, SpillConfig, VnChoice};
 use vnet::protocol::{protocols, ProtocolSpec};
-use vnet::serve::exec::{analyze_store_key, mc_store_key, store_key};
+use vnet::serve::exec::{analyze_store_key, mc_plan, mc_store_key, store_key};
 use vnet::serve::parse_request;
 
 fn words(args: &[&str]) -> Vec<String> {
@@ -243,4 +250,244 @@ fn store_keys_match_the_pinned_golden_values() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// One plan per explorer mode and per execution flag, as `vnet mc`
+/// builds it from its flags.
+fn plans() -> Vec<RunPlan> {
+    let ckpt = PathBuf::from("run.ckpt");
+    let budget = Budget::unlimited()
+        .with_deadline(Duration::from_millis(1500))
+        .with_node_limit(9_000);
+    let shards = Explorer::Shards {
+        procs: 3,
+        dir: PathBuf::from("shards"),
+    };
+    vec![
+        RunPlan::default(),
+        RunPlan {
+            explorer: Explorer::Threads(1),
+            ..RunPlan::default()
+        },
+        RunPlan {
+            explorer: Explorer::Threads(4),
+            budget: budget.clone().with_mem_limit(1 << 30),
+            checkpoint: Some(ckpt.clone()),
+            checkpoint_every: 5_000,
+            stop_file: Some(PathBuf::from("stop")),
+            inject_panic: Some(PanicInjection { level: 3, times: 2 }),
+            ..RunPlan::default()
+        },
+        RunPlan {
+            budget: Budget::unlimited().with_mem_limit(10_000_000),
+            spill: Some(SpillConfig::for_budget("spill", 10_000_000)),
+            ..RunPlan::default()
+        },
+        // A resumed run keeps checkpointing to the file it resumed
+        // from, or to the one `--checkpoint` names.
+        RunPlan {
+            checkpoint: Some(ckpt.clone()),
+            resume: Some(ckpt.clone()),
+            ..RunPlan::default()
+        },
+        RunPlan {
+            explorer: Explorer::Threads(2),
+            checkpoint: Some(PathBuf::from("onward.ckpt")),
+            resume: Some(ckpt.clone()),
+            ..RunPlan::default()
+        },
+        RunPlan {
+            explorer: shards.clone(),
+            budget: budget.with_mem_limit(1 << 20),
+            checkpoint: Some(ckpt),
+            inject_kill: Some((2, 1)),
+            ..RunPlan::default()
+        },
+        RunPlan {
+            explorer: shards,
+            ..RunPlan::default()
+        },
+    ]
+}
+
+#[test]
+fn every_explorer_modes_plan_round_trips_through_its_flags() -> Result<(), String> {
+    for plan in plans() {
+        assert_eq!(RunPlan::from_args(&plan.to_args())?, plan, "{plan:?}");
+        // A child's argv carries the request and the plan, each of
+        // which parses back to itself.
+        let request = McRequest::default().with_symmetry();
+        let argv = plan.mc_argv("CHI", &request);
+        assert_eq!(argv[..3], words(&["mc", "CHI", "--machine"]));
+        assert_eq!(RunPlan::from_args(&argv)?, plan, "{plan:?}");
+        assert_eq!(McRequest::from_args(&argv)?, request, "{plan:?}");
+    }
+    Ok(())
+}
+
+/// A process-isolated campaign child's argv parses back to the plan
+/// the campaign rendered into it, for every explorer a child runs and
+/// every checkpoint lineage.
+#[test]
+fn campaign_child_argv_parses_back_to_the_campaign_plan() -> Result<(), String> {
+    let base = CampaignConfig::new()
+        .with_isolation(Isolation::Process)
+        .with_budget(Budget::unlimited().with_node_limit(5_000))
+        .with_checkpoint_dir("ckpts");
+    let campaigns = [
+        base.clone().with_threads(3),
+        base.clone().with_mem_budget(8 << 20),
+        base.clone()
+            .with_mem_budget(8 << 20)
+            .with_spill_dir("spill"),
+        base.clone().with_shard_procs(2).with_symmetry(),
+    ];
+    let (ckpt, older) = (Path::new("ckpts/CHI.1.ckpt"), Path::new("ckpts/CHI.0.ckpt"));
+    let lineages = [(None, None), (Some(ckpt), None), (Some(ckpt), Some(older))];
+    for cc in campaigns {
+        for (write, resume_from) in lineages {
+            let plan = cc.child_plan("CHI", write, resume_from);
+            let argv = plan.mc_argv("protocols/chi.vnp", &cc.request);
+            assert_eq!(RunPlan::from_args(&argv)?, plan, "{argv:?}");
+            assert_eq!(McRequest::from_args(&argv)?, cc.request, "{argv:?}");
+        }
+    }
+    Ok(())
+}
+
+/// The argv of serve's process-dispatched `mc` job parses back to the
+/// plan its inline runner would run.
+#[test]
+fn serve_dispatch_argv_parses_back_to_the_inline_plan() -> Result<(), String> {
+    let request = McRequest {
+        vns: VnChoice::Unique,
+        ..McRequest::default()
+    };
+    let budgets = [
+        Budget::unlimited(),
+        Budget::unlimited()
+            .with_deadline(Duration::from_secs(3))
+            .with_mem_limit(64 << 20),
+    ];
+    for budget in budgets {
+        for ckpt in [None, Some(Path::new("jobs/7.ckpt"))] {
+            let plan = mc_plan(&budget, ckpt);
+            let argv = plan.mc_argv("CHI", &request);
+            assert_eq!(RunPlan::from_args(&argv)?, plan, "{argv:?}");
+            assert_eq!(McRequest::from_args(&argv)?, request, "{argv:?}");
+        }
+    }
+    Ok(())
+}
+
+/// Every flag combination `vnet mc` refuses, with the message it
+/// prints, byte for byte: scripts match on these.
+const REFUSALS: [(&str, &str); 24] = [
+    (
+        "--shard-procs 2 --shard-dir d --parallel 2",
+        "--shard-procs and --parallel are mutually exclusive",
+    ),
+    (
+        "--spill-dir s",
+        "--spill-dir needs --mem-budget (the spill trigger)",
+    ),
+    (
+        "--mem-budget 1000 --spill-dir s --parallel 2",
+        "--spill-dir applies to the serial explorer; the thread-parallel explorer keeps its \
+         shards in RAM",
+    ),
+    (
+        "--parallel 0",
+        "--parallel needs a positive thread count (omit the flag for the serial explorer)",
+    ),
+    (
+        "--inject-worker-panic 1:1",
+        "--inject-worker-panic needs --parallel",
+    ),
+    (
+        "--shard-procs 2",
+        "--shard-procs and --shard-dir go together",
+    ),
+    ("--shard-dir d", "--shard-procs and --shard-dir go together"),
+    (
+        "--shard-procs 2 --shard-dir d --resume r",
+        "--shard-procs resumes from its --shard-dir; --resume is for the serial and \
+         thread-parallel explorers",
+    ),
+    (
+        "--shard-procs 0 --shard-dir d",
+        "--shard-procs needs a positive process count",
+    ),
+    (
+        "--shard-procs 2 --shard-dir d --spill-dir s --mem-budget 5",
+        "--shard-procs workers spill inside --shard-dir; drop --spill-dir",
+    ),
+    (
+        "--inject-shard-kill 1:0",
+        "--inject-shard-kill needs --shard-procs",
+    ),
+    ("--mem-budget 0", "--mem-budget must be positive"),
+    (
+        "--checkpoint-interval 0",
+        "--checkpoint-interval must be positive",
+    ),
+    ("--parallel x", "bad value for --parallel: `x`"),
+    (
+        "--inject-worker-panic 1x --parallel 2",
+        "bad injection `1x` (want <level>:<times>)",
+    ),
+    (
+        "--inject-worker-panic a:1 --parallel 2",
+        "bad injection level in `a:1`",
+    ),
+    (
+        "--inject-worker-panic 1:b --parallel 2",
+        "bad injection count in `1:b`",
+    ),
+    (
+        "--inject-shard-kill x --shard-procs 2 --shard-dir d",
+        "bad injection `x` (want <round>:<shard>)",
+    ),
+    (
+        "--inject-shard-kill a:1 --shard-procs 2 --shard-dir d",
+        "bad round in `a:1`",
+    ),
+    (
+        "--inject-shard-kill 1:b --shard-procs 2 --shard-dir d",
+        "bad shard in `1:b`",
+    ),
+    (
+        "--budget nodes=0",
+        "node limit must be positive in `nodes=0`",
+    ),
+    ("--resume", "--resume needs a value"),
+    (
+        "--shard-procs x --shard-dir d",
+        "bad value for --shard-procs: `x`",
+    ),
+    ("--mem-budget x", "bad value for --mem-budget: `x`"),
+];
+
+#[test]
+fn refused_flag_combinations_keep_their_messages() {
+    for (flags, message) in REFUSALS {
+        let mut argv = words(&["mc", "CHI"]);
+        argv.extend(flags.split(' ').map(String::from));
+        assert_eq!(
+            RunPlan::from_args(&argv).err().as_deref(),
+            Some(message),
+            "{flags}"
+        );
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vnet"))
+            .args(&argv)
+            .output()
+            .expect("vnet should spawn");
+        assert_eq!(out.status.code(), Some(1), "{flags}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: {message}").as_str()),
+            "{flags}"
+        );
+    }
 }

@@ -15,10 +15,22 @@
 
 use vnet::core::{analyze, VnOutcome};
 use vnet::mc::{
-    check_parameterized, check_vn_map, explore, explore_parallel, flows_canonical, FlowVerdict,
-    InjectionBudget, McConfig, Verdict, VnMap,
+    check_parameterized, check_vn_map, explore, flows_canonical, run, CheckpointedRun, Explorer,
+    FlowVerdict, InjectionBudget, McConfig, RunPlan, Verdict, VnMap,
 };
-use vnet::protocol::{dsl, protocols};
+use vnet::protocol::{dsl, protocols, ProtocolSpec};
+
+/// The verdict of the threaded explorer with `threads` workers.
+fn run_threads(spec: &ProtocolSpec, cfg: &McConfig, threads: usize) -> Verdict {
+    let plan = RunPlan {
+        explorer: Explorer::Threads(threads),
+        ..RunPlan::default()
+    };
+    match run(spec, cfg, &plan, |_, _| {}) {
+        Ok(CheckpointedRun::Finished(v)) => v,
+        other => panic!("{threads} threads: run did not finish: {other:?}"),
+    }
+}
 
 fn kind(v: &Verdict) -> &'static str {
     match v {
@@ -154,7 +166,7 @@ fn flow_verdict_agrees_with_every_explorer_at_n_2_3_4() {
             let serial = explore(&spec, &cfg);
             assert_one_sided(&name, n, "serial", &fv, &serial);
 
-            let parallel = explore_parallel(&spec, &cfg, 2);
+            let parallel = run_threads(&spec, &cfg, 2);
             assert_one_sided(&name, n, "parallel", &fv, &parallel);
             assert_eq!(
                 kind(&serial),

@@ -12,8 +12,7 @@
 //! which this v2 fixture replaced once version-1 files were refused.
 
 use std::path::{Path, PathBuf};
-use vnet::core::Budget;
-use vnet::mc::{resume, CheckpointError, McConfig, VnMap};
+use vnet::mc::{run, CheckpointError, CheckpointedRun, McConfig, RunPlan, VnMap};
 use vnet::protocol::{protocols, ProtocolSpec};
 
 #[path = "support/single_section.rs"]
@@ -33,6 +32,19 @@ fn tmp(tag: &str) -> PathBuf {
     d.join(format!("{tag}.ckpt"))
 }
 
+/// An unlimited run resumed from `path`, flushing nothing.
+fn resumed(
+    path: &Path,
+    spec: &ProtocolSpec,
+    cfg: &McConfig,
+) -> Result<CheckpointedRun, CheckpointError> {
+    let plan = RunPlan {
+        resume: Some(path.to_path_buf()),
+        ..RunPlan::default()
+    };
+    run(spec, cfg, &plan, |_, _| {})
+}
+
 /// The blocking MSI protocol under `vns`, with the bounds the fixture
 /// was flushed under.
 fn config(vns: fn(usize) -> VnMap) -> (ProtocolSpec, McConfig) {
@@ -49,7 +61,7 @@ fn config(vns: fn(usize) -> VnMap) -> (ProtocolSpec, McConfig) {
 fn pre_intern_checkpoint_refuses_a_mismatched_config() {
     // Same protocol, different VN mapping — the fingerprint must differ.
     let (spec, cfg) = config(VnMap::single);
-    match resume(&fixture(), &spec, &cfg, &Budget::unlimited(), None, |_, _| {}) {
+    match resumed(&fixture(), &spec, &cfg) {
         Err(CheckpointError::SpecMismatch { expected, found }) => assert_ne!(expected, found),
         other => panic!("expected SpecMismatch, got {other:?}"),
     }
@@ -66,7 +78,7 @@ fn corrupted_resume_fails_closed(tag: &str, f: impl FnOnce(&mut Single)) -> Stri
     f(&mut parts);
     let path = tmp(tag);
     std::fs::write(&path, seal(&parts)).unwrap_or_else(|e| panic!("rewrite failed: {e}"));
-    match resume(&path, &spec, &cfg, &Budget::unlimited(), None, |_, _| {}) {
+    match resumed(&path, &spec, &cfg) {
         Err(CheckpointError::Corrupt { detail, .. }) => {
             assert!(!detail.is_empty(), "corrupt error must say what is wrong");
             assert!(!detail.contains("checksum"), "{tag}: rejected by checksum, not structure");

@@ -214,7 +214,7 @@ fn drained_checkpoint_is_loadable_and_resumable() {
     // exploration must pick up where the drain stopped it. Full
     // resume-to-verdict equivalence is covered by checkpoint_resume.rs.
     use vnet::core::{analyze, Budget, VnOutcome};
-    use vnet::mc::{resume, CheckpointedRun, McConfig, VnMap};
+    use vnet::mc::{run, CheckpointedRun, McConfig, RunPlan, VnMap};
     use vnet::protocol::protocols;
     let spec = protocols::extended()
         .into_iter()
@@ -226,9 +226,12 @@ fn drained_checkpoint_is_loadable_and_resumable() {
         VnOutcome::Class2(_) => panic!("MSI-nonblocking-cache is not Class 2"),
     };
     let cfg = McConfig::figure3(&spec).with_vns(vns);
-    let budget = Budget::unlimited().with_node_limit(flushed_states + 20_000);
-    let run = resume(&ckpt, &spec, &cfg, &budget, None, |_, _| {})
-        .expect("the drained checkpoint must load");
+    let plan = RunPlan {
+        budget: Budget::unlimited().with_node_limit(flushed_states + 20_000),
+        resume: Some(ckpt.clone()),
+        ..RunPlan::default()
+    };
+    let run = run(&spec, &cfg, &plan, |_, _| {}).expect("the drained checkpoint must load");
     let v = match run {
         CheckpointedRun::Finished(v) => v,
         CheckpointedRun::Interrupted { .. } => panic!("no stop file configured on resume"),
